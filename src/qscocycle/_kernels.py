@@ -1,123 +1,58 @@
-"""Hot inner loops of the repeated-interaction oracle.
+"""Hot inner loops of the repeated-interaction oracle, in plain numpy.
 
-Two backends with identical semantics: numba ``@njit`` kernels and pure
-numpy.  Selection is controlled by the environment variable
-``QSCOCYCLE_BACKEND``:
-
-    auto   (default) use numba when importable, else numpy
-    numba  require numba, raise if missing
-    numpy  force the pure-numpy path
-
-``backend_name()`` reports what is actually in use; the benchmark script
-under benchmarks/ compares the two.
+``element_chain`` multiplies run powers of the few distinct slot matrices
+instead of one factor per slot; ``slot_apply`` turns each slot step into one
+BLAS matrix product on a contiguous copy of the lattice state.  Neither uses
+a matrix exponential.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_REQUESTED = os.environ.get("QSCOCYCLE_BACKEND", "auto").lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"QSCOCYCLE_BACKEND must be auto, numba, or numpy; got {_REQUESTED!r}"
-    )
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-    if _REQUESTED == "numba":
-        raise RuntimeError("QSCOCYCLE_BACKEND=numba but numba is not importable")
-
-_USE_NUMBA = _HAVE_NUMBA and _REQUESTED != "numpy"
 
 
 def backend_name() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    """Name of the compute path, recorded as benchmark provenance."""
+    return "numpy"
 
 
-def element_chain_numpy(mats: np.ndarray, piece_idx: np.ndarray) -> np.ndarray:
-    """Sequential product I @ mats[piece_idx[0]] @ mats[piece_idx[1]] ..."""
-    dh = mats.shape[1]
-    acc = np.eye(dh, dtype=np.complex128)
-    for i in piece_idx:
-        acc = acc @ mats[i]
+def element_chain(mats: np.ndarray, piece_idx: np.ndarray) -> np.ndarray:
+    """Ordered product I @ mats[piece_idx[0]] @ mats[piece_idx[1]] ...
+
+    Consecutive equal indices form a run whose power is taken by repeated
+    squaring, so a schedule of N slots in R runs costs O(R log N) products.
+    """
+    mats = np.asarray(mats, dtype=np.complex128)
+    piece_idx = np.asarray(piece_idx, dtype=np.int64).reshape(-1)
+    acc = np.eye(mats.shape[1], dtype=np.complex128)
+    if piece_idx.size == 0:
+        return acc
+    starts = np.flatnonzero(np.diff(piece_idx)) + 1
+    bounds = np.concatenate(([0], starts, [piece_idx.size]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        acc = acc @ np.linalg.matrix_power(mats[piece_idx[lo]], int(hi - lo))
     return acc
 
 
-def slot_apply_numpy(state: np.ndarray, g4: np.ndarray, dh: int, m: int, n: int) -> np.ndarray:
+def slot_apply(state: np.ndarray, g4: np.ndarray, dh: int, m: int, n: int) -> np.ndarray:
     """Apply the step contraction to (h, slot j) for j = n down to 1.
 
     ``state`` is the flattened h (x) slot_1 (x) ... (x) slot_n vector with h
     slowest and slot n fastest; ``g4`` is the step matrix reshaped to
-    (dh, m, dh, m).
+    (dh, m, dh, m).  Before step j the state is held in the axis order
+    (h, slots j+1..n, slots 1..j); moving slot j next to h gives a contiguous
+    (dh*m, rest) matrix for one matmul, whose output is already in the order
+    step j-1 expects.  After step 1 the order is the original one again.
     """
-    cur = state
+    g2 = np.asarray(g4, dtype=np.complex128).reshape(dh * m, dh * m)
+    cur = np.array(state, dtype=np.complex128).reshape(-1)
+    buf = np.empty_like(cur)
     for j in range(n, 0, -1):
         pre = m ** (j - 1)
         post = m ** (n - j)
-        four = cur.reshape(dh, pre, m, post)
-        cur = np.einsum("paqb,qxby->pxay", g4, four).reshape(-1)
+        np.copyto(
+            buf.reshape(dh, m, post, pre),
+            cur.reshape(dh, post, pre, m).transpose(0, 3, 1, 2),
+        )
+        np.matmul(g2, buf.reshape(dh * m, post * pre), out=cur.reshape(dh * m, post * pre))
     return cur
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _element_chain_numba(mats, piece_idx):  # pragma: no cover - jitted
-        dh = mats.shape[1]
-        acc = np.eye(dh, dtype=np.complex128)
-        tmp = np.empty((dh, dh), dtype=np.complex128)
-        for s in range(piece_idx.shape[0]):
-            mat = mats[piece_idx[s]]
-            for p in range(dh):
-                for q in range(dh):
-                    val = 0.0 + 0.0j
-                    for r in range(dh):
-                        val += acc[p, r] * mat[r, q]
-                    tmp[p, q] = val
-            acc[:, :] = tmp
-        return acc
-
-    @njit(cache=True)
-    def _slot_apply_numba(state, g4, dh, m, n):  # pragma: no cover - jitted
-        cur = state.copy()
-        buf = np.empty_like(cur)
-        for j in range(n, 0, -1):
-            pre = m ** (j - 1)
-            post = m ** (n - j)
-            buf[:] = 0.0 + 0.0j
-            for p in range(dh):
-                for a in range(m):
-                    for q in range(dh):
-                        for b in range(m):
-                            g = g4[p, a, q, b]
-                            if g == 0.0:
-                                continue
-                            for x in range(pre):
-                                src = ((q * pre + x) * m + b) * post
-                                dst = ((p * pre + x) * m + a) * post
-                                for y in range(post):
-                                    buf[dst + y] += g * cur[src + y]
-            cur, buf = buf, cur
-        return cur
-
-
-def element_chain(mats: np.ndarray, piece_idx: np.ndarray) -> np.ndarray:
-    mats = np.ascontiguousarray(mats, dtype=np.complex128)
-    piece_idx = np.ascontiguousarray(piece_idx, dtype=np.int64)
-    if _USE_NUMBA:
-        return _element_chain_numba(mats, piece_idx)
-    return element_chain_numpy(mats, piece_idx)
-
-
-def slot_apply(state: np.ndarray, g4: np.ndarray, dh: int, m: int, n: int) -> np.ndarray:
-    state = np.ascontiguousarray(state, dtype=np.complex128)
-    g4 = np.ascontiguousarray(g4, dtype=np.complex128)
-    if _USE_NUMBA:
-        return _slot_apply_numba(state, g4, dh, m, n)
-    return slot_apply_numpy(state, g4, dh, m, n)

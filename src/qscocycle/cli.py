@@ -208,11 +208,11 @@ def cmd_tk(args) -> int:
     )
     rows = [
         (r.pair_index, r.n, f"{report.horizon:.12g}", f"{r.sup_error:.17g}",
-         report.monotone, False)
+         report.monotone)
         for r in report.rows
     ]
     if args.out:
-        _write_csv(args.out, ("probe_id", "n", "t", "defect", "pass", "skipped"), rows)
+        _write_csv(args.out, ("pair_index", "n", "horizon", "sup_error", "monotone"), rows)
     for r in report.rows:
         print(f"pair {r.pair_index}  n={r.n:<6d} sup error {r.sup_error:.6e}")
     print("monotone convergence" if report.monotone else "NON-MONOTONE convergence")

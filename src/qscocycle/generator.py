@@ -184,21 +184,25 @@ def form_defect(F: BlockGenerator, xi) -> float:
     return float(2.0 * np.vdot(xi, fxi).real + np.vdot(fxi[F.dim_h :], fxi[F.dim_h :]).real)
 
 
-def yosida_approx(F: BlockGenerator, n: int) -> BlockGenerator:
+def yosida_approx(F: BlockGenerator, n: int, tol: float = 1e-8) -> BlockGenerator:
     """Bounded regularization through the resolvent contraction J = (I - K/n)^-1.
 
     Blocks become J*KJ, LJ, J*M with C unchanged; contractivity is preserved
     (the defect matrix transforms by congruence) and the result converges to
-    F entrywise at rate O(1/n).
+    F entrywise at rate O(1/n).  K must be dissipative: the largest eigenvalue
+    of its Hermitian part may exceed 0 by at most tol * max(1, |K|), which
+    also keeps I - K/n invertible.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     dh = F.dim_h
+    growth = max_herm_eig(F.K)
+    if growth > tol * max(1.0, op_norm(F.K)):
+        raise ValueError(
+            f"K is not dissipative: its Hermitian part has eigenvalue {growth:.3g} > 0"
+        )
     eye = np.eye(dh, dtype=np.complex128)
-    resolvent = eye - F.K / n
-    if abs(np.linalg.det(resolvent)) < 1e-14:
-        raise ValueError(f"resolvent I - K/{n} is singular; K is not dissipative")
-    j = np.linalg.solve(resolvent, eye)
+    j = np.linalg.solve(eye - F.K / n, eye)
     return BlockGenerator(
         dim_h=dh,
         dim_k=F.dim_k,

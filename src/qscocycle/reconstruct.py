@@ -238,7 +238,7 @@ def trotter_kato_pipeline(
     grid = np.linspace(0.0, T, grid_points)
     rows = []
     for n in n_list:
-        fam_n = SemigroupFamily(yosida_approx(F, n))
+        fam_n = SemigroupFamily(yosida_approx(F, n, tol=contractivity_tol))
         for pair_index, (c, d) in enumerate(probe_pairs):
             err = max(
                 op_norm(fam_n.q(c, d, t) - base.q(c, d, t)) for t in grid

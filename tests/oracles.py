@@ -96,3 +96,35 @@ def aligned_step(rng, dim_k, t, jumps, base=256, scale=0.7):
     vals = random_complex(rng, (bps.size, dim_k), scale / np.sqrt(max(dim_k, 1)))
     end = t + float(rng.uniform(0.1, 0.6))
     return StepFunction(bps, vals, end)
+
+
+def sequential_chain(mats, piece_idx):
+    """Ordered product I @ mats[piece_idx[0]] @ mats[piece_idx[1]] ..., one
+    factor per slot."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    acc = np.eye(mats.shape[1], dtype=np.complex128)
+    for i in piece_idx:
+        acc = acc @ mats[i]
+    return acc
+
+
+def reduced_state_norm(F, v, g, t, N):
+    """Norm of the discrete state V^(N)_t (v (x) eps_N(g)) from its h-marginal.
+
+    Each slot meets the Euler step G exactly once, while still in its product
+    vector eta_j = (1, sqrt(tau) g(s_j)), and is never touched again.  So the
+    reduced density matrix follows rho <- Tr_slot[G (rho (x) |eta_j><eta_j|) G*]
+    for j = N down to 1, and the squared norm is Tr rho.  G is assembled here
+    from the generator blocks, in the block layout (slot index slow, h fast).
+    """
+    dh, m = F.dim_h, 1 + F.dim_k
+    tau = t / N
+    root = np.sqrt(tau)
+    step = np.block([[np.eye(dh) + tau * F.K, root * F.M], [root * F.L, F.C]])
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    rho = np.outer(v, v.conj())
+    for j in range(N, 0, -1):
+        eta = np.concatenate(([1.0], root * g((j - 1) * tau)))
+        big = step @ np.kron(np.outer(eta, eta.conj()), rho) @ step.conj().T
+        rho = np.einsum("aiaj->ij", big.reshape(m, dh, m, dh))
+    return float(np.sqrt(np.trace(rho).real))

@@ -79,7 +79,9 @@ def test_criterion_1_cocycle_functional_equation():
 def test_criterion_2_engine_oracle_equivalence():
     rng = np.random.default_rng(202)
     worst_rel = 0.0
+    worst_richardson = 0.0
     ratios = []
+    richardson_ratios = []
     for case in range(25):
         dim_h = int(rng.integers(1, 4))
         dim_k = int(rng.integers(1, 3))
@@ -90,19 +92,35 @@ def test_criterion_2_engine_oracle_equivalence():
         g = aligned_step(rng, dim_k, t, int(rng.integers(1, 5)))
         u, v = random_unit(rng, dim_h), random_unit(rng, dim_h)
         engine = full_matrix_element(F, u, f, v, g, t)
-        errs = {
-            n: abs(oracle_matrix_element(F, u, f, v, g, t, n) - engine)
-            for n in (256, 512, 1024, 4096)
+        values = {
+            n: oracle_matrix_element(F, u, f, v, g, t, n)
+            for n in (256, 512, 1024, 4096, 8192, 32768, 65536)
         }
+        errs = {n: abs(value - engine) for n, value in values.items()}
         for big, small in ((256, 512), (512, 1024)):
             ratios.append(errs[small] / errs[big])
         worst_rel = max(worst_rel, errs[4096] / max(abs(engine), 1e-12))
-    ok = all(0.35 <= r <= 0.7 for r in ratios) and worst_rel <= 1e-2
+        # Richardson extrapolation 2 O(2N) - O(N) cancels the first-order
+        # Euler error; what is left is second order in 1/N.
+        coarse, fine = (
+            abs(2.0 * values[2 * n] - values[n] - engine) for n in (4096, 32768)
+        )
+        worst_richardson = max(worst_richardson, fine / max(abs(engine), 1e-12))
+        richardson_ratios.append(fine / coarse)
+    ok = (
+        all(0.35 <= r <= 0.7 for r in ratios)
+        and worst_rel <= 1e-2
+        and worst_richardson <= 1e-6
+        and all(1.0 / 128 <= r <= 1.0 / 32 for r in richardson_ratios)
+    )
     report(
         2,
         ok,
         f"ratio range [{min(ratios):.3f}, {max(ratios):.3f}], "
-        f"worst relative error at N=4096 {worst_rel:.2e}",
+        f"worst relative error at N=4096 {worst_rel:.2e}, "
+        f"worst relative Richardson error at N=65536 {worst_richardson:.2e}, "
+        f"Richardson ratio range [{min(richardson_ratios):.4f}, "
+        f"{max(richardson_ratios):.4f}]",
     )
 
 

@@ -173,7 +173,7 @@ class TestOtherCommands:
         gen = scalar_hp_file(tmp_path)
         out = tmp_path / "tk.csv"
         assert main(["tk", gen, "--n-list", "10,100", "--out", str(out)]) == 0
-        assert out.read_text().startswith("probe_id,n,t,defect,pass,skipped")
+        assert out.read_text().startswith("pair_index,n,horizon,sup_error,monotone")
 
     def test_coords(self, tmp_path, capsys):
         gen = scalar_hp_file(tmp_path)

@@ -178,6 +178,16 @@ def test_yosida_singular_resolvent():
         yosida_approx(bad, 0)
 
 
+def test_yosida_rejects_non_dissipative_drift():
+    # I - K/n is invertible for every n != 2, so only the dissipativity check
+    # can catch K = 2I.
+    bad = assemble(2.0 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2),
+                   dim_h=2, dim_k=1)
+    for n in (1, 3, 10):
+        with pytest.raises(ValueError, match="not dissipative"):
+            yosida_approx(bad, n)
+
+
 def test_classify_equality_case():
     report = classify(random_contractive(3, 2, seed=4, mode="unitary_C"))
     assert report.is_contractive

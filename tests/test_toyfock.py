@@ -17,11 +17,46 @@ from qscocycle import (
 from qscocycle.toyfock import MemoryBudgetError
 from qscocycle import _kernels
 
-from oracles import aligned_step, random_complex, random_step, random_unit
+from oracles import (
+    aligned_step,
+    random_complex,
+    random_step,
+    random_unit,
+    reduced_state_norm,
+    sequential_chain,
+)
 
 
 def scalar_hp():
     return from_hlc(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+
+
+def slot_factor(step, dh, m, N, j):
+    """Step matrix on (h, slot j) as a dense matrix on the full lattice space.
+
+    Built by explicit index arithmetic: h slowest, then slots 1..N, slot N
+    fastest; ``step`` is in the block layout (slot index slow, h fast).
+    """
+    dim = dh * m**N
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for row in range(dim):
+        digits = []
+        rest = row
+        for _ in range(N):
+            digits.append(rest % m)
+            rest //= m
+        digits.reverse()
+        p = rest
+        a_j = digits[j - 1]
+        for q in range(dh):
+            for b in range(m):
+                col_digits = list(digits)
+                col_digits[j - 1] = b
+                col = q
+                for dgt in col_digits:
+                    col = col * m + dgt
+                out[row, col] = step[a_j * dh + p, b * dh + q]
+    return out
 
 
 def zero_generator(dim_h, dim_k):
@@ -220,28 +255,6 @@ class TestOracleStateNorm:
         dh, m = F.dim_h, 1 + F.dim_k
         tau = t / N
         step = step_matrix(F, tau).matrix
-        dim = dh * m**N
-
-        def slot_factor(j):
-            out = np.zeros((dim, dim), dtype=np.complex128)
-            for row in range(dim):
-                digits = []
-                rest = row
-                for _ in range(N):
-                    digits.append(rest % m)
-                    rest //= m
-                digits.reverse()
-                p = rest
-                a_j = digits[j - 1]
-                for q in range(dh):
-                    for b in range(m):
-                        col_digits = list(digits)
-                        col_digits[j - 1] = b
-                        col = q
-                        for dgt in col_digits:
-                            col = col * m + dgt
-                        out[row, col] = step[a_j * dh + p, b * dh + q]
-            return out
 
         state = v.copy()
         for j in range(N):
@@ -249,28 +262,63 @@ class TestOracleStateNorm:
             state = np.kron(state, eta)
         dense = state.copy()
         for j in range(N, 0, -1):
-            dense = slot_factor(j) @ dense
+            dense = slot_factor(step, dh, m, N, j) @ dense
         got = oracle_state_norm(F, v, g, t, N)
         assert abs(got - np.linalg.norm(dense)) <= 1e-12
 
+    @pytest.mark.parametrize("dim_k", [1, 2])
+    @pytest.mark.parametrize("N", [4, 8, 12])
+    def test_matches_reduced_density_recurrence(self, dim_k, N):
+        rng = np.random.default_rng(100 * dim_k + N)
+        F = random_contractive(2, dim_k, seed=20 + N + dim_k)
+        g = random_step(rng, dim_k, 3, 1.0)
+        v = random_complex(rng, 2)
+        got = oracle_state_norm(F, v, g, 1.0, N)
+        expect = reduced_state_norm(F, v, g, 1.0, N)
+        assert abs(got - expect) <= 1e-12 * expect
 
-class TestKernelBackends:
-    def test_paths_agree_on_element_chain(self):
-        rng = np.random.default_rng(12)
-        mats = random_complex(rng, (3, 4, 4), 0.4)
-        idx = rng.integers(0, 3, size=64)
-        ref = _kernels.element_chain_numpy(mats, idx)
-        got = _kernels.element_chain(mats, idx)
-        assert op_norm(got - ref) <= 1e-13 * max(1.0, op_norm(ref))
 
-    def test_paths_agree_on_slot_apply(self):
+class TestKernels:
+    def test_element_chain_empty_schedule_is_identity(self):
+        mats = random_complex(np.random.default_rng(12), (2, 3, 3))
+        got = _kernels.element_chain(mats, np.zeros(0, dtype=np.int64))
+        assert np.array_equal(got, np.eye(3))
+
+    def test_element_chain_single_run(self):
         rng = np.random.default_rng(13)
-        dh, m, n = 2, 2, 6
-        state = random_complex(rng, dh * m**n)
-        g4 = random_complex(rng, (dh, m, dh, m), 0.5)
-        ref = _kernels.slot_apply_numpy(state.copy(), g4, dh, m, n)
-        got = _kernels.slot_apply(state.copy(), g4, dh, m, n)
-        assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+        mats = np.eye(3) + random_complex(rng, (2, 3, 3), 0.05)
+        idx = np.full(1000, 1)
+        ref = sequential_chain(mats, idx)
+        got = _kernels.element_chain(mats, idx)
+        assert op_norm(got - ref) <= 1e-11 * op_norm(ref)
 
-    def test_backend_name_is_reported(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
+    @pytest.mark.parametrize("pieces", [2, 5, 12])
+    def test_element_chain_long_runs(self, pieces):
+        # Near-identity contractions over 2^16 slots, the shape of the
+        # oracle's schedule: a few long runs of each distinct slot matrix.
+        rng = np.random.default_rng(14 + pieces)
+        n_slots, dh = 2**16, 3
+        mats = np.empty((pieces, dh, dh), dtype=np.complex128)
+        for i in range(pieces):
+            x = random_complex(rng, (dh, dh))
+            mats[i] = np.eye(dh) + (x - x.conj().T - 0.5 * x.conj().T @ x) / n_slots
+        cuts = np.sort(rng.choice(np.arange(1, n_slots), size=pieces - 1, replace=False))
+        idx = np.repeat(rng.permutation(pieces), np.diff(np.concatenate(([0], cuts, [n_slots]))))
+        ref = sequential_chain(mats, idx)
+        got = _kernels.element_chain(mats, idx)
+        assert op_norm(got - ref) <= 1e-11 * op_norm(ref)
+
+    @pytest.mark.parametrize("dh, m, n", [(2, 2, 4), (2, 3, 3), (1, 2, 5)])
+    def test_slot_apply_matches_dense_slot_factors(self, dh, m, n):
+        rng = np.random.default_rng(15 + n)
+        step = random_complex(rng, (dh * m, dh * m), 0.5)
+        state = random_complex(rng, dh * m**n)
+        g4 = step.reshape(m, dh, m, dh).transpose(1, 0, 3, 2)
+        dense = state.copy()
+        for j in range(n, 0, -1):
+            dense = slot_factor(step, dh, m, n, j) @ dense
+        got = _kernels.slot_apply(state, g4, dh, m, n)
+        assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
+
+    def test_backend_name_is_numpy(self):
+        assert _kernels.backend_name() == "numpy"
