@@ -24,10 +24,8 @@ from .generator import (
     classify,
     component,
     contractivity_defect,
-    delta_projector,
     form_defect,
     from_hlc,
-    hat_vector,
     yosida_approx,
 )
 from .models import OscillatorSpec, birth_death, inverse_oscillator, random_contractive
@@ -88,7 +86,6 @@ __all__ = [
     "contractivity_defect",
     "coords_from_f",
     "coords_to_f",
-    "delta_projector",
     "dual_family",
     "dual_generator",
     "exp_inner",
@@ -96,7 +93,6 @@ __all__ = [
     "from_hlc",
     "full_matrix_element",
     "g_generator",
-    "hat_vector",
     "inverse_oscillator",
     "make_probe",
     "mat_exp",

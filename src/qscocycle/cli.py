@@ -56,23 +56,26 @@ def build_model(payload: dict) -> BlockGenerator:
             raise SchemaError(f"missing field {field!r}")
         return payload[field]
 
+    def need_int(field):
+        return jsonio.decode_int(need(field), field)
+
     if name == "oscillator":
-        dim = need("dim")
+        dim = need_int("dim")
         lam = _sequence(need("lam"), dim + 1, "lam", complex_ok=True)
         mu = _sequence(need("mu"), dim, "mu", complex_ok=False)
         return models.inverse_oscillator(models.OscillatorSpec(dim=dim, lam=lam, mu=mu))
     if name == "birth_death":
-        dim = need("dim")
+        dim = need_int("dim")
         birth = _sequence(need("birth"), dim, "birth", complex_ok=False)
         death = _sequence(need("death"), dim, "death", complex_ok=False)
         return models.birth_death(dim, birth, death)
     if name == "random":
         return models.random_contractive(
-            need("dim_h"), need("dim_k"), need("seed"),
+            need_int("dim_h"), need_int("dim_k"), need_int("seed"),
             payload.get("mode", "unitary_C"),
         )
     if name == "zero":
-        dh, dk = need("dim_h"), need("dim_k")
+        dh, dk = need_int("dim_h"), need_int("dim_k")
         return BlockGenerator(
             dim_h=dh, dim_k=dk,
             K=np.zeros((dh, dh)), L=np.zeros((dh * dk, dh)),

@@ -201,7 +201,11 @@ def sliced_element(source, f: StepFunction, g: StepFunction, t: float) -> Sliced
 
 
 def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t: float) -> complex:
-    """<u eps(f), V_t v eps(g)> = <u, (P-product) v> * tail integral factor."""
+    """<u eps(f), V_t v eps(g)> = <u, (P-product) v> * tail integral factor.
+
+    Raises ``OverflowError`` when the unnormalized exponential-vector factors
+    overflow, instead of returning inf or nan.
+    """
     fam = _family(source)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -210,7 +214,14 @@ def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t: float
             f"state vectors have dimensions {u.size}, {v.size}; expected {fam.source.dim_h}"
         )
     sliced = sliced_element(fam, f, g, t)
-    return complex(np.vdot(u, sliced.matrix @ v) * exp_inner(f, g, t, None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.vdot(u, sliced.matrix @ v) * exp_inner(f, g, t, None))
+    if not np.isfinite(value):
+        raise OverflowError(
+            f"exponential-vector factors overflowed at t={t:.6g}: the matrix "
+            "element is not finite in double precision"
+        )
+    return value
 
 
 def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float) -> float:

@@ -16,6 +16,7 @@ everything degrades to the drift K alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,32 +32,6 @@ def chi(c, d) -> complex:
     if c.shape != d.shape:
         raise ValueError(f"chi arguments have dimensions {c.size} and {d.size}")
     return complex(0.5 * (np.vdot(c, c).real + np.vdot(d, d).real) - np.vdot(c, d))
-
-
-def hat_vector(d) -> np.ndarray:
-    """d-hat = (1, d) in C^(1+dim_k)."""
-    d = np.asarray(d, dtype=np.complex128).reshape(-1)
-    return np.concatenate(([1.0 + 0.0j], d))
-
-
-def delta_projector(dim_h: int, dim_k: int) -> np.ndarray:
-    """Orthogonal projection of h + (h (x) k) onto the noise summand."""
-    n = dim_h * (1 + dim_k)
-    delta = np.zeros((n, n), dtype=np.complex128)
-    for i in range(dim_h, n):
-        delta[i, i] = 1.0
-    return delta
-
-
-def lift_map(d, dim_h: int) -> np.ndarray:
-    """E_d : h -> h(x)k, u |-> u (x) d, in the channel-major layout."""
-    d = np.asarray(d, dtype=np.complex128).reshape(-1, 1)
-    return np.kron(d, np.eye(dim_h, dtype=np.complex128))
-
-
-def compress_map(c, dim_h: int) -> np.ndarray:
-    """E^c = (E_c)* : h(x)k -> h."""
-    return adjoint(lift_map(c, dim_h))
 
 
 @dataclass(frozen=True)
@@ -106,6 +81,24 @@ class BlockGenerator:
         full[dh:, dh:] = self.C - np.eye(dh * dk, dtype=np.complex128)
         return full
 
+    @cached_property
+    def slice_basis(self) -> np.ndarray:
+        """Rows K, L_a, M_b, C_ab, each flattened to length dim_h**2.
+
+        Every slice E^c-hat F E_d-hat is the combination of these rows with
+        the coefficients (1, conj(c), d, conj(c) (x) d), minus <c, d> I.
+        """
+        dh, dk = self.dim_h, self.dim_k
+        blocks_c = self.C.reshape(dk, dh, dk, dh).transpose(0, 2, 1, 3)
+        basis = np.concatenate((
+            self.K.reshape(1, dh * dh),
+            self.L.reshape(dk, dh * dh),
+            self.M.reshape(dh, dk, dh).transpose(1, 0, 2).reshape(dk, dh * dh),
+            blocks_c.reshape(dk * dk, dh * dh),
+        ))
+        basis.flags.writeable = False
+        return basis
+
     def channel_block_L(self, a: int) -> np.ndarray:
         return self.L[a * self.dim_h : (a + 1) * self.dim_h]
 
@@ -154,12 +147,10 @@ def component(F: BlockGenerator, c, d) -> np.ndarray:
             f"slice vectors have dimensions {c.size}, {d.size}; expected {F.dim_k}"
         )
     dh = F.dim_h
-    out = F.K.astype(np.complex128, copy=True)
-    if F.dim_k:
-        ec = compress_map(c, dh)
-        ed = lift_map(d, dh)
-        out += ec @ F.L + F.M @ ed + ec @ F.C @ ed
-        out -= np.vdot(c, d) * np.eye(dh, dtype=np.complex128)
+    cc = c.conj()
+    coef = np.concatenate(((1.0,), cc, d, np.outer(cc, d).ravel()))
+    out = (coef @ F.slice_basis).reshape(dh, dh)
+    out.flat[:: dh + 1] -= np.vdot(c, d)
     return out
 
 

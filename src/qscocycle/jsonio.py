@@ -34,6 +34,17 @@ def encode_matrix(a: np.ndarray) -> list:
     return [[encode_complex(z) for z in row] for row in a]
 
 
+def decode_int(obj, field: str) -> int:
+    """An integer field; bools, strings and non-integral numbers are rejected."""
+    if (
+        isinstance(obj, bool)
+        or not isinstance(obj, (int, float))
+        or (isinstance(obj, float) and not obj.is_integer())
+    ):
+        raise SchemaError(f"field {field!r} must be an integer, got {obj!r}")
+    return int(obj)
+
+
 def decode_complex(obj, field: str) -> complex:
     if (
         not isinstance(obj, (list, tuple))
@@ -100,10 +111,8 @@ def generator_to_payload(F: BlockGenerator) -> dict:
 
 def generator_from_payload(payload: dict) -> BlockGenerator:
     _check_format(payload)
-    dim_h = _require(payload, "dim_h")
-    dim_k = _require(payload, "dim_k")
-    if not isinstance(dim_h, int) or not isinstance(dim_k, int):
-        raise SchemaError("fields 'dim_h' and 'dim_k' must be integers")
+    dim_h = decode_int(_require(payload, "dim_h"), "dim_h")
+    dim_k = decode_int(_require(payload, "dim_k"), "dim_k")
     K = decode_matrix(_require(payload, "K"), "K", (dim_h, dim_h))
     L = decode_matrix(_require(payload, "L"), "L", (dim_h * dim_k, dim_h))
     M = decode_matrix(_require(payload, "M"), "M", (dim_h, dim_h * dim_k))
@@ -132,7 +141,7 @@ def step_to_payload(f: StepFunction) -> dict:
 
 def step_from_payload(payload: dict) -> StepFunction:
     _check_format(payload)
-    dim_k = _require(payload, "dim_k")
+    dim_k = decode_int(_require(payload, "dim_k"), "dim_k")
     bps = _require(payload, "breakpoints")
     vals = _require(payload, "values")
     end = _require(payload, "support_end")

@@ -168,7 +168,7 @@ def op_norm(a) -> float:
     a = as_cmatrix(a, "op_norm input")
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def max_herm_eig(a) -> float:
@@ -185,15 +185,19 @@ def psd_inv_sqrt(a, tol: float = 1e-12) -> np.ndarray:
 
     Returns Hermitian ``x`` with ``x @ a @ x = I``.  Raises if ``a`` is not
     Hermitian within ``tol`` (relative) or has an eigenvalue <= ``tol``.
+
+    One ``eigh`` of the Hermitian part serves both checks: its largest
+    |eigenvalue| is the scale, and the defect |a - a*| is taken in the
+    Frobenius norm, which bounds the operator norm from above.
     """
     a = _as_square(a, "psd_inv_sqrt input")
-    scale = max(1.0, op_norm(a))
-    herm_defect = op_norm(a - adjoint(a))
+    w, u = np.linalg.eigh(0.5 * (a + adjoint(a)))
+    scale = max(1.0, -w[0], w[-1]) if w.size else 1.0
+    herm_defect = float(np.linalg.norm(a - adjoint(a)))
     if herm_defect > tol * scale:
         raise ValueError(
             f"psd_inv_sqrt input is not Hermitian (defect {herm_defect:.3g})"
         )
-    w, u = np.linalg.eigh(0.5 * (a + adjoint(a)))
     if w.size and w[0] <= tol:
         raise ValueError(
             f"psd_inv_sqrt input has eigenvalue {w[0]:.3g} <= tol {tol:.3g}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import BlockGenerator, chi, contractivity_defect, yosida_approx
+from .generator import BlockGenerator, contractivity_defect, yosida_approx
 from .opcore import op_norm, psd_inv_sqrt, schur_product
 from .semigroups import SemigroupFamily
 
@@ -28,16 +28,24 @@ DEGENERATE_TOL = 1e-12
 
 
 def varpi_matrix(c_tuple, t: float) -> np.ndarray:
-    """Gram matrix [exp(-t chi(c_i, c_j))]; Hermitian PSD with unit diagonal."""
+    """Gram matrix [exp(-t chi(c_i, c_j))]; Hermitian PSD with unit diagonal.
+
+    chi(c_i, c_j) = (|c_i|^2 + |c_j|^2)/2 - <c_i, c_j> is read off the one
+    Gram matrix [<c_i, c_j>].
+    """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    c_tuple = [np.asarray(c, dtype=np.complex128).reshape(-1) for c in c_tuple]
-    n = len(c_tuple)
-    w = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            w[i, j] = np.exp(-t * chi(c_tuple[i], c_tuple[j]))
-    return w
+    c = np.asarray(c_tuple, dtype=np.complex128)
+    if c.ndim != 2:
+        c = c.reshape(len(c), -1)
+    gram = c.conj() @ c.T
+    sq = gram.diagonal().real
+    return np.exp(-t * (0.5 * (sq[:, None] + sq[None, :]) - gram))
+
+
+def _ampliate(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(s (x) I_h) y for a block column y with n row blocks, as one reshaped product."""
+    return (s @ y.reshape(s.shape[1], -1)).reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -74,8 +82,7 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     a = np.asarray(a, dtype=np.complex128).reshape(n, n)
     b = np.asarray(b, dtype=np.complex128).reshape(n, n)
     y = np.asarray(y, dtype=np.complex128).reshape(n * dim_h, n)
-    eye_h = np.eye(dim_h, dtype=np.complex128)
-    bound = op_norm(np.kron(psd_inv_sqrt(a), eye_h) @ y @ psd_inv_sqrt(b))
+    bound = op_norm(_ampliate(psd_inv_sqrt(a), y) @ psd_inv_sqrt(b))
     if bound > 1.0:
         y = y / bound
     return Probe(c_tuple=c_arr, t=float(t), a=a, b=b, y=y, probe_id=probe_id)
@@ -114,8 +121,7 @@ def schur_criterion_check(
             passed=False, skipped=True,
         )
     qy = _schur_apply(family, probe.c_tuple, probe.t, probe.y)
-    dh = family.source.dim_h
-    crit = np.kron(sa, np.eye(dh, dtype=np.complex128)) @ qy @ sb
+    crit = _ampliate(sa, qy) @ sb
     defect = op_norm(crit) - 1.0
     return ProbeReport(
         probe_id=probe.probe_id, n=n, t=probe.t, defect=float(defect),
@@ -145,14 +151,8 @@ def deterministic_core_probes(F: BlockGenerator) -> list[Probe]:
     return probes
 
 
-def screen_family(
-    F: BlockGenerator,
-    n_max: int,
-    samples: int,
-    seed: int,
-    tol: float = PASS_TOL,
-) -> list[ProbeReport]:
-    """Deterministic-core plus randomized probe screen, sorted worst first.
+def screen_probes(F: BlockGenerator, n_max: int, samples: int, seed: int) -> list[Probe]:
+    """Deterministic-core probes followed by ``samples`` seeded random ones.
 
     Random c-tuples always contain the zero vector; A and B are random
     positive definite, Y random and rescaled to the precondition.  Output is
@@ -160,7 +160,6 @@ def screen_family(
     """
     if n_max < 1 or samples < 1:
         raise ValueError("n_max and samples must be >= 1")
-    family = SemigroupFamily(F)
     rng = np.random.default_rng(seed)
     dh, dk = F.dim_h, F.dim_k
     probes = deterministic_core_probes(F)
@@ -180,7 +179,19 @@ def screen_family(
         b = xb @ np.conj(xb.T) / n + 0.25 * np.eye(n)
         y = cplx((n * dh, n))
         probes.append(make_probe(c_tuple, t, a, b, y, dim_h=dh, probe_id=len(probes)))
+    return probes
 
+
+def screen_family(
+    F: BlockGenerator,
+    n_max: int,
+    samples: int,
+    seed: int,
+    tol: float = PASS_TOL,
+) -> list[ProbeReport]:
+    """The ``screen_probes`` screen, evaluated and sorted worst first."""
+    probes = screen_probes(F, n_max, samples, seed)
+    family = SemigroupFamily(F)
     reports = [schur_criterion_check(family, p, tol=tol) for p in probes]
     reports.sort(key=lambda r: (-(r.defect if np.isfinite(r.defect) else -np.inf), r.probe_id))
     return reports

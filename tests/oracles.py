@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own code paths where the
 point is cross-validation: the matrix exponential reference is scipy, the
-Schur product reference is an explicit loop, and the classical birth-death
-generator is assembled directly from the jump rates.
+Schur product reference is an explicit loop, generator slices and Schur
+criterion ampliations are built from explicit ``np.kron`` lift maps, and the
+classical birth-death generator is assembled directly from the jump rates.
 """
 
 import numpy as np
@@ -128,3 +129,72 @@ def reduced_state_norm(F, v, g, t, N):
         big = step @ np.kron(np.outer(eta, eta.conj()), rho) @ step.conj().T
         rho = np.einsum("aiaj->ij", big.reshape(m, dh, m, dh))
     return float(np.sqrt(np.trace(rho).real))
+
+
+def hat_vector(d):
+    """d-hat = (1, d) in C^(1+dim_k)."""
+    d = np.asarray(d, dtype=np.complex128).reshape(-1)
+    return np.concatenate(([1.0 + 0.0j], d))
+
+
+def delta_projector(dim_h, dim_k):
+    """Orthogonal projection of h + (h (x) k) onto the noise summand."""
+    n = dim_h * (1 + dim_k)
+    delta = np.zeros((n, n), dtype=np.complex128)
+    for i in range(dim_h, n):
+        delta[i, i] = 1.0
+    return delta
+
+
+def lift_map(d, dim_h):
+    """E_d : h -> h(x)k, u |-> u (x) d, in the channel-major layout."""
+    d = np.asarray(d, dtype=np.complex128).reshape(-1, 1)
+    return np.kron(d, np.eye(dim_h, dtype=np.complex128))
+
+
+def compress_map(c, dim_h):
+    """E^c = (E_c)* : h(x)k -> h."""
+    return np.conj(lift_map(c, dim_h).T)
+
+
+def kron_component(F, c, d):
+    """E^c-hat F E_d-hat from the assembled matrix and explicit lift maps."""
+    dh = F.dim_h
+    ec = np.hstack([np.eye(dh), compress_map(c, dh)])
+    ed = np.vstack([np.eye(dh), lift_map(d, dh)])
+    return ec @ F.full_matrix() @ ed
+
+
+def chi_loop(c, d):
+    c = np.asarray(c, dtype=np.complex128).reshape(-1)
+    d = np.asarray(d, dtype=np.complex128).reshape(-1)
+    return 0.5 * (np.vdot(c, c).real + np.vdot(d, d).real) - np.vdot(c, d)
+
+
+def reference_criterion(F, probe, degenerate_tol=1e-12):
+    """Schur-criterion defect of one probe, or None for a degenerate probe.
+
+    Q^{c,d}_t comes from scipy's expm of the kron-form slice generator, the
+    weight matrix from an n^2 loop over chi, the ampliations s (x) I_h from
+    ``np.kron`` and the norm from ``np.linalg.norm(., 2)``.
+    """
+    c_tuple, t, dh = probe.c_tuple, probe.t, F.dim_h
+    n = c_tuple.shape[0]
+    w = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            w[i, j] = np.exp(-t * chi_loop(c_tuple[i], c_tuple[j]))
+    roots = []
+    for weight in (probe.a * w, probe.b * w):
+        vals, vecs = np.linalg.eigh(0.5 * (weight + weight.conj().T))
+        if vals[0] <= degenerate_tol:
+            return None
+        roots.append((vecs * vals**-0.5) @ vecs.conj().T)
+    qy = np.empty_like(probe.y)
+    for i in range(n):
+        for j in range(n):
+            gen = kron_component(F, c_tuple[i], c_tuple[j]) - chi_loop(
+                c_tuple[i], c_tuple[j]) * np.eye(dh)
+            qy[i * dh:(i + 1) * dh, j] = scipy_expm(t * gen) @ probe.y[i * dh:(i + 1) * dh, j]
+    crit = np.kron(roots[0], np.eye(dh)) @ qy @ roots[1]
+    return np.linalg.norm(crit, 2) - 1.0

@@ -35,13 +35,15 @@ from qscocycle import (
     StepFunction,
     assemble,
 )
-from qscocycle.generator import adjoint, component, lift_map, compress_map
+from qscocycle.generator import adjoint, component
 from qscocycle.reconstruct import deterministic_core_probes
 
 from oracles import (
     aligned_step,
     classical_rate_matrix,
+    compress_map,
     diagonal_flow_generator,
+    lift_map,
     random_complex,
     random_step,
     random_unit,

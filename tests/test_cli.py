@@ -74,6 +74,13 @@ class TestBuild:
         assert main(["build", spec, "--out", str(tmp_path / "x.json")]) == 2
         assert "lam" in capsys.readouterr().err
 
+    def test_string_dimension_is_parse_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "osc.json", {
+            "format": 1, "model": "oscillator", "dim": "6", "lam": 1.0, "mu": 0.0,
+        })
+        assert main(["build", spec, "--out", str(tmp_path / "x.json")]) == 2
+        assert "'dim'" in capsys.readouterr().err
+
     def test_invalid_model_params_are_validation_error(self, tmp_path):
         spec = write_json(tmp_path / "tiny.json", {
             "format": 1, "model": "oscillator", "dim": 1, "lam": 1.0, "mu": 0.0,
@@ -133,6 +140,31 @@ class TestEvolve:
         last = out.read_text().splitlines()[-1].split(",")
         assert abs(float(last[1]) - 0.6065306597126334) < 1e-12
         assert float(last[5]) <= 1e-2
+
+    def test_string_dim_k_in_step_is_parse_error(self, tmp_path, capsys):
+        gen = scalar_hp_file(tmp_path)
+        step = write_json(tmp_path / "step.json", {
+            "format": 1, "kind": "step_function", "dim_k": "1",
+            "breakpoints": [0.0], "values": [[[0.0, 0.0]]], "support_end": 0.0,
+        })
+        assert main(["evolve", gen, step, step, "--t", "1.0"]) == 2
+        assert "'dim_k'" in capsys.readouterr().err
+
+    def test_overflowing_factors_are_validation_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "rand.json", {
+            "format": 1, "model": "random", "dim_h": 2, "dim_k": 1, "seed": 3,
+        })
+        gen = tmp_path / "rand.gen.json"
+        assert main(["build", spec, "--out", str(gen)]) == 0
+        step = write_json(tmp_path / "three.json", {
+            "format": 1, "kind": "step_function", "dim_k": 1,
+            "breakpoints": [0.0], "values": [[[3.0, 0.0]]], "support_end": 100.0,
+        })
+        out = tmp_path / "evolve.csv"
+        assert main(["evolve", str(gen), step, step, "--t", "100", "--grid", "4",
+                     "--out", str(out)]) == 3
+        assert "exponential-vector factors overflowed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_step_is_validation_error(self, tmp_path):
         gen = scalar_hp_file(tmp_path)
@@ -225,6 +257,24 @@ class TestRoundTrips:
         assert np.array_equal(back.breakpoints, f.breakpoints)
         assert np.array_equal(back.values, f.values)
         assert back.support_end == f.support_end
+
+    def test_bool_dimension_is_parse_error(self, tmp_path, capsys):
+        from qscocycle import random_contractive
+
+        path = tmp_path / "gen.json"
+        jsonio.save_generator(random_contractive(2, 1, seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["dim_k"] = True
+        write_json(path, payload)
+        assert main(["check", str(path)]) == 2
+        assert "'dim_k'" in capsys.readouterr().err
+
+    def test_decode_int(self):
+        assert jsonio.decode_int(3, "n") == 3
+        assert jsonio.decode_int(3.0, "n") == 3
+        for bad in (True, "3", 3.5, float("inf"), None, [3]):
+            with pytest.raises(jsonio.SchemaError, match="'n' must be an integer"):
+                jsonio.decode_int(bad, "n")
 
     def test_format_version_checked(self, tmp_path):
         path = write_json(tmp_path / "v2.json", {"format": 2, "kind": "generator"})

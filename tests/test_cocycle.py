@@ -15,10 +15,9 @@ from qscocycle import (
     sliced_element,
     t_operator_fd,
 )
-from qscocycle.generator import lift_map
 from qscocycle.semigroups import dual_generator
 
-from oracles import random_complex, random_step, random_unit
+from oracles import lift_map, random_complex, random_step, random_unit
 
 
 def scalar_hp():

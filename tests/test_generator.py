@@ -2,22 +2,27 @@ import numpy as np
 import pytest
 
 from qscocycle import (
+    BlockGenerator,
     assemble,
     chi,
     classify,
     component,
     contractivity_defect,
-    delta_projector,
     form_defect,
     from_hlc,
-    hat_vector,
     op_norm,
     random_contractive,
     yosida_approx,
 )
-from qscocycle.generator import compress_map, lift_map
 
-from oracles import random_complex
+from oracles import (
+    compress_map,
+    delta_projector,
+    hat_vector,
+    kron_component,
+    lift_map,
+    random_complex,
+)
 
 
 def scalar_hp():
@@ -109,9 +114,20 @@ def test_component_matches_full_matrix_sandwich():
     F = random_contractive(2, 2, seed=3)
     rng = np.random.default_rng(5)
     c, d = random_complex(rng, 2), random_complex(rng, 2)
-    ec = np.hstack([np.eye(2), compress_map(c, 2)])
-    ed = np.vstack([np.eye(2), lift_map(d, 2)])
-    assert np.allclose(component(F, c, d), ec @ F.full_matrix() @ ed, atol=1e-13)
+    assert np.allclose(component(F, c, d), kron_component(F, c, d), atol=1e-13)
+
+
+@pytest.mark.parametrize("dh,dk", [(1, 0), (2, 1), (3, 2), (2, 3)])
+def test_component_matches_kron_form(dh, dk):
+    rng = np.random.default_rng(10 * dh + dk)
+    F = BlockGenerator(
+        dim_h=dh, dim_k=dk,
+        K=random_complex(rng, (dh, dh)), L=random_complex(rng, (dh * dk, dh)),
+        M=random_complex(rng, (dh, dh * dk)), C=random_complex(rng, (dh * dk, dh * dk)),
+    )
+    for _ in range(5):
+        c, d = random_complex(rng, dk), random_complex(rng, dk)
+        assert op_norm(component(F, c, d) - kron_component(F, c, d)) <= 1e-13
 
 
 def test_contractivity_defect_examples():

@@ -80,6 +80,15 @@ class TestPsdInvSqrt:
         with pytest.raises(ValueError, match="Hermitian"):
             psd_inv_sqrt([[1.0, 1.0], [0.0, 1.0]])
 
+    def test_anti_hermitian_part_just_above_tol_rejected(self):
+        tol = 1e-12
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        # |a - a*| = 2 * (0.5 * 1.01 * tol) = 1.01 tol in the operator norm.
+        a = np.eye(2) + 0.5 * 1.01 * tol * skew
+        with pytest.raises(ValueError, match="Hermitian"):
+            psd_inv_sqrt(a, tol=tol)
+        assert np.allclose(psd_inv_sqrt(np.eye(2) + 1e-3 * tol * skew, tol=tol), np.eye(2))
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             psd_inv_sqrt(np.diag([1.0, 1e-15]))

@@ -13,9 +13,9 @@ from qscocycle import (
     trotter_kato_pipeline,
     varpi_matrix,
 )
-from qscocycle.reconstruct import Probe, deterministic_core_probes
+from qscocycle.reconstruct import Probe, deterministic_core_probes, screen_probes
 
-from oracles import random_complex
+from oracles import random_complex, reference_criterion
 
 
 def scalar_hp():
@@ -157,6 +157,27 @@ class TestScreening:
         reports = screen_family(F, n_max=2, samples=30, seed=29)
         defects = [r.defect for r in reports if not r.skipped]
         assert defects == sorted(defects, reverse=True)
+
+    @pytest.mark.parametrize("name", ["unitary_C", "strict_C", "planted"])
+    def test_matches_kron_reference(self, name):
+        # The screen keeps the verdicts and defects of the kron-form
+        # criterion: explicit ampliations, scipy expm, a chi loop for varpi.
+        if name == "planted":
+            F = planted_violation()
+        else:
+            F = random_contractive(2, 2, seed=31, mode=name)
+        probes = screen_probes(F, n_max=3, samples=60, seed=37)
+        reports = {r.probe_id: r for r in screen_family(F, n_max=3, samples=60, seed=37)}
+        assert len(reports) == len(probes)
+        for probe in probes:
+            report = reports[probe.probe_id]
+            ref = reference_criterion(F, probe)
+            assert report.skipped == (ref is None)
+            if ref is not None:
+                assert abs(report.defect - ref) <= 1e-12
+                assert report.passed == (ref <= 1e-9)
+        if name == "planted":
+            assert any(not r.passed and not r.skipped for r in reports.values())
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="n_max"):
