@@ -13,6 +13,7 @@ from .cocycle import (
     cocycle_defect,
     exp_inner,
     full_matrix_element,
+    matrix_elements,
     sliced_element,
     t_operator_fd,
 )
@@ -48,8 +49,6 @@ from .semigroups import (
     dual_family,
     dual_generator,
     g_generator,
-    p_semigroup,
-    q_semigroup,
 )
 from .toyfock import (
     MemoryBudgetError,
@@ -96,13 +95,12 @@ __all__ = [
     "inverse_oscillator",
     "make_probe",
     "mat_exp",
+    "matrix_elements",
     "max_herm_eig",
     "op_norm",
     "oracle_matrix_element",
     "oracle_state_norm",
-    "p_semigroup",
     "psd_inv_sqrt",
-    "q_semigroup",
     "random_contractive",
     "schur_criterion_check",
     "schur_product",

@@ -90,11 +90,11 @@ def build_model(payload: dict) -> BlockGenerator:
 
 
 def _sequence(obj, length: int, field: str, complex_ok: bool) -> np.ndarray:
-    if isinstance(obj, (int, float)):
+    if jsonio.is_number(obj):
         return np.full(length, float(obj))
     if complex_ok and isinstance(obj, list) and obj and isinstance(obj[0], list):
         return np.array([jsonio.decode_complex(e, field) for e in obj])
-    if isinstance(obj, list) and all(isinstance(x, (int, float)) for x in obj):
+    if isinstance(obj, list) and all(map(jsonio.is_number, obj)):
         return np.asarray(obj, dtype=np.float64)
     raise SchemaError(f"field {field!r} must be a number or a list")
 
@@ -155,16 +155,17 @@ def cmd_evolve(args) -> int:
     F = jsonio.load_generator(args.generator)
     f = jsonio.load_step(args.f)
     g = jsonio.load_step(args.g)
-    family = SemigroupFamily(F)
+    if not 0.0 <= args.t < np.inf:
+        raise ValueError(f"--t must be a finite time >= 0, got {args.t}")
     u = _basis_vector(F.dim_h)
     v = _basis_vector(F.dim_h)
     times = np.linspace(0.0, args.t, args.grid + 1)
+    values = full_matrix_element(F, u, f, v, g, times)
     rows = []
     header = ["t", "re", "im"]
     if args.oracle:
         header += ["oracle_re", "oracle_im", "abs_diff"]
-    for t in times:
-        val = full_matrix_element(family, u, f, v, g, float(t))
+    for t, val in zip(times, values):
         row = [f"{t:.12g}", f"{val.real:.17g}", f"{val.imag:.17g}"]
         if args.oracle:
             if t > 0:

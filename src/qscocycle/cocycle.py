@@ -11,6 +11,10 @@ with the product ordered left-to-right in increasing time over a joint
 refinement of the jump times (left cocycle order), and right-continuous
 evaluation at the breakpoints.  Zero-length refinement intervals contribute
 identity factors.
+
+On a grid of times the cocycle law V_t = V_s sigma_s(V_{t-s}) extends the
+product up to one time s to the next time t by the factors of [s, t) alone,
+so ``matrix_elements`` evaluates a whole grid in one left-to-right sweep.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ class StepFunction:
             raise ValueError(
                 f"{vals.shape[0]} values for {bp.size} breakpoints"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("step function values must be finite")
         end = float(self.support_end)
         if not np.isfinite(end) or end < bp[-1]:
             raise ValueError(
@@ -81,10 +87,13 @@ class StepFunction:
     def __call__(self, t: float) -> np.ndarray:
         if t < 0:
             raise ValueError(f"step functions live on t >= 0, got {t}")
-        if t >= self.support_end:
-            return np.zeros(self.dim_k, dtype=np.complex128)
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return self.values[idx]
+        return self.at(np.array([t]))[0]
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """Values at an array of times >= 0, one row of length dim_k per time."""
+        out = self.values[np.searchsorted(self.breakpoints, times, side="right") - 1]
+        out[times >= self.support_end] = 0.0
+        return out
 
     def shifted(self, r: float) -> "StepFunction":
         """The time-shifted restriction s -> f(r + s)."""
@@ -135,21 +144,28 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class SlicedOperator:
-    """E^{eps(f|[0,t))} V_t E_{eps(g|[0,t))} as an h-operator."""
+    """E^{eps(f|[start,t))} sigma_start(V_{t-start}) E_{eps(g|[start,t))} as an
+    h-operator; ``start = 0`` gives the slice of V_t."""
 
     matrix: np.ndarray
     f: StepFunction
     g: StepFunction
     t: float
+    start: float = 0.0
 
 
-def _cut_points(f: StepFunction, g: StepFunction, a: float, b: float) -> np.ndarray:
-    pts = {a, b}
-    for fn in (f, g):
-        pts.update(x for x in fn.breakpoints if a < x < b)
-        if a < fn.support_end < b:
-            pts.add(float(fn.support_end))
-    return np.array(sorted(pts))
+def _refinement(f: StepFunction, g: StepFunction, a: float, b: float):
+    """Joint refinement of [a, b] by the jumps of f and g.
+
+    Returns the cut points (a, b and every breakpoint or support end of f or g
+    strictly between them, sorted and distinct) and the (pieces, dim_k) values
+    of f and of g on each piece [cuts[i], cuts[i+1]).
+    """
+    jumps = np.concatenate((f.breakpoints, g.breakpoints, (f.support_end, g.support_end)))
+    cuts = np.sort(np.concatenate(((a, b), jumps[(jumps > a) & (jumps < b)])))
+    # Deduplicated by hand: np.unique imports numpy.ma (about 1 MB resident).
+    cuts = cuts[np.append(True, np.diff(cuts) > 0)]
+    return cuts, f.at(cuts[:-1]), g.at(cuts[:-1])
 
 
 def exp_inner(f: StepFunction, g: StepFunction, a: float, b: float | None = None) -> complex:
@@ -159,6 +175,8 @@ def exp_inner(f: StepFunction, g: StepFunction, a: float, b: float | None = None
     """
     if f.dim_k != g.dim_k:
         raise ValueError(f"dimension mismatch: {f.dim_k} vs {g.dim_k}")
+    if a < 0:
+        raise ValueError(f"step functions live on t >= 0, got a={a}")
     if b is None:
         b = max(f.support_end, g.support_end, a)
     if a > b:
@@ -166,11 +184,8 @@ def exp_inner(f: StepFunction, g: StepFunction, a: float, b: float | None = None
     b = min(b, max(f.support_end, g.support_end))
     if b <= a:
         return 1.0 + 0.0j
-    cuts = _cut_points(f, g, a, b)
-    total = 0.0 + 0.0j
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += np.vdot(f(lo), g(lo)) * (hi - lo)
-    return complex(np.exp(total))
+    cuts, fv, gv = _refinement(f, g, a, b)
+    return complex(np.exp(np.einsum("pk,pk,p->", fv.conj(), gv, np.diff(cuts))))
 
 
 def _family(source) -> SemigroupFamily:
@@ -181,30 +196,37 @@ def _family(source) -> SemigroupFamily:
     raise TypeError(f"expected a BlockGenerator or SemigroupFamily, got {type(source)}")
 
 
-def sliced_element(source, f: StepFunction, g: StepFunction, t: float) -> SlicedOperator:
-    """Ordered product of P-semigroup factors over the joint refinement of [0, t)."""
+def sliced_element(
+    source, f: StepFunction, g: StepFunction, t: float, start: float = 0.0
+) -> SlicedOperator:
+    """Ordered product of P-semigroup factors over the joint refinement of [start, t).
+
+    On the (f, g) slice this is sigma_start(V_{t - start}).
+    """
     fam = _family(source)
     F = fam.source
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (0.0 <= start <= t and np.isfinite(t)):
+        raise ValueError(
+            f"times must be finite and nonnegative with start <= t, got start={start}, t={t}"
+        )
     if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
         raise ValueError(
             f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}"
         )
     out = np.eye(F.dim_h, dtype=np.complex128)
-    if t > 0:
-        cuts = _cut_points(f, g, 0.0, t)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi > lo:
-                out = out @ fam.p(f(lo), g(lo), hi - lo)
-    return SlicedOperator(matrix=out, f=f, g=g, t=float(t))
+    cuts, fv, gv = _refinement(f, g, start, t)
+    for c, d, h in zip(fv, gv, np.diff(cuts)):
+        out = out @ fam.p(c, d, h)
+    return SlicedOperator(matrix=out, f=f, g=g, t=float(t), start=float(start))
 
 
-def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t: float) -> complex:
-    """<u eps(f), V_t v eps(g)> = <u, (P-product) v> * tail integral factor.
+def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np.ndarray:
+    """<u eps(f), V_t v eps(g)> at each of a nondecreasing sequence of times.
 
-    Raises ``OverflowError`` when the unnormalized exponential-vector factors
-    overflow, instead of returning inf or nan.
+    One left-to-right sweep: by the cocycle law the P-product up to each time
+    is the product up to the previous time times the factors in between.
+    Raises ``OverflowError``, naming the first such time, when an element is
+    not finite because the unnormalized exponential-vector factors overflow.
     """
     fam = _family(source)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
@@ -213,15 +235,37 @@ def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t: float
         raise ValueError(
             f"state vectors have dimensions {u.size}, {v.size}; expected {fam.source.dim_h}"
         )
-    sliced = sliced_element(fam, f, g, t)
+    times = np.asarray(times, dtype=np.float64).reshape(-1)
+    finite = np.isfinite(times)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"times must be finite; times[{i}] is {times[i]}")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be nondecreasing")
+    out = np.empty(times.size, dtype=np.complex128)
+    prefix = np.eye(fam.source.dim_h, dtype=np.complex128)
+    previous = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(np.vdot(u, sliced.matrix @ v) * exp_inner(f, g, t, None))
-    if not np.isfinite(value):
-        raise OverflowError(
-            f"exponential-vector factors overflowed at t={t:.6g}: the matrix "
-            "element is not finite in double precision"
-        )
-    return value
+        for i, t in enumerate(times):
+            prefix = prefix @ sliced_element(fam, f, g, t, previous).matrix
+            out[i] = np.vdot(u, prefix @ v) * exp_inner(f, g, t, None)
+            if not np.isfinite(out[i]):
+                raise OverflowError(
+                    f"exponential-vector factors overflowed at t={t:.6g}: the matrix "
+                    "element is not finite in double precision"
+                )
+            previous = t
+    return out
+
+
+def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t):
+    """<u eps(f), V_t v eps(g)> = <u, (P-product) v> * tail integral factor.
+
+    A single time t gives a complex number and a nondecreasing array of times
+    gives an array; both are one call to ``matrix_elements``.
+    """
+    values = matrix_elements(source, u, f, v, g, np.atleast_1d(t))
+    return values if np.ndim(t) else complex(values[0])
 
 
 def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float) -> float:

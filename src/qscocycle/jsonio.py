@@ -34,23 +34,20 @@ def encode_matrix(a: np.ndarray) -> list:
     return [[encode_complex(z) for z in row] for row in a]
 
 
+def is_number(obj) -> bool:
+    """A JSON number; ``true``/``false`` load as ``bool``, an ``int`` subclass."""
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def decode_int(obj, field: str) -> int:
     """An integer field; bools, strings and non-integral numbers are rejected."""
-    if (
-        isinstance(obj, bool)
-        or not isinstance(obj, (int, float))
-        or (isinstance(obj, float) and not obj.is_integer())
-    ):
+    if not is_number(obj) or (isinstance(obj, float) and not obj.is_integer()):
         raise SchemaError(f"field {field!r} must be an integer, got {obj!r}")
     return int(obj)
 
 
 def decode_complex(obj, field: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
-    ):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(is_number, obj)):
         raise SchemaError(f"field {field!r} must hold complex entries as [re, im]")
     return complex(obj[0], obj[1])
 
@@ -145,18 +142,20 @@ def step_from_payload(payload: dict) -> StepFunction:
     bps = _require(payload, "breakpoints")
     vals = _require(payload, "values")
     end = _require(payload, "support_end")
-    if not isinstance(bps, list) or not all(isinstance(x, (int, float)) for x in bps):
+    if dim_k < 0:
+        raise SchemaError(f"field 'dim_k' must be nonnegative, got {dim_k}")
+    if not isinstance(bps, list) or not all(map(is_number, bps)):
         raise SchemaError("field 'breakpoints' must be a list of numbers")
     if not isinstance(vals, list) or len(vals) != len(bps):
         raise SchemaError("field 'values' must list one k-vector per breakpoint")
-    values = np.zeros((len(bps), dim_k), dtype=np.complex128)
+    rows = []
     for i, row in enumerate(vals):
         if not isinstance(row, list) or len(row) != dim_k:
             raise SchemaError(f"field 'values[{i}]' must have {dim_k} entries")
-        for j, entry in enumerate(row):
-            values[i, j] = decode_complex(entry, f"values[{i}][{j}]")
-    if not isinstance(end, (int, float)):
+        rows.append([decode_complex(entry, f"values[{i}][{j}]") for j, entry in enumerate(row)])
+    if not is_number(end):
         raise SchemaError("field 'support_end' must be a number")
+    values = np.array(rows, dtype=np.complex128).reshape(len(rows), dim_k)
     return StepFunction(np.asarray(bps, dtype=np.float64), values, float(end))
 
 

@@ -104,14 +104,6 @@ class SemigroupFamily:
         return self._exp(c, d, t, "p")
 
 
-def q_semigroup(family: SemigroupFamily, c, d, t: float) -> np.ndarray:
-    return family.q(c, d, t)
-
-
-def p_semigroup(family: SemigroupFamily, c, d, t: float) -> np.ndarray:
-    return family.p(c, d, t)
-
-
 def dual_generator(F: BlockGenerator) -> BlockGenerator:
     """Adjoint block generator: blocks K*, M*, L*, C* (assembled matrix F*)."""
     return BlockGenerator(

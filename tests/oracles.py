@@ -85,6 +85,38 @@ def random_step(rng, dim_k, max_jumps, horizon, scale=0.7):
     return StepFunction(bps, vals, end)
 
 
+def _cut_points(f, g, a, b):
+    pts = {a, b}
+    for fn in (f, g):
+        pts.update(x for x in fn.breakpoints if a < x < b)
+        if a < fn.support_end < b:
+            pts.add(float(fn.support_end))
+    return sorted(pts)
+
+
+def pointwise_element(family, u, f, v, g, t):
+    """<u eps(f), V_t v eps(g)> from a fresh refinement of [0, t).
+
+    The per-time reference for the grid sweep: the ordered P-product over the
+    joint cut points of [0, t), found with set loops and scalar step-function
+    calls, and exp of int_t^inf <f, g> summed piece by piece; nothing is
+    carried over from another time.
+    """
+    prod = np.eye(family.source.dim_h, dtype=np.complex128)
+    cuts = _cut_points(f, g, 0.0, t)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        prod = prod @ family.p(f(lo), g(lo), hi - lo)
+    tail = 0.0 + 0.0j
+    end = max(f.support_end, g.support_end)
+    if end > t:
+        cuts = _cut_points(f, g, t, end)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            tail += np.vdot(f(lo), g(lo)) * (hi - lo)
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    return complex(np.vdot(u, prod @ v) * np.exp(tail))
+
+
 def aligned_step(rng, dim_k, t, jumps, base=256, scale=0.7):
     """Step function whose jumps sit on the N = base lattice of [0, t].
 

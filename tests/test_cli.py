@@ -1,9 +1,15 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from qscocycle import jsonio
+from qscocycle import jsonio, random_contractive
 from qscocycle.cli import main
 
 
@@ -31,6 +37,13 @@ def zero_step_file(tmp_path, dim_k=1, name="zero.json"):
         "breakpoints": [0.0], "values": [[[0.0, 0.0]] * dim_k], "support_end": 0.0,
     }
     return write_json(tmp_path / name, payload)
+
+
+def step_payload(**fields):
+    """A valid dim_k = 1 step payload with ``fields`` replaced."""
+    payload = {"format": 1, "kind": "step_function", "dim_k": 1,
+               "breakpoints": [0.0], "values": [[[0.5, 0.0]]], "support_end": 1.0}
+    return {**payload, **fields}
 
 
 class TestBuild:
@@ -166,6 +179,20 @@ class TestEvolve:
         assert "exponential-vector factors overflowed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_t_is_validation_error(self, tmp_path, capsys, t):
+        gen = scalar_hp_file(tmp_path)
+        step = zero_step_file(tmp_path)
+        assert main(["evolve", gen, step, step, f"--t={t}"]) == 3
+        assert "--t must be a finite time >= 0" in capsys.readouterr().err
+
+    def test_nan_step_value_is_validation_error(self, tmp_path, capsys):
+        gen = scalar_hp_file(tmp_path)
+        # json.dumps writes the NaN token, which json.load reads back as nan.
+        step = write_json(tmp_path / "nan.json", step_payload(values=[[[float("nan"), 0.0]]]))
+        assert main(["evolve", gen, step, step, "--t", "1.0"]) == 3
+        assert "step function values must be finite" in capsys.readouterr().err
+
     def test_invalid_step_is_validation_error(self, tmp_path):
         gen = scalar_hp_file(tmp_path)
         bad_step = write_json(tmp_path / "bad.json", {
@@ -269,6 +296,28 @@ class TestRoundTrips:
         assert main(["check", str(path)]) == 2
         assert "'dim_k'" in capsys.readouterr().err
 
+    def test_bool_matrix_entry_is_parse_error(self, tmp_path, capsys):
+        gen = scalar_hp_file(tmp_path)
+        payload = json.loads(Path(gen).read_text())
+        payload["K"][0][0] = [True, False]
+        write_json(tmp_path / "bool.gen.json", payload)
+        assert main(["check", str(tmp_path / "bool.gen.json")]) == 2
+        assert "'K[0][0]'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("breakpoints", [False]), ("support_end", True)])
+    def test_bool_step_field_is_parse_error(self, tmp_path, capsys, field, value):
+        gen = scalar_hp_file(tmp_path)
+        step = write_json(tmp_path / "step.json", step_payload(**{field: value}))
+        assert main(["evolve", gen, step, step, "--t", "1.0"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_bool_model_parameter_is_parse_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "osc.json", {
+            "format": 1, "model": "oscillator", "dim": 4, "lam": True, "mu": 0.0,
+        })
+        assert main(["build", spec, "--out", str(tmp_path / "x.json")]) == 2
+        assert "'lam'" in capsys.readouterr().err
+
     def test_decode_int(self):
         assert jsonio.decode_int(3, "n") == 3
         assert jsonio.decode_int(3.0, "n") == 3
@@ -290,3 +339,66 @@ class TestRoundTrips:
         payload = json.loads(path.read_text())
         entry = payload["K"][0][0]
         assert isinstance(entry, list) and len(entry) == 2
+
+
+# Payload pieces for the evolve fuzz test: JSON numbers including NaN,
+# infinities, large values and booleans, and junk of every JSON shape.
+_numbers = st.one_of(
+    st.floats(-4.0, 4.0), st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3), st.booleans(),
+)
+_junk = st.recursive(
+    st.one_of(st.none(), _numbers, st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def step_payloads(draw):
+    """A valid dim_k = 1 step payload with up to two fields corrupted: either
+    replaced by junk, or given one changed number (a bool, NaN, an infinity,
+    a huge or misplaced value) or a complex entry of the wrong length."""
+    inner = draw(st.lists(st.floats(0.01, 3.0), max_size=3, unique=True))
+    bps = [0.0, *sorted(inner)]
+    payload = {
+        "format": 1, "kind": "step_function", "dim_k": 1, "breakpoints": bps,
+        "values": [[draw(st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2))] for _ in bps],
+        "support_end": draw(st.floats(bps[-1], 4.0)),
+    }
+    fields = ["breakpoints", "dim_k", "format", "support_end", "values"]
+    for field in draw(st.lists(st.sampled_from(fields), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            payload[field] = draw(_junk)
+        elif field == "breakpoints":
+            payload[field] = [*bps[:-1], draw(_numbers)]
+        elif field == "values":
+            row, size = draw(st.integers(0, len(bps) - 1)), draw(st.sampled_from([2, 2, 2, 1, 3]))
+            payload[field][row] = [draw(st.lists(_numbers, min_size=size, max_size=size))]
+        elif field == "dim_k":
+            payload[field] = draw(st.integers(-2, 3))
+        else:
+            payload[field] = draw(_numbers)
+    return payload
+
+
+class TestEvolveFuzz:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(f=step_payloads(), g=step_payloads())
+    @example(f=step_payload(values=[[[float("nan"), 0.0]]]), g=step_payload())
+    @example(f=step_payload(values=[[[1e10, 0.0]]]), g=step_payload(values=[[[1e10, 0.0]]]))
+    @example(f=step_payload(breakpoints=[False]), g=step_payload(support_end=True))
+    @example(f=step_payload(dim_k=10**12), g=step_payload(values=[[[True, False]]]))
+    def test_exit_codes_and_no_traceback(self, f, g):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            gen = tmp / "gen.json"
+            jsonio.save_generator(random_contractive(2, 1, seed=4), gen)
+            paths = [write_json(tmp / name, payload) for name, payload in (("f.json", f), ("g.json", g))]
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["evolve", str(gen), *paths, "--t", "3.0", "--grid", "6"])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == (err.getvalue() == "")

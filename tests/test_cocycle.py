@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from qscocycle import (
+    BlockGenerator,
+    OscillatorSpec,
     SemigroupFamily,
     StepFunction,
     assemble,
+    birth_death,
     c_operator_fd,
     cocycle_defect,
     exp_inner,
     from_hlc,
     full_matrix_element,
+    inverse_oscillator,
+    matrix_elements,
     op_norm,
     random_contractive,
     sliced_element,
@@ -17,7 +22,7 @@ from qscocycle import (
 )
 from qscocycle.semigroups import dual_generator
 
-from oracles import lift_map, random_complex, random_step, random_unit
+from oracles import lift_map, pointwise_element, random_complex, random_step, random_unit
 
 
 def scalar_hp():
@@ -49,6 +54,9 @@ class TestStepFunction:
             StepFunction(np.array([0.0, 0.5]), np.zeros((1, 1)), 1.0)
         with pytest.raises(ValueError, match="support_end"):
             StepFunction(np.array([0.0, 0.5]), np.zeros((2, 1)), 0.3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="values must be finite"):
+                StepFunction(np.array([0.0]), np.array([[bad]]), 1.0)
 
     def test_right_continuous_evaluation(self):
         f = StepFunction(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]), 3.0)
@@ -60,6 +68,8 @@ class TestStepFunction:
         assert f(10.0)[0] == 0.0
         with pytest.raises(ValueError, match="t >= 0"):
             f(-0.1)
+        grid = np.array([0.0, 0.999, 1.0, 2.999, 3.0, 10.0])
+        assert f.at(grid)[:, 0].tolist() == [1.0, 1.0, 2.0, 2.0, 0.0, 0.0]
 
     def test_shifted(self):
         f = StepFunction(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]), 3.0)
@@ -127,6 +137,8 @@ class TestExpInner:
             exp_inner(z, z, 2.0, 1.0)
         with pytest.raises(ValueError, match="mismatch"):
             exp_inner(z, StepFunction.zero(2), 0.0, 1.0)
+        with pytest.raises(ValueError, match="t >= 0"):
+            exp_inner(StepFunction.constant([1.0], 2.0), z, -1.0, 1.0)
 
 
 class TestSlicedElement:
@@ -215,6 +227,93 @@ class TestFullMatrixElement:
         z = StepFunction.zero(1)
         with pytest.raises(ValueError, match="dimensions"):
             full_matrix_element(scalar_hp(), [1.0, 0.0], z, [1.0], z, 1.0)
+
+
+def evolve_models():
+    """The generators of the benchmark's evolve workload (dim 24 and 12)."""
+    osc = inverse_oscillator(
+        OscillatorSpec(dim=24, lam=np.ones(25), mu=np.linspace(0.0, 1.0, 24))
+    )
+    return {
+        "oscillator-24": osc,
+        "birth-death-12": birth_death(12, np.ones(12), np.linspace(0.5, 1.5, 12)),
+    }
+
+
+def lattice_step(rng, dim_k, pieces=16, end=4.0):
+    """``pieces`` values on [0, end) with inner breakpoints on a 1/64 grid."""
+    slots = rng.choice(np.arange(1, int(end * 64)), size=pieces - 1, replace=False)
+    bps = np.concatenate(([0.0], np.sort(slots) / 64.0))
+    return StepFunction(bps, random_complex(rng, (pieces, dim_k), 0.5), end)
+
+
+class TestMatrixElements:
+    @pytest.mark.parametrize("case", ["h2k1", "h3k2", "oscillator-24", "birth-death-12"])
+    def test_sweep_matches_pointwise_reference(self, case):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        if case in ("h2k1", "h3k2"):
+            F = random_contractive(int(case[1]), int(case[3]), seed=18)
+            f = random_step(rng, F.dim_k, 6, 2.0)
+            g = random_step(rng, F.dim_k, 6, 2.0)
+            u, v = random_unit(rng, F.dim_h), random_unit(rng, F.dim_h)
+            uniform = np.linspace(0.0, 2.0, 41)
+        else:
+            F = evolve_models()[case]
+            f, g = lattice_step(rng, F.dim_k), lattice_step(rng, F.dim_k)
+            u = v = np.eye(F.dim_h)[0]
+            uniform = np.linspace(0.0, 4.0, 201)
+        # t = 0 twice, every breakpoint and support end, times past both
+        # supports (one repeated), and a uniform grid with some times repeated.
+        end = max(f.support_end, g.support_end)
+        marks = [0.0, 0.0, *f.breakpoints, *g.breakpoints, f.support_end,
+                 g.support_end, end + 0.25, end + 0.5, end + 0.5]
+        times = np.sort(np.concatenate((uniform, uniform[::9], marks)))
+        fam = SemigroupFamily(F)
+        got = matrix_elements(fam, u, f, v, g, times)
+        ref = np.array([pointwise_element(fam, u, f, v, g, t) for t in times])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        assert np.array_equal(full_matrix_element(fam, u, f, v, g, times), got)
+        assert abs(full_matrix_element(fam, u, f, v, g, times[-1]) - ref[-1]) <= 1e-12 * abs(ref[-1])
+
+    def test_times_must_be_nondecreasing_and_finite(self):
+        F = random_contractive(2, 1, seed=19)
+        z = StepFunction.zero(1)
+        u = [1.0, 0.0]
+        with pytest.raises(ValueError, match="nondecreasing"):
+            matrix_elements(F, u, z, u, z, [0.0, 0.5, 0.2])
+        with pytest.raises(ValueError, match=r"times\[1\] is nan"):
+            matrix_elements(F, u, z, u, z, [0.1, np.nan])
+        with pytest.raises(ValueError, match=r"times\[0\] is inf"):
+            matrix_elements(F, u, z, u, z, [np.inf])
+        with pytest.raises(ValueError, match="nonnegative"):
+            matrix_elements(F, u, z, u, z, [-0.5, 0.5])
+        assert matrix_elements(F, u, z, u, z, []).shape == (0,)
+
+    def test_overflow_names_first_non_finite_time(self):
+        # C swaps the two channels, so for f = 3 e_1 and g = 3 e_2 the slice
+        # generator is <f, C g> = 9 while <f, g> = 0: the element is e^{9t},
+        # finite at t = 50 and not at t = 100.
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        F = BlockGenerator(dim_h=1, dim_k=2, K=np.zeros((1, 1)), L=np.zeros((2, 1)),
+                           M=np.zeros((1, 2)), C=swap)
+        f = StepFunction.constant([3.0, 0.0], 100.0)
+        g = StepFunction.constant([0.0, 3.0], 100.0)
+        assert abs(matrix_elements(F, [1.0], f, [1.0], g, [50.0])[0] / np.exp(450.0) - 1) < 1e-12
+        with pytest.raises(OverflowError, match="overflowed at t=100"):
+            matrix_elements(F, [1.0], f, [1.0], g, [1.0, 50.0, 100.0, 100.0])
+
+    def test_start_is_the_shifted_slice(self):
+        F = random_contractive(3, 2, seed=20)
+        rng = np.random.default_rng(21)
+        f = random_step(rng, 2, 5, 2.0)
+        g = random_step(rng, 2, 5, 2.0)
+        for start, t in ((0.0, 0.9), (0.4, 1.3), (1.1, 2.6), (0.7, 0.7), (2.5, 3.0)):
+            out = sliced_element(F, f, g, t, start)
+            ref = sliced_element(F, f.shifted(start), g.shifted(start), t - start).matrix
+            assert out.start == start
+            assert op_norm(out.matrix - ref) <= 1e-12 * max(1.0, op_norm(ref))
+        with pytest.raises(ValueError, match="start <= t"):
+            sliced_element(F, f, g, 0.5, 0.6)
 
 
 class TestCocycleLaw:

@@ -15,8 +15,6 @@ from qscocycle import (
     from_hlc,
     g_generator,
     op_norm,
-    p_semigroup,
-    q_semigroup,
     random_contractive,
 )
 
@@ -117,11 +115,6 @@ class TestSemigroupValues:
         fam = SemigroupFamily(random_contractive(3, 2, seed=7))
         z = np.zeros(2)
         assert np.array_equal(fam.p(z, z, 0.9), fam.q(z, z, 0.9))
-
-    def test_module_level_aliases(self):
-        fam = SemigroupFamily(scalar_hp())
-        assert np.array_equal(q_semigroup(fam, [0.0], [0.0], 0.5), fam.q([0.0], [0.0], 0.5))
-        assert np.array_equal(p_semigroup(fam, [1.0], [0.0], 0.5), fam.p([1.0], [0.0], 0.5))
 
 
 class TestSemigroupProperties:
