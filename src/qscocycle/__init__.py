@@ -7,7 +7,6 @@ repeated-interaction oracle for cross-validation.
 """
 
 from .cocycle import (
-    SlicedOperator,
     StepFunction,
     c_operator_fd,
     cocycle_defect,
@@ -20,7 +19,6 @@ from .cocycle import (
 from .generator import (
     BlockGenerator,
     Classification,
-    assemble,
     chi,
     classify,
     component,
@@ -42,7 +40,6 @@ from .reconstruct import (
     varpi_matrix,
 )
 from .semigroups import (
-    GeneratorSlice,
     SemigroupFamily,
     coords_from_f,
     coords_to_f,
@@ -52,7 +49,6 @@ from .semigroups import (
 )
 from .toyfock import (
     MemoryBudgetError,
-    StepContraction,
     ToyLattice,
     oracle_matrix_element,
     oracle_state_norm,
@@ -65,17 +61,13 @@ __all__ = [
     "BlockGenerator",
     "Classification",
     "ConvergenceReport",
-    "GeneratorSlice",
     "MemoryBudgetError",
     "OscillatorSpec",
     "Probe",
     "ProbeReport",
     "SemigroupFamily",
-    "SlicedOperator",
-    "StepContraction",
     "StepFunction",
     "ToyLattice",
-    "assemble",
     "birth_death",
     "c_operator_fd",
     "chi",

@@ -18,21 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio, models, reconstruct, toyfock
-from .cocycle import (
-    StepFunction,
-    cocycle_defect,
-    exp_inner,
-    full_matrix_element,
-    sliced_element,
-)
-from .generator import (
-    BlockGenerator,
-    classify,
-    contractivity_defect,
-    form_defect,
-    from_hlc,
-    random_state,
-)
+from .cocycle import exp_inner, full_matrix_element
+from .generator import BlockGenerator, classify, form_defect, from_hlc, random_state
 from .jsonio import SchemaError
 from .opcore import op_norm
 from .semigroups import SemigroupFamily, coords_from_f, coords_to_f, dual_generator
@@ -114,10 +101,9 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _basis_vector(dim: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=np.complex128)
-    e[0] = 1.0
-    return e
+def _check_count(value: int, flag: str) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
 
 
 def cmd_build(args) -> int:
@@ -132,6 +118,7 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     F = jsonio.load_generator(args.generator)
+    _check_count(args.samples, "--samples")
     report = classify(F, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     worst_form = 0.0
@@ -157,8 +144,8 @@ def cmd_evolve(args) -> int:
     g = jsonio.load_step(args.g)
     if not 0.0 <= args.t < np.inf:
         raise ValueError(f"--t must be a finite time >= 0, got {args.t}")
-    u = _basis_vector(F.dim_h)
-    v = _basis_vector(F.dim_h)
+    _check_count(args.grid, "--grid")
+    u = v = np.eye(F.dim_h, dtype=np.complex128)[0]
     times = np.linspace(0.0, args.t, args.grid + 1)
     values = full_matrix_element(F, u, f, v, g, times)
     rows = []
@@ -247,6 +234,7 @@ def cmd_coords(args) -> int:
 
 def cmd_dual(args) -> int:
     F = jsonio.load_generator(args.generator)
+    _check_count(args.samples, "--samples")
     dual = dual_generator(F)
     jsonio.save_generator(dual, args.out)
     fam = SemigroupFamily(F)
@@ -268,7 +256,7 @@ def cmd_dual(args) -> int:
 def cmd_oracle_norm(args) -> int:
     F = jsonio.load_generator(args.generator)
     g = jsonio.load_step(args.g)
-    v = _basis_vector(F.dim_h)
+    v = np.eye(F.dim_h, dtype=np.complex128)[0]
     norm = toyfock.oracle_state_norm(F, v, g, args.t, args.steps, budget=args.budget)
     reference = float(np.sqrt(abs(exp_inner(g, g, 0.0, None))))
     print(f"discrete state norm  {norm:.12g}")

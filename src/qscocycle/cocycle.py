@@ -99,17 +99,10 @@ class StepFunction:
         """The time-shifted restriction s -> f(r + s)."""
         if r < 0:
             raise ValueError(f"shift must be nonnegative, got {r}")
-        end = max(self.support_end - r, 0.0)
-        if end == 0.0:
+        if r >= self.support_end:
             return StepFunction.zero(self.dim_k)
-        bps = [0.0]
-        vals = [self(r)]
-        for b in self.breakpoints:
-            s = b - r
-            if 0.0 < s < end:
-                bps.append(s)
-                vals.append(self(b))
-        return StepFunction(np.array(bps), np.array(vals), end)
+        cuts, vals, _ = _refinement(self, self, r, self.support_end)
+        return StepFunction(cuts[:-1] - r, vals, self.support_end - r)
 
     def reversed_on(self, t: float) -> "StepFunction":
         """Time reversal on [0, t): s -> f(t - s) there, unchanged afterwards.
@@ -122,36 +115,13 @@ class StepFunction:
             raise ValueError(f"reversal horizon must be nonnegative, got {t}")
         if t == 0:
             return self
-        cuts = {0.0, t}
-        cuts.update(b for b in self.breakpoints if 0.0 < b < t)
-        if 0.0 < self.support_end < t:
-            cuts.add(float(self.support_end))
-        cuts = sorted(cuts)
-        bps, vals = [], []
-        for upper, lower in zip(reversed(cuts[1:]), reversed(cuts[:-1])):
-            bps.append(t - upper)
-            vals.append(self(lower))
+        cuts, vals, _ = _refinement(self, self, 0.0, t)
+        bps, vals = t - cuts[:0:-1], vals[::-1]
         if self.support_end > t:
-            bps.append(t)
-            vals.append(self(t))
-            for b in self.breakpoints:
-                if b > t:
-                    bps.append(float(b))
-                    vals.append(self(b))
-        end = max(self.support_end, t)
-        return StepFunction(np.array(bps), np.array(vals), end)
-
-
-@dataclass(frozen=True)
-class SlicedOperator:
-    """E^{eps(f|[start,t))} sigma_start(V_{t-start}) E_{eps(g|[start,t))} as an
-    h-operator; ``start = 0`` gives the slice of V_t."""
-
-    matrix: np.ndarray
-    f: StepFunction
-    g: StepFunction
-    t: float
-    start: float = 0.0
+            tail, tail_vals, _ = _refinement(self, self, t, self.support_end)
+            bps = np.concatenate((bps, tail[:-1]))
+            vals = np.concatenate((vals, tail_vals))
+        return StepFunction(bps, vals, max(self.support_end, t))
 
 
 def _refinement(f: StepFunction, g: StepFunction, a: float, b: float):
@@ -198,10 +168,11 @@ def _family(source) -> SemigroupFamily:
 
 def sliced_element(
     source, f: StepFunction, g: StepFunction, t: float, start: float = 0.0
-) -> SlicedOperator:
+) -> np.ndarray:
     """Ordered product of P-semigroup factors over the joint refinement of [start, t).
 
-    On the (f, g) slice this is sigma_start(V_{t - start}).
+    This h-operator is E^{eps(f|[start,t))} sigma_start(V_{t-start})
+    E_{eps(g|[start,t))}; ``start = 0`` gives the slice of V_t.
     """
     fam = _family(source)
     F = fam.source
@@ -217,7 +188,7 @@ def sliced_element(
     cuts, fv, gv = _refinement(f, g, start, t)
     for c, d, h in zip(fv, gv, np.diff(cuts)):
         out = out @ fam.p(c, d, h)
-    return SlicedOperator(matrix=out, f=f, g=g, t=float(t), start=float(start))
+    return out
 
 
 def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np.ndarray:
@@ -247,7 +218,7 @@ def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np
     previous = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(times):
-            prefix = prefix @ sliced_element(fam, f, g, t, previous).matrix
+            prefix = prefix @ sliced_element(fam, f, g, t, previous)
             out[i] = np.vdot(u, prefix @ v) * exp_inner(f, g, t, None)
             if not np.isfinite(out[i]):
                 raise OverflowError(
@@ -279,20 +250,11 @@ def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float)
     if r < 0 or t < 0:
         raise ValueError(f"times must be nonnegative, got r={r}, t={t}")
     fam = _family(source)
-    whole = sliced_element(fam, f, g, r + t).matrix
-    first = sliced_element(fam, f, g, r).matrix
-    second = sliced_element(fam, f.shifted(r), g.shifted(r), t).matrix
+    whole = sliced_element(fam, f, g, r + t)
+    first = sliced_element(fam, f, g, r)
+    second = sliced_element(fam, f.shifted(r), g.shifted(r), t)
     tail = abs(exp_inner(f, g, r + t, None))
     return float(op_norm(whole - first @ second) * tail)
-
-
-def _basis(dim_k: int) -> list[np.ndarray]:
-    out = []
-    for i in range(dim_k):
-        e = np.zeros(dim_k, dtype=np.complex128)
-        e[i] = 1.0
-        out.append(e)
-    return out
 
 
 def t_operator_fd(source, d, t: float) -> np.ndarray:
@@ -311,7 +273,7 @@ def t_operator_fd(source, d, t: float) -> np.ndarray:
     zero = np.zeros(F.dim_k, dtype=np.complex128)
     base = fam.p(zero, d, t)
     out = np.zeros((F.dim_h * F.dim_k, F.dim_h), dtype=np.complex128)
-    for a, e in enumerate(_basis(F.dim_k)):
+    for a, e in enumerate(np.eye(F.dim_k, dtype=np.complex128)):
         out[a * F.dim_h : (a + 1) * F.dim_h] = (fam.p(e, d, t) - base) / t
     return out
 
@@ -327,7 +289,7 @@ def c_operator_fd(source, t: float) -> np.ndarray:
     F = fam.source
     dh = F.dim_h
     zero = np.zeros(F.dim_k, dtype=np.complex128)
-    basis = _basis(F.dim_k)
+    basis = np.eye(F.dim_k, dtype=np.complex128)
     p00 = fam.p(zero, zero, t)
     out = np.zeros((dh * F.dim_k, dh * F.dim_k), dtype=np.complex128)
     for a, ea in enumerate(basis):

@@ -99,17 +99,6 @@ class BlockGenerator:
         basis.flags.writeable = False
         return basis
 
-    def channel_block_L(self, a: int) -> np.ndarray:
-        return self.L[a * self.dim_h : (a + 1) * self.dim_h]
-
-    def channel_block_M(self, b: int) -> np.ndarray:
-        return self.M[:, b * self.dim_h : (b + 1) * self.dim_h]
-
-
-def assemble(K, L, M, C, dim_h: int, dim_k: int) -> BlockGenerator:
-    """Validate the four blocks against the dimensions and wrap them."""
-    return BlockGenerator(dim_h=dim_h, dim_k=dim_k, K=K, L=L, M=M, C=C)
-
 
 def from_hlc(H, L, C, tol: float = 1e-10) -> BlockGenerator:
     """Build the generator [iH - L*L/2, -L*C; L, C-I] from (H, L, C).

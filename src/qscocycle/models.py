@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import BlockGenerator, assemble, from_hlc
+from .generator import BlockGenerator, from_hlc
 from .opcore import op_norm
 
 
@@ -71,7 +71,7 @@ def inverse_oscillator(spec: OscillatorSpec) -> BlockGenerator:
     for n in range(1, dim):
         M[n - 1, n] = np.conj(lam[n])
     C = np.eye(dim, dtype=np.complex128)
-    return assemble(K, L, M, C, dim_h=dim, dim_k=1)
+    return BlockGenerator(dim_h=dim, dim_k=1, K=K, L=L, M=M, C=C)
 
 
 def birth_death(dim: int, birth_rates, death_rates) -> BlockGenerator:
@@ -133,5 +133,5 @@ def random_contractive(
         C = 0.9 * craw / op_norm(craw)
         F = from_hlc(H, L, C)
         damped_K = F.K - 0.1 * np.eye(dim_h, dtype=np.complex128)
-        F = assemble(damped_K, F.L, F.M, F.C, dim_h=dim_h, dim_k=dim_k)
+        F = BlockGenerator(dim_h=dim_h, dim_k=dim_k, K=damped_K, L=F.L, M=F.M, C=F.C)
     return F

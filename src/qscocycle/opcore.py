@@ -207,20 +207,11 @@ def psd_inv_sqrt(a, tol: float = 1e-12) -> np.ndarray:
 
 
 def schur_product(a, b) -> np.ndarray:
-    """Entrywise (Schur) product, with a scalar-against-blocks variant.
-
-    For equal shapes this is the plain entrywise product.  If ``a`` is n x n
-    and ``b`` is (n*p) x (n*q), each p x q block of ``b`` is multiplied by the
-    matching scalar entry of ``a``.
-    """
+    """Entrywise (Schur) product of two matrices of the same shape."""
     a = as_cmatrix(a, "schur_product left factor")
     b = as_cmatrix(b, "schur_product right factor")
-    if a.shape == b.shape:
-        return a * b
-    n, m = a.shape
-    if n and m and b.shape[0] % n == 0 and b.shape[1] % m == 0:
-        p, q = b.shape[0] // n, b.shape[1] // m
-        return np.kron(a, np.ones((p, q))) * b
-    raise ValueError(
-        f"schur_product shapes {a.shape} and {b.shape} are not compatible"
-    )
+    if a.shape != b.shape:
+        raise ValueError(
+            f"schur_product shapes {a.shape} and {b.shape} are not compatible"
+        )
+    return a * b

@@ -133,17 +133,12 @@ def deterministic_core_probes(F: BlockGenerator) -> list[Probe]:
     """n = 1 probes over c in {0, standard basis}, Y over the h basis,
     t in {0.1, 0.5, 1}; catches any Q^{c,c} contraction failure reproducibly."""
     dh, dk = F.dim_h, F.dim_k
-    cs = [np.zeros(dk, dtype=np.complex128)]
-    for a in range(dk):
-        e = np.zeros(dk, dtype=np.complex128)
-        e[a] = 1.0
-        cs.append(e)
+    # Row 0 is zero and rows 1..dk are the rows of the identity.
+    cs = np.eye(dk + 1, dk, k=-1, dtype=np.complex128)
     probes = []
     one = np.ones((1, 1))
     for c in cs:
-        for p in range(dh):
-            y = np.zeros((dh, 1), dtype=np.complex128)
-            y[p, 0] = 1.0
+        for y in np.eye(dh, dtype=np.complex128)[:, :, None]:
             for t in (0.1, 0.5, 1.0):
                 probes.append(
                     make_probe([c], t, one, one, y, dim_h=dh, probe_id=len(probes))
@@ -233,6 +228,10 @@ def trotter_kato_pipeline(
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be a finite horizon > 0, got {T}")
     defect = contractivity_defect(F)
     if defect > contractivity_tol:
         raise ValueError(
@@ -242,8 +241,7 @@ def trotter_kato_pipeline(
         zero = np.zeros(F.dim_k, dtype=np.complex128)
         probe_pairs = [(zero, zero)]
         if F.dim_k:
-            e1 = np.zeros(F.dim_k, dtype=np.complex128)
-            e1[0] = 1.0
+            e1 = np.eye(F.dim_k, dtype=np.complex128)[0]
             probe_pairs += [(e1, e1), (e1, zero)]
     base = SemigroupFamily(F)
     grid = np.linspace(0.0, T, grid_points)

@@ -18,7 +18,6 @@ in this module.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +25,16 @@ from .generator import BlockGenerator, adjoint, chi, component
 from .opcore import mat_exp
 
 
-@dataclass(frozen=True)
-class GeneratorSlice:
-    c: np.ndarray
-    d: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-
-
-def g_generator(F: BlockGenerator, c, d) -> GeneratorSlice:
-    """Both generator routes for the slice (c, d)."""
-    c = np.asarray(c, dtype=np.complex128).reshape(-1)
-    d = np.asarray(d, dtype=np.complex128).reshape(-1)
+def _exponents(F: BlockGenerator, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """(G_{c,d}, H_{c,d}) from one evaluation of the slice E^c-hat F E_d-hat."""
     comp = component(F, c, d)
     eye = np.eye(F.dim_h, dtype=np.complex128)
-    g = comp - chi(c, d) * eye
-    h = comp + np.vdot(c, d) * eye
-    return GeneratorSlice(c=c, d=d, G=g, H=h)
+    return comp - chi(c, d) * eye, comp + np.vdot(c, d) * eye
+
+
+def g_generator(F: BlockGenerator, c, d) -> np.ndarray:
+    """The generator G_{c,d} of the contraction semigroup Q^{c,d}."""
+    return _exponents(F, c, d)[0]
 
 
 def _key(c: np.ndarray, d: np.ndarray, t: float, tag: str):
@@ -70,12 +62,13 @@ class SemigroupFamily:
             )
         return v
 
-    def slice_generators(self, c, d) -> GeneratorSlice:
+    def slice_generators(self, c, d) -> tuple[np.ndarray, np.ndarray]:
+        """The exponents (G_{c,d}, H_{c,d}) of Q^{c,d} and P^{c,d}."""
         c, d = self._vec(c), self._vec(d)
         key = _key(c, d, 0.0, "slice")
         hit = self._cache.get(key)
         if hit is None:
-            hit = g_generator(self.source, c, d)
+            hit = _exponents(self.source, c, d)
             with self._lock:
                 hit = self._cache.setdefault(key, hit)
         return hit
@@ -87,9 +80,8 @@ class SemigroupFamily:
         key = _key(c, d, t, tag)
         hit = self._cache.get(key)
         if hit is None:
-            slc = self.slice_generators(c, d)
-            gen = slc.G if tag == "q" else slc.H
-            hit = mat_exp(t * gen)
+            g, h = self.slice_generators(c, d)
+            hit = mat_exp(t * (g if tag == "q" else h))
             hit.flags.writeable = False
             with self._lock:
                 hit = self._cache.setdefault(key, hit)
@@ -128,15 +120,12 @@ def coords_from_f(F: BlockGenerator) -> np.ndarray:
     the result has shape (dim_k+1, dim_k+1, dim_h, dim_h).
     """
     dh, dk = F.dim_h, F.dim_k
-    basis = [np.zeros(dk, dtype=np.complex128)]
-    for i in range(dk):
-        e = np.zeros(dk, dtype=np.complex128)
-        e[i] = 1.0
-        basis.append(e)
+    # Row 0 is zero and rows 1..dk are the rows of the identity.
+    basis = np.eye(dk + 1, dk, k=-1, dtype=np.complex128)
     grid = np.empty((dk + 1, dk + 1, dh, dh), dtype=np.complex128)
     for a, c in enumerate(basis):
         for b, d in enumerate(basis):
-            grid[a, b] = g_generator(F, c, d).G
+            grid[a, b] = g_generator(F, c, d)
     return grid
 
 

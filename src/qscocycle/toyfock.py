@@ -60,15 +60,8 @@ class ToyLattice:
         return self.tau * np.arange(self.n_steps)
 
 
-@dataclass(frozen=True)
-class StepContraction:
-    """One-slot interaction matrix on h (x) (C + k)."""
-
-    matrix: np.ndarray
-    tau: float
-
-
-def step_matrix(F: BlockGenerator, tau: float) -> StepContraction:
+def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
+    """One-slot interaction matrix G_tau on h (x) (C + k)."""
     if tau <= 0:
         raise ValueError(f"step size must be positive, got {tau}")
     dh, dk = F.dim_h, F.dim_k
@@ -78,7 +71,7 @@ def step_matrix(F: BlockGenerator, tau: float) -> StepContraction:
     g[:dh, dh:] = np.sqrt(tau) * F.M
     g[dh:, :dh] = np.sqrt(tau) * F.L
     g[dh:, dh:] = F.C
-    return StepContraction(matrix=g, tau=float(tau))
+    return g
 
 
 def _slot_lift(eta: np.ndarray, dh: int) -> np.ndarray:
@@ -141,7 +134,7 @@ def oracle_matrix_element(
             f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}"
         )
     tau = lattice.tau
-    step = step_matrix(F, tau).matrix
+    step = step_matrix(F, tau)
     uniq_f, uniq_g, piece_idx = _piece_schedule(f, g, lattice)
     root = np.sqrt(tau)
     mats = np.empty((len(uniq_f), F.dim_h, F.dim_h), dtype=np.complex128)
@@ -187,7 +180,7 @@ def oracle_state_norm(
     # In the block layout the slot index is slow and the h index fast, so the
     # (dh, m, dh, m) kernel tensor comes from a (m, dh, m, dh) reshape.
     g4 = np.ascontiguousarray(
-        step_matrix(F, tau).matrix.reshape(m, F.dim_h, m, F.dim_h).transpose(1, 0, 3, 2)
+        step_matrix(F, tau).reshape(m, F.dim_h, m, F.dim_h).transpose(1, 0, 3, 2)
     )
     state = _kernels.slot_apply(state, g4, F.dim_h, m, N)
     return float(np.linalg.norm(state))

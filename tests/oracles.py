@@ -10,7 +10,24 @@ classical birth-death generator is assembled directly from the jump rates.
 import numpy as np
 import scipy.linalg
 
-from qscocycle import StepFunction
+from qscocycle import BlockGenerator, StepFunction, from_hlc
+
+
+def scalar_hp():
+    """dim_h = dim_k = 1 generator of (H, L, C) = (0, 1, 1): K = -1/2, M = -1."""
+    return from_hlc(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+
+
+def zero_generator(dim_h, dim_k, **blocks):
+    """K, L, M = 0 and C = I, so the full matrix is 0; ``blocks`` replace any of
+    K, L, M, C."""
+    zero = {
+        "K": np.zeros((dim_h, dim_h)),
+        "L": np.zeros((dim_h * dim_k, dim_h)),
+        "M": np.zeros((dim_h, dim_h * dim_k)),
+        "C": np.eye(dim_h * dim_k),
+    }
+    return BlockGenerator(dim_h=dim_h, dim_k=dim_k, **{**zero, **blocks})
 
 
 def scipy_expm(a):

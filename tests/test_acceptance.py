@@ -9,17 +9,16 @@ import time
 import numpy as np
 
 from qscocycle import (
+    BlockGenerator,
     OscillatorSpec,
     SemigroupFamily,
     birth_death,
     cocycle_defect,
-    contractivity_defect,
     coords_from_f,
     coords_to_f,
     dual_family,
     exp_inner,
     form_defect,
-    from_hlc,
     full_matrix_element,
     inverse_oscillator,
     mat_exp,
@@ -33,7 +32,6 @@ from qscocycle import (
     c_operator_fd,
     trotter_kato_pipeline,
     StepFunction,
-    assemble,
 )
 from qscocycle.generator import adjoint, component
 from qscocycle.reconstruct import deterministic_core_probes
@@ -47,6 +45,8 @@ from oracles import (
     random_complex,
     random_step,
     random_unit,
+    scalar_hp,
+    zero_generator,
 )
 
 
@@ -69,7 +69,7 @@ def test_criterion_1_cocycle_functional_equation():
         r, t = rng.uniform(0.0, 2.0, size=2)
         fam = SemigroupFamily(F)
         defect = cocycle_defect(fam, f, g, r, t)
-        scale = op_norm(sliced_element(fam, f, g, r + t).matrix) * abs(
+        scale = op_norm(sliced_element(fam, f, g, r + t)) * abs(
             exp_inner(f, g, r + t, None)
         )
         worst = max(worst, defect / max(scale, 1e-12))
@@ -138,10 +138,7 @@ def test_criterion_3_schur_criterion_forward_direction():
         live = [r for r in reports if not r.skipped]
         violations += sum(1 for r in live if r.defect > 1e-8)
         worst = max(worst, max(r.defect for r in live))
-    planted = assemble(
-        np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), 1.5 * np.eye(2),
-        dim_h=2, dim_k=1,
-    )
+    planted = zero_generator(2, 1, C=1.5 * np.eye(2))
     core_count = len(deterministic_core_probes(planted))
     planted_reports = screen_family(planted, n_max=1, samples=1, seed=0, tol=1e-8)
     planted_flagged = any(
@@ -159,7 +156,7 @@ def test_criterion_3_schur_criterion_forward_direction():
 
 def test_criterion_4_stochastic_trotter_kato():
     models = {
-        "scalar HP": from_hlc(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1))),
+        "scalar HP": scalar_hp(),
         "oscillator dim 6": inverse_oscillator(
             OscillatorSpec(dim=6, lam=np.ones(7), mu=np.linspace(0.0, 1.0, 6))
         ),
@@ -206,12 +203,12 @@ def test_criterion_6_coordinates_round_trip():
     for case in range(50):
         dim_k = 1 + case % 3
         dim_h = int(rng.integers(1, 4))
-        F = assemble(
-            random_complex(rng, (dim_h, dim_h)),
-            random_complex(rng, (dim_h * dim_k, dim_h)),
-            random_complex(rng, (dim_h, dim_h * dim_k)),
-            random_complex(rng, (dim_h * dim_k, dim_h * dim_k)),
+        F = BlockGenerator(
             dim_h=dim_h, dim_k=dim_k,
+            K=random_complex(rng, (dim_h, dim_h)),
+            L=random_complex(rng, (dim_h * dim_k, dim_h)),
+            M=random_complex(rng, (dim_h, dim_h * dim_k)),
+            C=random_complex(rng, (dim_h * dim_k, dim_h * dim_k)),
         )
         back = coords_to_f(coords_from_f(F))
         worst = max(
@@ -250,7 +247,7 @@ def test_criterion_7_generator_slice_identities():
         for errs in (errs_t, errs_c):
             assert errs[0] > 1e-8
             ratios.extend(small / big for small, big in zip(errs[1:], errs[:-1]))
-    scalar = from_hlc(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    scalar = scalar_hp()
     scalar_err = abs(t_operator_fd(scalar, [0.0], 1e-3)[0, 0] - 1.0)
     ok = (
         worst_affine <= 1e-12

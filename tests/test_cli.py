@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from qscocycle import jsonio, random_contractive
 from qscocycle.cli import main
 
+from oracles import zero_generator
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
@@ -108,10 +110,7 @@ class TestCheck:
 
     def test_violation_exit_code(self, tmp_path):
         payload = jsonio.generator_to_payload(
-            __import__("qscocycle").assemble(
-                np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-                2.0 * np.eye(1), dim_h=1, dim_k=1,
-            )
+            zero_generator(1, 1, C=2.0 * np.eye(1))
         )
         gen = write_json(tmp_path / "bad.gen.json", payload)
         assert main(["check", gen]) == 4
@@ -210,10 +209,7 @@ class TestSchur:
 
     def test_planted_violation_flagged(self, tmp_path, capsys):
         payload = jsonio.generator_to_payload(
-            __import__("qscocycle").assemble(
-                np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
-                1.5 * np.eye(2), dim_h=2, dim_k=1,
-            )
+            zero_generator(2, 1, C=1.5 * np.eye(2))
         )
         gen = write_json(tmp_path / "bad.gen.json", payload)
         assert main(["schur", gen, "--samples", "5", "--seed", "0"]) == 4
@@ -262,6 +258,22 @@ class TestOtherCommands:
         assert main(["oracle-norm", gen, step, "--t", "1.0", "--steps", "12",
                      "--budget", "100"]) == 3
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["evolve", "STEP", "STEP", "--t", "1.0", "--grid=-1"], "--grid must be >= 0"),
+        (["check", "--samples=-2"], "--samples must be >= 0"),
+        (["dual", "--out", "OUT", "--samples=-1"], "--samples must be >= 0"),
+        (["tk", "--grid", "0"], "grid_points must be >= 1"),
+        (["tk", "--T", "nan"], "T must be a finite horizon > 0"),
+        (["tk", "--T=-1"], "T must be a finite horizon > 0"),
+    ])
+    def test_bad_count_or_horizon_is_validation_error(self, tmp_path, capsys, flags, message):
+        gen = scalar_hp_file(tmp_path)
+        names = {"STEP": zero_step_file(tmp_path), "OUT": str(tmp_path / "out.json")}
+        argv = [flags[0], gen] + [names.get(flag, flag) for flag in flags[1:]]
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestRoundTrips:

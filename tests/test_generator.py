@@ -3,7 +3,6 @@ import pytest
 
 from qscocycle import (
     BlockGenerator,
-    assemble,
     chi,
     classify,
     component,
@@ -22,28 +21,24 @@ from oracles import (
     kron_component,
     lift_map,
     random_complex,
+    scalar_hp,
+    zero_generator,
 )
 
 
-def scalar_hp():
-    return from_hlc(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
-
-
 def test_assemble_zero_generator():
-    F = assemble(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2),
-                 dim_h=2, dim_k=1)
+    F = zero_generator(2, 1)
     assert np.array_equal(F.full_matrix(), np.zeros((4, 4)))
 
 
 def test_assemble_scalar_blocks():
-    F = assemble([[-0.5]], [[1.0]], [[-1.0]], [[1.0]], dim_h=1, dim_k=1)
+    F = BlockGenerator(dim_h=1, dim_k=1, K=[[-0.5]], L=[[1.0]], M=[[-1.0]], C=[[1.0]])
     assert np.array_equal(F.full_matrix(), [[-0.5, -1.0], [1.0, 0.0]])
 
 
 def test_assemble_names_offending_block():
     with pytest.raises(ValueError, match="block L"):
-        assemble(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((2, 2)), np.eye(2),
-                 dim_h=2, dim_k=1)
+        zero_generator(2, 1, L=np.zeros((3, 2)))
 
 
 def test_from_hlc_zero():
@@ -92,8 +87,7 @@ def test_component_zero_vectors_gives_drift():
 
 
 def test_component_of_zero_generator():
-    F = assemble(np.zeros((2, 2)), np.zeros((4, 2)), np.zeros((2, 4)), np.eye(4),
-                 dim_h=2, dim_k=2)
+    F = zero_generator(2, 2)
     rng = np.random.default_rng(1)
     c, d = random_complex(rng, 2), random_complex(rng, 2)
     # E^c C E_d = <c,d> exactly cancels the -<c,d> term.
@@ -131,12 +125,10 @@ def test_component_matches_kron_form(dh, dk):
 
 
 def test_contractivity_defect_examples():
-    zero = assemble(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1),
-                    dim_h=1, dim_k=1)
+    zero = zero_generator(1, 1)
     assert abs(contractivity_defect(zero) - 0.0) < 1e-14
     assert abs(contractivity_defect(scalar_hp())) < 1e-14
-    inflated = assemble(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
-                        2.0 * np.eye(2), dim_h=2, dim_k=1)
+    inflated = zero_generator(2, 1, C=2.0 * np.eye(2))
     assert contractivity_defect(inflated) > 1.0
 
 
@@ -155,8 +147,7 @@ def test_form_defect_dimension_check():
 
 
 def test_yosida_drift_free_is_identity():
-    F = assemble(np.zeros((2, 2)), random_complex(np.random.default_rng(0), (2, 2)),
-                 np.zeros((2, 2)), np.eye(2), dim_h=2, dim_k=1)
+    F = zero_generator(2, 1, L=random_complex(np.random.default_rng(0), (2, 2)))
     for n in (1, 5):
         Fn = yosida_approx(F, n)
         assert np.array_equal(Fn.K, F.K)
@@ -186,8 +177,7 @@ def test_yosida_convergence_rate():
 
 
 def test_yosida_singular_resolvent():
-    bad = assemble(3.0 * np.eye(1), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1),
-                   dim_h=1, dim_k=1)
+    bad = zero_generator(1, 1, K=3.0 * np.eye(1))
     with pytest.raises(ValueError, match="dissipative"):
         yosida_approx(bad, 3)
     with pytest.raises(ValueError, match="positive"):
@@ -197,8 +187,7 @@ def test_yosida_singular_resolvent():
 def test_yosida_rejects_non_dissipative_drift():
     # I - K/n is invertible for every n != 2, so only the dissipativity check
     # can catch K = 2I.
-    bad = assemble(2.0 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2),
-                   dim_h=2, dim_k=1)
+    bad = zero_generator(2, 1, K=2.0 * np.eye(2))
     for n in (1, 3, 10):
         with pytest.raises(ValueError, match="not dissipative"):
             yosida_approx(bad, n)
@@ -287,8 +276,7 @@ def test_contractivity_implies_form_inequality():
 
 def test_drift_only_generator():
     # dim_k = 0 degrades to the drift alone.
-    F = assemble(np.array([[-1.0 + 0.5j]]), np.zeros((0, 1)), np.zeros((1, 0)),
-                 np.zeros((0, 0)), dim_h=1, dim_k=0)
+    F = zero_generator(1, 0, K=np.array([[-1.0 + 0.5j]]))
     assert F.full_matrix().shape == (1, 1)
     assert np.allclose(component(F, [], []), F.K)
     assert contractivity_defect(F) <= 1e-14

@@ -145,16 +145,6 @@ class TestSchurProduct:
         b = random_complex(rng, (3, 3))
         assert np.allclose(schur_product(a, b), schur_loop(a, b), rtol=1e-15, atol=0)
 
-    def test_scalar_block_variant(self):
-        rng = np.random.default_rng(4)
-        a = random_complex(rng, (2, 2))
-        blocks = random_complex(rng, (4, 4))
-        out = schur_product(a, blocks)
-        for i in range(2):
-            for j in range(2):
-                expect = a[i, j] * blocks[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-                assert np.array_equal(out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2], expect)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             schur_product(np.ones((2, 2)), np.ones((3, 2)))

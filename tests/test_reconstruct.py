@@ -3,8 +3,6 @@ import pytest
 
 from qscocycle import (
     SemigroupFamily,
-    assemble,
-    from_hlc,
     make_probe,
     op_norm,
     random_contractive,
@@ -15,18 +13,11 @@ from qscocycle import (
 )
 from qscocycle.reconstruct import Probe, deterministic_core_probes, screen_probes
 
-from oracles import random_complex, reference_criterion
-
-
-def scalar_hp():
-    return from_hlc(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+from oracles import random_complex, reference_criterion, scalar_hp, zero_generator
 
 
 def planted_violation(scale=1.5):
-    return assemble(
-        np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), scale * np.eye(2),
-        dim_h=2, dim_k=1,
-    )
+    return zero_generator(2, 1, C=scale * np.eye(2))
 
 
 class TestVarpiMatrix:
@@ -126,8 +117,7 @@ class TestScreening:
         assert all(r.passed for r in reports if not r.skipped)
 
     def test_identity_cocycle_never_expands(self):
-        F = assemble(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2),
-                     dim_h=2, dim_k=1)
+        F = zero_generator(2, 1)
         reports = screen_family(F, n_max=2, samples=100, seed=13)
         assert all(r.defect <= 1e-10 for r in reports if not r.skipped)
 
@@ -193,8 +183,7 @@ class TestTrotterKato:
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
             dtype=complex,
         )
-        F = assemble(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), gauge,
-                     dim_h=2, dim_k=1)
+        F = zero_generator(2, 1, C=gauge)
         report = trotter_kato_pipeline(F, [2, 8, 32], T=1.0)
         assert all(r.sup_error == 0.0 for r in report.rows)
         assert report.monotone

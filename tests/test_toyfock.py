@@ -4,7 +4,6 @@ import pytest
 from qscocycle import (
     StepFunction,
     ToyLattice,
-    assemble,
     exp_inner,
     from_hlc,
     full_matrix_element,
@@ -23,12 +22,10 @@ from oracles import (
     random_step,
     random_unit,
     reduced_state_norm,
+    scalar_hp,
     sequential_chain,
+    zero_generator,
 )
-
-
-def scalar_hp():
-    return from_hlc(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
 
 
 def slot_factor(step, dh, m, N, j):
@@ -59,17 +56,6 @@ def slot_factor(step, dh, m, N, j):
     return out
 
 
-def zero_generator(dim_h, dim_k):
-    return assemble(
-        np.zeros((dim_h, dim_h)),
-        np.zeros((dim_h * dim_k, dim_h)),
-        np.zeros((dim_h, dim_h * dim_k)),
-        np.eye(dim_h * dim_k),
-        dim_h=dim_h,
-        dim_k=dim_k,
-    )
-
-
 class TestLatticeAndStep:
     def test_lattice_validation(self):
         with pytest.raises(ValueError, match="n_steps"):
@@ -82,17 +68,17 @@ class TestLatticeAndStep:
 
     def test_zero_generator_step_is_identity(self):
         F = zero_generator(2, 1)
-        assert np.array_equal(step_matrix(F, 0.01).matrix, np.eye(4))
+        assert np.array_equal(step_matrix(F, 0.01), np.eye(4))
 
     def test_scalar_hp_step_values(self):
-        step = step_matrix(scalar_hp(), 0.01).matrix
+        step = step_matrix(scalar_hp(), 0.01)
         assert np.allclose(step, [[0.995, -0.1], [0.1, 1.0]], atol=1e-15)
 
     def test_step_norm_inflation_is_first_order(self):
         # The Euler block step is not a strict contraction: its norm is
         # 1 + tau/2 + O(tau^2) for the scalar model (the |M|^2 term).
         for tau in (1e-2, 1e-3):
-            norm = op_norm(step_matrix(scalar_hp(), tau).matrix)
+            norm = op_norm(step_matrix(scalar_hp(), tau))
             assert norm <= 1.0 + 0.6 * tau
             assert norm >= 1.0 + 0.4 * tau
 
@@ -254,7 +240,7 @@ class TestOracleStateNorm:
         t, N = 0.75, 4
         dh, m = F.dim_h, 1 + F.dim_k
         tau = t / N
-        step = step_matrix(F, tau).matrix
+        step = step_matrix(F, tau)
 
         state = v.copy()
         for j in range(N):
