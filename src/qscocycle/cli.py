@@ -1,16 +1,17 @@
 """Command-line front end: build, check, evolve, schur, tk, coords, dual,
 oracle-norm.
 
-Exit codes: 0 pass, 2 I/O or parse failure, 3 validation failure, 4 property
-violation.  All commands are deterministic given their flags and seed; CSV
-reports are emitted with stable ordering so fixed seeds give byte-identical
-files.
+Exit codes: 0 pass, 2 I/O, usage or JSON field failure, 3 validation failure
+(a flag value that fails its type included), 4 property violation.  Commands
+are deterministic given their flags and seed; CSV reports are emitted with
+stable ordering so fixed seeds give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,6 @@ import numpy as np
 from . import jsonio, models, reconstruct, toyfock
 from .cocycle import exp_inner, full_matrix_element
 from .generator import BlockGenerator, classify, form_defect, from_hlc, random_state
-from .jsonio import SchemaError
 from .opcore import op_norm
 from .semigroups import SemigroupFamily, coords_from_f, coords_to_f, dual_generator
 
@@ -33,65 +33,31 @@ EXIT_VIOLATION = 4
 def build_model(payload: dict) -> BlockGenerator:
     """Construct a generator from a model-spec payload."""
     if "format" in payload:
-        jsonio._check_format(payload)
+        jsonio.check_format(payload)
+    read = functools.partial(jsonio.read_field, payload)
     name = payload.get("model")
-    if not isinstance(name, str):
-        raise SchemaError("missing field 'model'")
-
-    def need(field):
-        if field not in payload:
-            raise SchemaError(f"missing field {field!r}")
-        return payload[field]
-
-    def need_int(field):
-        return jsonio.decode_int(need(field), field)
-
     if name == "oscillator":
-        dim = need_int("dim")
-        lam = _sequence(need("lam"), dim + 1, "lam", complex_ok=True)
-        mu = _sequence(need("mu"), dim, "mu", complex_ok=False)
+        dim = read("dim", "count")
+        lam, mu = read("lam", "complexes", dim + 1), read("mu", "reals", dim)
         return models.inverse_oscillator(models.OscillatorSpec(dim=dim, lam=lam, mu=mu))
     if name == "birth_death":
-        dim = need_int("dim")
-        birth = _sequence(need("birth"), dim, "birth", complex_ok=False)
-        death = _sequence(need("death"), dim, "death", complex_ok=False)
-        return models.birth_death(dim, birth, death)
+        dim = read("dim", "count")
+        return models.birth_death(dim, read("birth", "reals", dim), read("death", "reals", dim))
     if name == "random":
         return models.random_contractive(
-            need_int("dim_h"), need_int("dim_k"), need_int("seed"),
+            read("dim_h", "count"), read("dim_k", "count"), read("seed", "count"),
             payload.get("mode", "unitary_C"),
         )
     if name == "zero":
-        dh, dk = need_int("dim_h"), need_int("dim_k")
+        dh, dk = read("dim_h", "count"), read("dim_k", "count")
         return BlockGenerator(
             dim_h=dh, dim_k=dk,
             K=np.zeros((dh, dh)), L=np.zeros((dh * dk, dh)),
             M=np.zeros((dh, dh * dk)), C=np.eye(dh * dk),
         )
     if name == "hlc":
-        H = _matrix_field(need("H"), "H")
-        L = _matrix_field(need("L"), "L")
-        C = _matrix_field(need("C"), "C")
-        return from_hlc(H, L, C)
-    raise SchemaError(f"unknown model {name!r}")
-
-
-def _sequence(obj, length: int, field: str, complex_ok: bool) -> np.ndarray:
-    if jsonio.is_number(obj):
-        return np.full(length, float(obj))
-    if complex_ok and isinstance(obj, list) and obj and isinstance(obj[0], list):
-        return np.array([jsonio.decode_complex(e, field) for e in obj])
-    if isinstance(obj, list) and all(map(jsonio.is_number, obj)):
-        return np.asarray(obj, dtype=np.float64)
-    raise SchemaError(f"field {field!r} must be a number or a list")
-
-
-def _matrix_field(obj, field: str) -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not isinstance(obj[0], list):
-        raise SchemaError(f"field {field!r} must be a matrix")
-    rows = len(obj)
-    cols = len(obj[0])
-    return jsonio.decode_matrix(obj, field, (rows, cols))
+        return from_hlc(read("H", "matrix"), read("L", "matrix"), read("C", "matrix"))
+    raise jsonio.SchemaError(f"field 'model' must name a known model, got {name!r}")
 
 
 def _write_csv(path, header, rows):
@@ -101,14 +67,31 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _check_count(value: int, flag: str) -> None:
-    if value < 0:
-        raise ValueError(f"{flag} must be >= 0, got {value}")
+def _flag_type(parse, ok, expected: str):
+    """An argparse ``type=``: ``parse`` the text and require ``ok`` of the value."""
+
+    def convert(text: str):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+
+    return convert
+
+
+TOLERANCE = _flag_type(float, lambda x: 0.0 <= x < np.inf, "a finite tolerance >= 0")
+TIME = _flag_type(float, lambda x: 0.0 <= x < np.inf, "a finite time >= 0")
+HORIZON = _flag_type(float, lambda x: 0.0 < x < np.inf, "a finite horizon > 0")
+COUNT = _flag_type(int, lambda n: n >= 0, ">= 0")
+POSITIVE = _flag_type(int, lambda n: n >= 1, ">= 1")
+INT_LIST = _flag_type(lambda text: [int(x) for x in text.split(",")], lambda ns: min(ns) >= 1,
+                      "a comma-separated list of integers >= 1")
 
 
 def cmd_build(args) -> int:
-    payload = jsonio.load_json(args.spec)
-    F = build_model(payload)
+    F = build_model(jsonio.load_json(args.spec))
     jsonio.save_generator(F, args.out)
     report = classify(F, tol=args.tol)
     print(f"wrote {args.out}: dim_h={F.dim_h} dim_k={F.dim_k}")
@@ -118,7 +101,6 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     F = jsonio.load_generator(args.generator)
-    _check_count(args.samples, "--samples")
     report = classify(F, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     worst_form = 0.0
@@ -142,9 +124,6 @@ def cmd_evolve(args) -> int:
     F = jsonio.load_generator(args.generator)
     f = jsonio.load_step(args.f)
     g = jsonio.load_step(args.g)
-    if not 0.0 <= args.t < np.inf:
-        raise ValueError(f"--t must be a finite time >= 0, got {args.t}")
-    _check_count(args.grid, "--grid")
     u = v = np.eye(F.dim_h, dtype=np.complex128)[0]
     times = np.linspace(0.0, args.t, args.grid + 1)
     values = full_matrix_element(F, u, f, v, g, times)
@@ -193,9 +172,8 @@ def cmd_schur(args) -> int:
 
 def cmd_tk(args) -> int:
     F = jsonio.load_generator(args.generator)
-    n_list = [int(x) for x in args.n_list.split(",")]
     report = reconstruct.trotter_kato_pipeline(
-        F, n_list, T=args.t_horizon, grid_points=args.grid
+        F, args.n_list, T=args.t_horizon, grid_points=args.grid
     )
     rows = [
         (r.pair_index, r.n, f"{report.horizon:.12g}", f"{r.sup_error:.17g}",
@@ -224,8 +202,7 @@ def cmd_coords(args) -> int:
             "kind": "slice_generators",
             "dim_h": F.dim_h,
             "dim_k": F.dim_k,
-            "G": [[jsonio.encode_matrix(grid[a, b]) for b in range(F.dim_k + 1)]
-                  for a in range(F.dim_k + 1)],
+            "G": jsonio.encode_matrix(grid),
         }
         jsonio.dump_json(payload, args.out)
     print(f"round-trip error {err:.3e}")
@@ -234,7 +211,6 @@ def cmd_coords(args) -> int:
 
 def cmd_dual(args) -> int:
     F = jsonio.load_generator(args.generator)
-    _check_count(args.samples, "--samples")
     dual = dual_generator(F)
     jsonio.save_generator(dual, args.out)
     fam = SemigroupFamily(F)
@@ -266,23 +242,24 @@ def cmd_oracle_norm(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    new_parser = functools.partial(argparse.ArgumentParser, exit_on_error=False)
+    parser = new_parser(
         prog="qscocycle",
         description="Quantum stochastic cocycle numerics via associated semigroups",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     build = sub.add_parser("build", help="model spec JSON -> generator JSON")
     build.add_argument("spec", type=Path)
     build.add_argument("--out", type=Path, required=True)
-    build.add_argument("--tol", type=float, default=1e-10)
+    build.add_argument("--tol", type=TOLERANCE, default=1e-10)
     build.set_defaults(func=cmd_build)
 
     check = sub.add_parser("check", help="contractivity report for a generator")
     check.add_argument("generator", type=Path)
-    check.add_argument("--tol", type=float, default=1e-10)
-    check.add_argument("--samples", type=int, default=50)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--tol", type=TOLERANCE, default=1e-10)
+    check.add_argument("--samples", type=COUNT, default=50)
+    check.add_argument("--seed", type=COUNT, default=0)
     check.add_argument("--out", type=Path, default=None)
     check.set_defaults(func=cmd_check)
 
@@ -290,50 +267,50 @@ def make_parser() -> argparse.ArgumentParser:
     evolve.add_argument("generator", type=Path)
     evolve.add_argument("f", type=Path)
     evolve.add_argument("g", type=Path)
-    evolve.add_argument("--t", type=float, required=True)
-    evolve.add_argument("--grid", type=int, default=10)
-    evolve.add_argument("--oracle", type=int, default=0,
+    evolve.add_argument("--t", type=TIME, required=True)
+    evolve.add_argument("--grid", type=COUNT, default=10)
+    evolve.add_argument("--oracle", type=COUNT, default=0,
                         help="also evaluate the repeated-interaction oracle with N steps")
     evolve.add_argument("--out", type=Path, default=None)
     evolve.set_defaults(func=cmd_evolve)
 
     schur = sub.add_parser("schur", help="Schur-criterion probe screen")
     schur.add_argument("generator", type=Path)
-    schur.add_argument("--samples", type=int, default=200)
-    schur.add_argument("--n-max", type=int, default=3)
-    schur.add_argument("--seed", type=int, default=0)
-    schur.add_argument("--tol", type=float, default=reconstruct.PASS_TOL)
+    schur.add_argument("--samples", type=POSITIVE, default=200)
+    schur.add_argument("--n-max", type=POSITIVE, default=3)
+    schur.add_argument("--seed", type=COUNT, default=0)
+    schur.add_argument("--tol", type=TOLERANCE, default=reconstruct.PASS_TOL)
     schur.add_argument("--out", type=Path, default=None)
     schur.set_defaults(func=cmd_schur)
 
     tk = sub.add_parser("tk", help="resolvent-regularization convergence report")
     tk.add_argument("generator", type=Path)
-    tk.add_argument("--n-list", type=str, default="10,100,1000")
-    tk.add_argument("--T", dest="t_horizon", type=float, default=1.0)
-    tk.add_argument("--grid", type=int, default=11)
+    tk.add_argument("--n-list", type=INT_LIST, default="10,100,1000")
+    tk.add_argument("--T", dest="t_horizon", type=HORIZON, default=1.0)
+    tk.add_argument("--grid", type=COUNT, default=11)
     tk.add_argument("--out", type=Path, default=None)
     tk.set_defaults(func=cmd_tk)
 
     coords = sub.add_parser("coords", help="slice-generator grid and round trip")
     coords.add_argument("generator", type=Path)
     coords.add_argument("--out", type=Path, default=None)
-    coords.add_argument("--tol", type=float, default=1e-12)
+    coords.add_argument("--tol", type=TOLERANCE, default=1e-12)
     coords.set_defaults(func=cmd_coords)
 
     dual = sub.add_parser("dual", help="write the dual generator and verify the relation")
     dual.add_argument("generator", type=Path)
     dual.add_argument("--out", type=Path, required=True)
-    dual.add_argument("--samples", type=int, default=25)
-    dual.add_argument("--seed", type=int, default=0)
-    dual.add_argument("--tol", type=float, default=1e-12)
+    dual.add_argument("--samples", type=COUNT, default=25)
+    dual.add_argument("--seed", type=COUNT, default=0)
+    dual.add_argument("--tol", type=TOLERANCE, default=1e-12)
     dual.set_defaults(func=cmd_dual)
 
     norm = sub.add_parser("oracle-norm", help="discrete state norm vs isometric limit")
     norm.add_argument("generator", type=Path)
     norm.add_argument("g", type=Path)
-    norm.add_argument("--t", type=float, required=True)
-    norm.add_argument("--steps", type=int, required=True)
-    norm.add_argument("--budget", type=int, default=toyfock.DEFAULT_STATE_BUDGET)
+    norm.add_argument("--t", type=TIME, required=True)
+    norm.add_argument("--steps", type=POSITIVE, required=True)
+    norm.add_argument("--budget", type=COUNT, default=toyfock.DEFAULT_STATE_BUDGET)
     norm.set_defaults(func=cmd_oracle_norm)
 
     return parser
@@ -341,13 +318,20 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # A flag value that fails its type exits 3; other argument errors exit 2.
+        if not isinstance(exc.__context__, argparse.ArgumentTypeError):
+            parser.error(str(exc))
+        print(f"error: {exc.argument_name} {exc.message}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, jsonio.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, toyfock.MemoryBudgetError, OverflowError) as exc:
+    except (ValueError, toyfock.MemoryBudgetError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -100,6 +100,7 @@ class BlockGenerator:
         return basis
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def from_hlc(H, L, C, tol: float = 1e-10) -> BlockGenerator:
     """Build the generator [iH - L*L/2, -L*C; L, C-I] from (H, L, C).
 
@@ -143,6 +144,7 @@ def component(F: BlockGenerator, c, d) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def contractivity_defect(F: BlockGenerator) -> float:
     """Largest Hermitian eigenvalue of F + F* + F* Delta F.
 
@@ -220,6 +222,7 @@ class Classification:
         return ", ".join(parts)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classify(F: BlockGenerator, tol: float = DEFECT_TOL) -> Classification:
     """Contractivity report: C contraction/isometry flags, inequality defect,
     and the equality-case diagnostics max|  |Lu|^2 + 2Re<u,Ku>  | and |M + L*C|."""

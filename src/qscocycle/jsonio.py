@@ -24,14 +24,10 @@ class SchemaError(ValueError):
     """Malformed persisted artifact; the message names the offending field."""
 
 
-def encode_complex(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def encode_matrix(a: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs, one level per axis of ``a``."""
     a = np.asarray(a, dtype=np.complex128)
-    return [[encode_complex(z) for z in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def is_number(obj) -> bool:
@@ -46,37 +42,66 @@ def decode_int(obj, field: str) -> int:
     return int(obj)
 
 
-def decode_complex(obj, field: str) -> complex:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(is_number, obj)):
-        raise SchemaError(f"field {field!r} must hold complex entries as [re, im]")
-    return complex(obj[0], obj[1])
+def _is_pair(obj) -> bool:
+    return isinstance(obj, list) and len(obj) == 2 and is_number(obj[0]) and is_number(obj[1])
 
 
-def decode_matrix(obj, field: str, shape: tuple[int, int]) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise SchemaError(f"field {field!r} must be a list of rows")
-    rows, cols = shape
-    if len(obj) != rows:
-        raise SchemaError(f"field {field!r} must have {rows} rows, got {len(obj)}")
-    out = np.zeros(shape, dtype=np.complex128)
+def _sequence(obj, name: str, length, dtype) -> np.ndarray:
+    if is_number(obj) and length is not None:
+        return np.full(length, obj, dtype=dtype)
+    complex_ok = dtype is np.complex128
+    if not isinstance(obj, list) or not all(is_number(e) or complex_ok and _is_pair(e) for e in obj):
+        kind = "numbers or [re, im] pairs" if complex_ok else "real numbers"
+        raise SchemaError(f"field {name!r} must be a number or a list of {kind}")
+    if length is not None and len(obj) != length:
+        raise SchemaError(f"field {name!r} must have {length} entries, got {len(obj)}")
+    return np.array([complex(*e) if isinstance(e, list) else e for e in obj], dtype=dtype)
+
+
+def _matrix(obj, name: str, shape) -> np.ndarray:
+    if not (isinstance(obj, list) and all(isinstance(row, list) for row in obj) and (obj or shape)):
+        raise SchemaError(f"field {name!r} must be a nonempty list of rows")
+    rows, cols = shape or (len(obj), len(obj[0]))
+    if len(obj) != rows or any(len(row) != cols for row in obj):
+        raise SchemaError(f"field {name!r} must be a {rows} x {cols} matrix")
     for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"field {field!r} row {i} must have {cols} entries")
         for j, entry in enumerate(row):
-            out[i, j] = decode_complex(entry, f"{field}[{i}][{j}]")
-    return out
+            if not _is_pair(entry):
+                raise SchemaError(f"field '{name}[{i}][{j}]' must hold complex entries as [re, im]")
+    # Every entry is a pair of numbers, so the float array is (rows, cols, 2).
+    return np.array(obj, dtype=np.float64).view(np.complex128).reshape(rows, cols)
 
 
-def _require(payload: dict, field: str):
-    if field not in payload:
-        raise SchemaError(f"missing field {field!r}")
-    return payload[field]
+def read_field(payload: dict, name: str, kind: str, shape=None):
+    """``payload[name]`` as one kind, or a ``SchemaError`` naming the field.
+
+    Kinds: ``"count"`` (integer >= 0), ``"real"``, ``"reals"`` and
+    ``"complexes"`` (lists of ``shape`` entries, any length if None; a number
+    broadcasts; complex entries are numbers or ``[re, im]``) and ``"matrix"``
+    (rows of ``[re, im]``, of ``shape`` if given).  JSON ``true``/``false`` are
+    not numbers; finiteness is left to the objects built from the values.
+    """
+    if name not in payload:
+        raise SchemaError(f"missing field {name!r}")
+    obj = payload[name]
+    if kind == "count":
+        value = decode_int(obj, name)
+        if value < 0:
+            raise SchemaError(f"field {name!r} must be nonnegative, got {value}")
+        return value
+    if kind == "real":
+        if not is_number(obj):
+            raise SchemaError(f"field {name!r} must be a number, got {obj!r}")
+        return float(obj)
+    if kind == "matrix":
+        return _matrix(obj, name, shape)
+    return _sequence(obj, name, shape, {"reals": np.float64, "complexes": np.complex128}[kind])
 
 
-def _check_format(payload: dict):
-    fmt = _require(payload, "format")
-    if fmt != FORMAT_VERSION:
-        raise SchemaError(f"field 'format' must be {FORMAT_VERSION}, got {fmt!r}")
+def check_format(payload: dict) -> None:
+    version = read_field(payload, "format", "count")
+    if version != FORMAT_VERSION:
+        raise SchemaError(f"field 'format' must be {FORMAT_VERSION}, got {version!r}")
 
 
 def load_json(path) -> dict:
@@ -107,14 +132,11 @@ def generator_to_payload(F: BlockGenerator) -> dict:
 
 
 def generator_from_payload(payload: dict) -> BlockGenerator:
-    _check_format(payload)
-    dim_h = decode_int(_require(payload, "dim_h"), "dim_h")
-    dim_k = decode_int(_require(payload, "dim_k"), "dim_k")
-    K = decode_matrix(_require(payload, "K"), "K", (dim_h, dim_h))
-    L = decode_matrix(_require(payload, "L"), "L", (dim_h * dim_k, dim_h))
-    M = decode_matrix(_require(payload, "M"), "M", (dim_h, dim_h * dim_k))
-    C = decode_matrix(_require(payload, "C"), "C", (dim_h * dim_k, dim_h * dim_k))
-    return BlockGenerator(dim_h=dim_h, dim_k=dim_k, K=K, L=L, M=M, C=C)
+    check_format(payload)
+    dh, dk = read_field(payload, "dim_h", "count"), read_field(payload, "dim_k", "count")
+    shapes = {"K": (dh, dh), "L": (dh * dk, dh), "M": (dh, dh * dk), "C": (dh * dk, dh * dk)}
+    blocks = {name: read_field(payload, name, "matrix", shape) for name, shape in shapes.items()}
+    return BlockGenerator(dim_h=dh, dim_k=dk, **blocks)
 
 
 def save_generator(F: BlockGenerator, path) -> None:
@@ -131,32 +153,17 @@ def step_to_payload(f: StepFunction) -> dict:
         "kind": "step_function",
         "dim_k": f.dim_k,
         "breakpoints": [float(t) for t in f.breakpoints],
-        "values": [[encode_complex(z) for z in row] for row in f.values],
+        "values": encode_matrix(f.values),
         "support_end": float(f.support_end),
     }
 
 
 def step_from_payload(payload: dict) -> StepFunction:
-    _check_format(payload)
-    dim_k = decode_int(_require(payload, "dim_k"), "dim_k")
-    bps = _require(payload, "breakpoints")
-    vals = _require(payload, "values")
-    end = _require(payload, "support_end")
-    if dim_k < 0:
-        raise SchemaError(f"field 'dim_k' must be nonnegative, got {dim_k}")
-    if not isinstance(bps, list) or not all(map(is_number, bps)):
-        raise SchemaError("field 'breakpoints' must be a list of numbers")
-    if not isinstance(vals, list) or len(vals) != len(bps):
-        raise SchemaError("field 'values' must list one k-vector per breakpoint")
-    rows = []
-    for i, row in enumerate(vals):
-        if not isinstance(row, list) or len(row) != dim_k:
-            raise SchemaError(f"field 'values[{i}]' must have {dim_k} entries")
-        rows.append([decode_complex(entry, f"values[{i}][{j}]") for j, entry in enumerate(row)])
-    if not is_number(end):
-        raise SchemaError("field 'support_end' must be a number")
-    values = np.array(rows, dtype=np.complex128).reshape(len(rows), dim_k)
-    return StepFunction(np.asarray(bps, dtype=np.float64), values, float(end))
+    check_format(payload)
+    dim_k = read_field(payload, "dim_k", "count")
+    breakpoints = read_field(payload, "breakpoints", "reals")
+    values = read_field(payload, "values", "matrix", (len(breakpoints), dim_k))
+    return StepFunction(breakpoints, values, read_field(payload, "support_end", "real"))
 
 
 def save_step(f: StepFunction, path) -> None:

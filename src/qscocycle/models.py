@@ -51,6 +51,7 @@ class OscillatorSpec:
         return slice(0, self.dim - 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inverse_oscillator(spec: OscillatorSpec) -> BlockGenerator:
     """Generator [nu(N), W* conj(lam)(N); -lam(N) W, 0] with C = I, dim_k = 1.
 

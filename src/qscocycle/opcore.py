@@ -4,10 +4,6 @@ Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``; a
 "CMatrix" in the rest of the package is exactly that.  Every routine here
 validates finiteness on entry and guarantees finite output, so callers can
 chain operations without re-checking.
-
-Tolerance conventions: ``ALG_TOL`` (1e-10) for algebraic identities that hold
-exactly in infinite precision, ``SPECTRAL_TOL`` (1e-8) for quantities that go
-through an eigen/singular decomposition.  Both are defaults, never baked in.
 """
 
 from __future__ import annotations
@@ -15,9 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-ALG_TOL = 1e-10
-SPECTRAL_TOL = 1e-8
 
 # Scaling-and-squaring refuses inputs beyond this norm rather than returning
 # a silently inaccurate (or overflowed) result.

@@ -49,8 +49,8 @@ class ToyLattice:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
 
     @property
     def tau(self) -> float:
@@ -107,6 +107,14 @@ def _piece_schedule(
     return uniq_f, uniq_g, piece_idx.astype(np.int64)
 
 
+def _finite(value, t: float):
+    """``value``, or an ``OverflowError`` naming ``t`` when it is not finite."""
+    if not np.isfinite(value):
+        raise OverflowError(f"oracle overflowed at t={t:.6g}: the lattice result is not finite")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def oracle_matrix_element(
     F: BlockGenerator,
     u,
@@ -143,9 +151,10 @@ def oracle_matrix_element(
         eta = np.concatenate(([1.0 + 0.0j], root * uniq_g[i]))
         mats[i] = np.conj(_slot_lift(xi, F.dim_h)).T @ step @ _slot_lift(eta, F.dim_h)
     acc = _kernels.element_chain(mats, piece_idx)
-    return complex(np.vdot(u, acc @ v) * exp_inner(f, g, t, None))
+    return _finite(complex(np.vdot(u, acc @ v) * exp_inner(f, g, t, None)), t)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def oracle_state_norm(
     F: BlockGenerator,
     v,
@@ -183,4 +192,4 @@ def oracle_state_norm(
         step_matrix(F, tau).reshape(m, F.dim_h, m, F.dim_h).transpose(1, 0, 3, 2)
     )
     state = _kernels.slot_apply(state, g4, F.dim_h, m, N)
-    return float(np.linalg.norm(state))
+    return _finite(float(np.linalg.norm(state)), t)

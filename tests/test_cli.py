@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import qscocycle
 from qscocycle import jsonio, random_contractive
 from qscocycle.cli import main
 
@@ -89,6 +93,12 @@ class TestBuild:
         assert main(["build", spec, "--out", str(tmp_path / "x.json")]) == 2
         assert "lam" in capsys.readouterr().err
 
+    def test_too_deeply_nested_json_is_parse_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main(["build", str(deep), "--out", str(tmp_path / "x.json")]) == 2
+        assert "recursion depth" in capsys.readouterr().err
+
     def test_string_dimension_is_parse_error(self, tmp_path, capsys):
         spec = write_json(tmp_path / "osc.json", {
             "format": 1, "model": "oscillator", "dim": "6", "lam": 1.0, "mu": 0.0,
@@ -101,6 +111,44 @@ class TestBuild:
             "format": 1, "model": "oscillator", "dim": 1, "lam": 1.0, "mu": 0.0,
         })
         assert main(["build", spec, "--out", str(tmp_path / "x.json")]) == 3
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"model": "zero", "dim_h": -2, "dim_k": 1}, "dim_h"),
+        ({"model": "random", "dim_h": 2, "dim_k": 1, "seed": -1}, "seed"),
+        ({"format": True, "model": "zero", "dim_h": 1, "dim_k": 1}, "format"),
+        ({"model": "oscillator", "dim": 4, "lam": [1.0, 1.0], "mu": 0.0}, "lam"),
+        ({"model": "hlc", "H": [[[0.0, 0.0]]], "C": [[[1.0, 0.0]]],
+          "L": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}, "L"),
+        ({"model": "cat"}, "model"),
+    ])
+    def test_bad_spec_field_is_parse_error(self, tmp_path, capsys, spec, field):
+        path = write_json(tmp_path / "spec.json", {"format": 1, **spec})
+        assert main(["build", path, "--out", str(tmp_path / "x.json")]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        {"format": 1, "model": "zero", "dim_h": 1000000, "dim_k": 1},
+        {"format": 1, "model": "oscillator", "dim": 100000, "lam": 1.0, "mu": 0.0},
+    ])
+    def test_unallocatable_dimension_is_validation_error(self, tmp_path, spec):
+        # The child caps its own address space, so the allocation fails the
+        # same way whatever the host's overcommit policy; if the cap cannot be
+        # set, the child never starts.
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+        path = write_json(tmp_path / "huge.json", spec)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(qscocycle.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qscocycle", "build", path, "--out", str(tmp_path / "x.json")],
+            preexec_fn=cap_address_space, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: Unable to allocate")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCheck:
@@ -275,6 +323,37 @@ class TestOtherCommands:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["check", "--tol", "nan"], "--tol"),
+        (["check", "--tol=-1"], "--tol"),
+        (["check", "--tol", "abc"], "--tol"),
+        (["check", "--seed=-1"], "--seed"),
+        (["schur", "--tol", "nan"], "--tol"),
+        (["schur", "--seed=-1"], "--seed"),
+        (["dual", "--out", "OUT", "--tol", "nan"], "--tol"),
+        (["coords", "--tol=-1"], "--tol"),
+        (["tk", "--n-list", "10,abc"], "--n-list"),
+        (["tk", "--n-list", ","], "--n-list"),
+        (["evolve", "STEP", "STEP", "--t", "1.0", "--oracle=-5"], "--oracle"),
+        (["oracle-norm", "STEP", "--t", "inf", "--steps", "4"], "--t"),
+        (["oracle-norm", "STEP", "--t", "1.0", "--steps", "4", "--budget=-1"], "--budget"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, flags, flag):
+        gen = scalar_hp_file(tmp_path)
+        names = {"STEP": zero_step_file(tmp_path), "OUT": str(tmp_path / "out.json")}
+        argv = [flags[0], gen] + [names.get(f, f) for f in flags[1:]]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_oracle_norm_overflow_is_validation_error(self, tmp_path, capsys):
+        gen = tmp_path / "gen.json"
+        jsonio.save_generator(random_contractive(2, 1, seed=4), gen)
+        step = write_json(tmp_path / "g.json", step_payload())
+        assert main(["oracle-norm", str(gen), step, "--t", "1e308", "--steps", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "t=1e+308" in err and "not finite" in err
+
 
 class TestRoundTrips:
     def test_generator_payload_round_trip(self, tmp_path):
@@ -414,3 +493,177 @@ class TestEvolveFuzz:
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == (err.getvalue() == "")
+
+
+# The whole JSON/CLI boundary under fuzzing: generator payloads, model specs
+# and argv flags.  Numbers stay small (dims <= 4) or absurd (NaN, infinities,
+# 1e308, 2**70), never in between, so no example can allocate much memory.
+_edge_numbers = st.one_of(
+    st.floats(-4.0, 4.0), st.integers(-3, 4), st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, 2**70]),
+)
+_small_junk = st.recursive(
+    st.one_of(st.none(), _edge_numbers, st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def corrupted(draw, value):
+    """``value`` with one change: for a list, one element dropped or itself
+    corrupted; otherwise replaced by an edge number or junk."""
+    if isinstance(value, list) and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        rest = [] if draw(st.booleans()) else [draw(corrupted(value[i]))]
+        return value[:i] + rest + value[i + 1:]
+    return draw(st.one_of(_edge_numbers, _small_junk))
+
+
+@st.composite
+def corrupted_payload(draw, payload):
+    """``payload`` with up to two fields deleted or corrupted."""
+    payload = dict(payload)
+    for field in draw(st.lists(st.sampled_from(sorted(payload)), max_size=2, unique=True)):
+        if draw(st.integers(0, 4)) == 0:
+            del payload[field]
+        else:
+            payload[field] = draw(corrupted(payload[field]))
+    return payload
+
+
+def _model_specs():
+    enc = jsonio.encode_matrix
+    models = {
+        "oscillator": {"dim": 4, "lam": 1.0, "mu": [0.0, 0.5, 1.0, 1.5]},
+        "birth_death": {"dim": 3, "birth": [1.0, 0.5, 0.0], "death": 1.0},
+        "random": {"dim_h": 2, "dim_k": 2, "seed": 1, "mode": "strict_C"},
+        "zero": {"dim_h": 2, "dim_k": 1},
+        "hlc": {"H": enc(np.array([[0.0, 1.0], [1.0, 0.0]])), "L": enc(np.eye(2)),
+                "C": enc(np.eye(2))},
+    }
+    return st.sampled_from(sorted(models)).flatmap(
+        lambda name: corrupted_payload({"format": 1, "model": name, **models[name]}))
+
+
+def _generator_payloads():
+    return st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(0, 9)).flatmap(
+        lambda d: corrupted_payload(jsonio.generator_to_payload(random_contractive(*d))))
+
+
+def _count(low, cap):
+    return st.integers(low, cap).map(str)
+
+
+_time = st.floats(0.0, 4.0).map(repr)
+_tol = st.sampled_from(["0", "1e-12", "1e-8", "1e-3"])
+_bad_value = st.one_of(
+    st.sampled_from(["", "abc", "nan", "-inf", "1e308", "1.5", ",", "10,abc", "-0"]),
+    st.integers(-3, -1).map(str), st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+# Every subcommand with every numeric flag it takes and a valid value for
+# each; GEN, STEP, SPEC and OUT are file placeholders.  Counts stay within
+# --samples <= 20, --steps <= 10, --n-max <= 4 and --grid/--oracle <= 64.
+_SUBCOMMANDS = {
+    "build": (["SPEC", "--out", "OUT"], {"--tol": _tol}),
+    "check": (["GEN"], {"--tol": _tol, "--samples": _count(0, 20), "--seed": _count(0, 64)}),
+    "evolve": (["GEN", "STEP", "STEP"],
+               {"--t": _time, "--grid": _count(0, 64), "--oracle": _count(0, 64)}),
+    "schur": (["GEN"], {"--samples": _count(1, 20), "--n-max": _count(1, 4),
+                        "--seed": _count(0, 64), "--tol": _tol}),
+    "tk": (["GEN"], {"--T": _time, "--grid": _count(0, 64), "--n-list": st.lists(
+        st.integers(1, 2000), min_size=1, max_size=3, unique=True).map(
+            lambda ns: ",".join(map(str, sorted(ns))))}),
+    "coords": (["GEN"], {"--tol": _tol}),
+    "dual": (["GEN", "--out", "OUT"],
+             {"--samples": _count(0, 20), "--seed": _count(0, 64), "--tol": _tol}),
+    "oracle-norm": (["GEN", "STEP"],
+                    {"--t": _time, "--steps": _count(1, 10), "--budget": _count(0, 10**6)}),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with all its flags, at most one of them given a bad value."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    positional, flags = _SUBCOMMANDS[command]
+    bad = draw(st.sampled_from([None] * len(flags) + list(flags)))
+    values = {flag: draw(_bad_value if flag == bad else valid) for flag, valid in flags.items()}
+    return [command, *positional, *(f"{flag}={value}" for flag, value in values.items())]
+
+
+def run_cli(argv):
+    """Exit code and stderr of ``main``; argparse's usage exit counts too."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    # Exit 4 reports a property violation on stdout; only errors use stderr.
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert (code in (0, 4)) == (err == "")
+
+
+_FUZZ = settings(max_examples=200, deadline=None, database=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestBoundaryFuzz:
+    @_FUZZ
+    @given(payload=_generator_payloads())
+    @example(payload={**jsonio.generator_to_payload(random_contractive(2, 1, 4)), "format": True})
+    @example(payload={**jsonio.generator_to_payload(random_contractive(2, 1, 4)), "dim_h": 10**6})
+    @example(payload={**jsonio.generator_to_payload(random_contractive(2, 1, 4)),
+                      "C": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
+    def test_generator_payloads(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp) / "gen.json", payload)
+            assert_clean_exit(*run_cli(["check", path, "--samples", "4"]))
+
+    @_FUZZ
+    @given(spec=_model_specs())
+    @example(spec={"format": 1, "model": "zero", "dim_h": -2, "dim_k": 1})
+    @example(spec={"format": 1, "model": "random", "dim_h": 2, "dim_k": 1, "seed": -1})
+    @example(spec={"format": True, "model": "zero", "dim_h": 1, "dim_k": 1})
+    @example(spec={"format": 1, "model": "oscillator", "dim": 4, "lam": 1e308, "mu": 0.0})
+    @example(spec={"format": 1, "model": "hlc", "H": [[[0.0, 0.0]]], "L": [[[1e308, 0.0]]],
+                   "C": [[[1.0, 0.0]]]})
+    def test_model_specs(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp) / "spec.json", spec)
+            argv = ["build", path, "--out", str(Path(tmp) / "gen.json")]
+            assert_clean_exit(*run_cli(argv))
+
+    @_FUZZ
+    @given(argv=cli_argvs())
+    @example(argv=["check", "GEN", "--tol=nan"])
+    @example(argv=["schur", "GEN", "--samples=5", "--tol=nan"])
+    @example(argv=["dual", "GEN", "--out", "OUT", "--tol=nan"])
+    @example(argv=["coords", "GEN", "--tol=-1"])
+    @example(argv=["check", "GEN", "--tol=-1"])
+    @example(argv=["tk", "GEN", "--n-list=10,abc"])
+    @example(argv=["tk", "GEN", "--n-list=,"])
+    @example(argv=["oracle-norm", "GEN", "STEP", "--t=inf", "--steps=4"])
+    @example(argv=["oracle-norm", "GEN", "STEP", "--t=1e308", "--steps=4"])
+    @example(argv=["check", "GEN", "--seed=-1"])
+    @example(argv=["schur", "GEN", "--samples=5", "--seed=-1"])
+    @example(argv=["evolve", "GEN", "STEP", "STEP", "--t=1", "--oracle=-5"])
+    @example(argv=["oracle-norm", "GEN", "STEP", "--t=1", "--steps=4", "--budget=-1"])
+    @example(argv=["check", "GEN", "--tol"])
+    @example(argv=["nope"])
+    def test_argv_flags(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            spec = write_json(tmp / "spec.json", {"format": 1, "model": "zero", "dim_h": 2, "dim_k": 1})
+            gen = tmp / "gen.json"
+            jsonio.save_generator(random_contractive(2, 1, seed=4), gen)
+            names = {"SPEC": spec, "GEN": str(gen), "STEP": write_json(tmp / "g.json", step_payload()),
+                     "OUT": str(tmp / "out.json")}
+            assert_clean_exit(*run_cli([names.get(arg, arg) for arg in argv]))

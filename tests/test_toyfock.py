@@ -66,6 +66,16 @@ class TestLatticeAndStep:
         assert lat.tau == 0.5
         assert np.array_equal(lat.left_endpoints(), [0.0, 0.5, 1.0, 1.5])
 
+    def test_non_finite_horizon_or_result_is_named(self):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            ToyLattice(n_steps=4, horizon=np.inf)
+        F = random_contractive(2, 1, seed=4)
+        g = StepFunction.constant([0.5], 1.0)
+        with pytest.raises(OverflowError, match=r"t=1e\+308"):
+            oracle_state_norm(F, [1.0, 0.0], g, 1e308, 4)
+        with pytest.raises(OverflowError, match=r"t=1e\+308"):
+            oracle_matrix_element(F, [1.0, 0.0], g, [1.0, 0.0], g, 1e308, 4)
+
     def test_zero_generator_step_is_identity(self):
         F = zero_generator(2, 1)
         assert np.array_equal(step_matrix(F, 0.01), np.eye(4))
