@@ -1,9 +1,9 @@
 """Hot inner loops of the repeated-interaction oracle, in plain numpy.
 
-``element_chain`` multiplies run powers of the few distinct slot matrices
-instead of one factor per slot; ``slot_apply`` turns each slot step into one
-BLAS matrix product on a contiguous copy of the lattice state.  Neither uses
-a matrix exponential.
+``element_chain`` multiplies the run powers of the slot matrices instead of
+one factor per slot; ``slot_apply`` turns each slot step into one BLAS matrix
+product on a contiguous copy of the lattice state.  Neither uses a matrix
+exponential.
 """
 
 from __future__ import annotations
@@ -16,21 +16,15 @@ def backend_name() -> str:
     return "numpy"
 
 
-def element_chain(mats: np.ndarray, piece_idx: np.ndarray) -> np.ndarray:
-    """Ordered product I @ mats[piece_idx[0]] @ mats[piece_idx[1]] ...
+def element_chain(mats: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Ordered product mats[0]^counts[0] @ mats[1]^counts[1] @ ... (I if empty).
 
-    Consecutive equal indices form a run whose power is taken by repeated
-    squaring, so a schedule of N slots in R runs costs O(R log N) products.
+    Each run power is taken by repeated squaring, so a schedule of N slots in
+    R runs costs O(R log N) products.
     """
-    mats = np.asarray(mats, dtype=np.complex128)
-    piece_idx = np.asarray(piece_idx, dtype=np.int64).reshape(-1)
     acc = np.eye(mats.shape[1], dtype=np.complex128)
-    if piece_idx.size == 0:
-        return acc
-    starts = np.flatnonzero(np.diff(piece_idx)) + 1
-    bounds = np.concatenate(([0], starts, [piece_idx.size]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        acc = acc @ np.linalg.matrix_power(mats[piece_idx[lo]], int(hi - lo))
+    for mat, count in zip(mats, counts, strict=True):
+        acc = acc @ np.linalg.matrix_power(mat, int(count))
     return acc
 
 

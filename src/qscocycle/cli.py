@@ -44,9 +44,13 @@ def build_model(payload: dict) -> BlockGenerator:
         dim = read("dim", "count")
         return models.birth_death(dim, read("birth", "reals", dim), read("death", "reals", dim))
     if name == "random":
+        mode = payload.get("mode", "unitary_C")
+        if mode not in models.RANDOM_MODES:
+            raise jsonio.SchemaError(
+                f"field 'mode' must be {' or '.join(models.RANDOM_MODES)}, got {mode!r}"
+            )
         return models.random_contractive(
-            read("dim_h", "count"), read("dim_k", "count"), read("seed", "count"),
-            payload.get("mode", "unitary_C"),
+            read("dim_h", "count"), read("dim_k", "count"), read("seed", "count"), mode
         )
     if name == "zero":
         dh, dk = read("dim_h", "count"), read("dim_k", "count")
@@ -287,7 +291,7 @@ def make_parser() -> argparse.ArgumentParser:
     tk.add_argument("generator", type=Path)
     tk.add_argument("--n-list", type=INT_LIST, default="10,100,1000")
     tk.add_argument("--T", dest="t_horizon", type=HORIZON, default=1.0)
-    tk.add_argument("--grid", type=COUNT, default=11)
+    tk.add_argument("--grid", type=POSITIVE, default=11)
     tk.add_argument("--out", type=Path, default=None)
     tk.set_defaults(func=cmd_tk)
 

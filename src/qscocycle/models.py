@@ -104,6 +104,9 @@ def birth_death(dim: int, birth_rates, death_rates) -> BlockGenerator:
     return from_hlc(H, L, C)
 
 
+RANDOM_MODES = ("unitary_C", "strict_C")
+
+
 def random_contractive(
     dim_h: int, dim_k: int, seed: int, mode: str = "unitary_C"
 ) -> BlockGenerator:
@@ -116,8 +119,8 @@ def random_contractive(
     """
     if dim_h < 1 or dim_k < 1:
         raise ValueError("random_contractive needs dim_h >= 1 and dim_k >= 1")
-    if mode not in ("unitary_C", "strict_C"):
-        raise ValueError(f"mode must be unitary_C or strict_C, got {mode!r}")
+    if mode not in RANDOM_MODES:
+        raise ValueError(f"mode must be {' or '.join(RANDOM_MODES)}, got {mode!r}")
     rng = np.random.default_rng(seed)
 
     def cplx(shape):

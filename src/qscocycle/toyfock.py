@@ -74,39 +74,6 @@ def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     return g
 
 
-def _slot_lift(eta: np.ndarray, dh: int) -> np.ndarray:
-    """E_eta : h -> h (x) (C + k) in the block layout (scalar slot first)."""
-    dk = eta.size - 1
-    out = np.zeros(((1 + dk) * dh, dh), dtype=np.complex128)
-    out[:dh] = eta[0] * np.eye(dh)
-    for a in range(dk):
-        out[(1 + a) * dh : (2 + a) * dh] = eta[1 + a] * np.eye(dh)
-    return out
-
-
-def _piece_schedule(
-    f: StepFunction, g: StepFunction, lattice: ToyLattice
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (f, g) values over the lattice and the per-slot piece index.
-
-    Vectorized: the slot count can reach thousands while the number of
-    distinct pieces stays tiny, so values are resolved through searchsorted
-    indices with a sentinel row for the zero value past the support.
-    """
-    times = lattice.left_endpoints()
-    f_rows = np.vstack([f.values, np.zeros((1, f.dim_k), dtype=np.complex128)])
-    g_rows = np.vstack([g.values, np.zeros((1, g.dim_k), dtype=np.complex128)])
-    fi = np.searchsorted(f.breakpoints, times, side="right") - 1
-    fi[times >= f.support_end] = f.values.shape[0]
-    gi = np.searchsorted(g.breakpoints, times, side="right") - 1
-    gi[times >= g.support_end] = g.values.shape[0]
-    keys = fi * (g.values.shape[0] + 1) + gi
-    uniq, piece_idx = np.unique(keys, return_inverse=True)
-    uniq_f = f_rows[uniq // (g.values.shape[0] + 1)]
-    uniq_g = g_rows[uniq % (g.values.shape[0] + 1)]
-    return uniq_f, uniq_g, piece_idx.astype(np.int64)
-
-
 def _finite(value, t: float):
     """``value``, or an ``OverflowError`` naming ``t`` when it is not finite."""
     if not np.isfinite(value):
@@ -128,7 +95,8 @@ def oracle_matrix_element(
 
     Maintains A_0 = I and A_j = E^{xi_j}((A_{j-1} (x) I) G_tau) E_{eta_j}
     with xi_j = (1, sqrt(tau) f(s_j)), eta_j = (1, sqrt(tau) g(s_j)); the
-    result converges to the engine value with O(1/N) error.
+    result converges to the engine value with O(1/N) error.  Consecutive slots
+    with equal (f, g) values share one slot matrix, raised to the run length.
     """
     lattice = ToyLattice(n_steps=N, horizon=t)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
@@ -142,15 +110,19 @@ def oracle_matrix_element(
             f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}"
         )
     tau = lattice.tau
-    step = step_matrix(F, tau)
-    uniq_f, uniq_g, piece_idx = _piece_schedule(f, g, lattice)
-    root = np.sqrt(tau)
-    mats = np.empty((len(uniq_f), F.dim_h, F.dim_h), dtype=np.complex128)
-    for i in range(len(uniq_f)):
-        xi = np.concatenate(([1.0 + 0.0j], root * uniq_f[i]))
-        eta = np.concatenate(([1.0 + 0.0j], root * uniq_g[i]))
-        mats[i] = np.conj(_slot_lift(xi, F.dim_h)).T @ step @ _slot_lift(eta, F.dim_h)
-    acc = _kernels.element_chain(mats, piece_idx)
+    times = lattice.left_endpoints()
+    fs, gs = f.at(times), g.at(times)
+    # A run of equal slot matrices starts wherever the (f, g) row changes.
+    # Comparing whole columns avoids a slow numpy reduction along short rows.
+    changed = np.logical_or.reduce([col[1:] != col[:-1] for col in (*fs.T, *gs.T)])
+    starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+    one, root = np.ones((starts.size, 1)), np.sqrt(tau)
+    xi, eta = np.hstack([one, root * fs[starts]]), np.hstack([one, root * gs[starts]])
+    m, dh = 1 + F.dim_k, F.dim_h
+    mats = np.einsum(
+        "ra,rb,apbq->rpq", xi.conj(), eta, step_matrix(F, tau).reshape(m, dh, m, dh)
+    )
+    acc = _kernels.element_chain(mats, np.diff(starts, append=N))
     return _finite(complex(np.vdot(u, acc @ v) * exp_inner(f, g, t, None)), t)
 
 
@@ -181,10 +153,9 @@ def oracle_state_norm(
     if required > budget:
         raise MemoryBudgetError(required=required, allowed=budget)
     tau = lattice.tau
-    root = np.sqrt(tau)
+    etas = np.hstack([np.ones((N, 1)), np.sqrt(tau) * g.at(lattice.left_endpoints())])
     state = v.copy()
-    for s in lattice.left_endpoints():
-        eta = np.concatenate(([1.0 + 0.0j], root * g(s)))
+    for eta in etas:
         state = np.kron(state, eta)
     # In the block layout the slot index is slow and the h index fast, so the
     # (dh, m, dh, m) kernel tensor comes from a (m, dh, m, dh) reshape.

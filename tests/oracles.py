@@ -2,15 +2,16 @@
 
 Everything here deliberately avoids the package's own code paths where the
 point is cross-validation: the matrix exponential reference is scipy, the
-Schur product reference is an explicit loop, generator slices and Schur
-criterion ampliations are built from explicit ``np.kron`` lift maps, and the
-classical birth-death generator is assembled directly from the jump rates.
+Schur product reference is an explicit loop, generator slices, Schur
+criterion ampliations and the oracle's per-slot factors are built from
+explicit ``np.kron`` lift maps, and the classical birth-death generator is
+assembled directly from the jump rates.
 """
 
 import numpy as np
 import scipy.linalg
 
-from qscocycle import BlockGenerator, StepFunction, from_hlc
+from qscocycle import BlockGenerator, StepFunction, from_hlc, step_matrix
 
 
 def scalar_hp():
@@ -155,6 +156,23 @@ def sequential_chain(mats, piece_idx):
     acc = np.eye(mats.shape[1], dtype=np.complex128)
     for i in piece_idx:
         acc = acc @ mats[i]
+    return acc
+
+
+def per_slot_chain(F, f, g, t, N):
+    """h-matrix of the oracle's Euler product with one factor per slot.
+
+    Slot j contributes E^{xi_j} G_tau E_{eta_j}, with xi_j = (1, sqrt(tau) f(s_j))
+    and eta_j = (1, sqrt(tau) g(s_j)) at s_j = j tau, built from explicit
+    ``np.kron`` lift maps; no slots are grouped into runs.
+    """
+    tau = t / N
+    root = np.sqrt(tau)
+    step = step_matrix(F, tau)
+    acc = np.eye(F.dim_h, dtype=np.complex128)
+    for j in range(N):
+        xi, eta = hat_vector(root * f(j * tau)), hat_vector(root * g(j * tau))
+        acc = acc @ compress_map(xi, F.dim_h) @ step @ lift_map(eta, F.dim_h)
     return acc
 
 

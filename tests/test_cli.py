@@ -120,6 +120,7 @@ class TestBuild:
         ({"model": "hlc", "H": [[[0.0, 0.0]]], "C": [[[1.0, 0.0]]],
           "L": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}, "L"),
         ({"model": "cat"}, "model"),
+        ({"model": "random", "dim_h": 2, "dim_k": 1, "seed": 0, "mode": 5}, "mode"),
     ])
     def test_bad_spec_field_is_parse_error(self, tmp_path, capsys, spec, field):
         path = write_json(tmp_path / "spec.json", {"format": 1, **spec})
@@ -311,7 +312,7 @@ class TestOtherCommands:
         (["evolve", "STEP", "STEP", "--t", "1.0", "--grid=-1"], "--grid must be >= 0"),
         (["check", "--samples=-2"], "--samples must be >= 0"),
         (["dual", "--out", "OUT", "--samples=-1"], "--samples must be >= 0"),
-        (["tk", "--grid", "0"], "grid_points must be >= 1"),
+        (["tk", "--grid", "0"], "--grid must be >= 1"),
         (["tk", "--T", "nan"], "T must be a finite horizon > 0"),
         (["tk", "--T=-1"], "T must be a finite horizon > 0"),
     ])

@@ -1,7 +1,10 @@
-"""Package hygiene: every public name resolves, no module imports a name it
-never uses, and no module reads another package module's private names."""
+"""Package hygiene: every public name and every name the benchmark tracer
+wraps resolves, no module imports a name it never uses, and no module reads
+another package module's private names."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import qscocycle
 
 PACKAGE = Path(qscocycle.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,6 +49,20 @@ def private_reads(source: str) -> list[str]:
 
 def test_public_names_resolve():
     assert [name for name in qscocycle.__all__ if not hasattr(qscocycle, name)] == []
+
+
+def test_traced_names_resolve():
+    # ``Tracer.install`` skips a name it cannot find without an error, so a
+    # renamed or deleted boundary would silently drop out of the per-layer
+    # metrics.  ``run_path`` compiles the file in memory and caches nothing.
+    missing = []
+    for module_name, attr, _, _ in runpy.run_path(str(TRACING))["SPANS"]:
+        module = importlib.import_module(f"qscocycle.{module_name}")
+        owner_name, _, name = attr.rpartition(".")
+        owner = getattr(module, owner_name, None) if owner_name else module
+        if owner is None or name not in vars(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
 
 
 def test_unused_import_is_found():

@@ -18,6 +18,7 @@ from qscocycle import _kernels
 
 from oracles import (
     aligned_step,
+    per_slot_chain,
     random_complex,
     random_step,
     random_unit,
@@ -182,6 +183,22 @@ class TestOracleMatrixElement:
         second = compressed(F, f.shifted(r), g.shifted(r), t, n2)
         assert op_norm(whole - first @ second) <= 1e-12
 
+    @pytest.mark.parametrize("dim_h, dim_k", [(2, 1), (3, 2)])
+    def test_matches_per_slot_product(self, dim_h, dim_k):
+        # f takes the same value on both sides of its breakpoint 0.25, so those
+        # two pieces form one run; t = 1.2 lies past both supports, so the
+        # last slots carry the zero value.
+        rng = np.random.default_rng(30 + dim_h)
+        F = random_contractive(dim_h, dim_k, seed=31 + dim_k)
+        a, b, c, d = random_complex(rng, (4, dim_k), 0.7)
+        f = StepFunction([0.0, 0.25, 0.5], [a, a, b], 0.8)
+        g = StepFunction([0.0, 0.3], [c, d], 0.9)
+        u, v = random_unit(rng, dim_h), random_unit(rng, dim_h)
+        t, N = 1.2, 64
+        got = oracle_matrix_element(F, u, f, v, g, t, N)
+        expect = np.vdot(u, per_slot_chain(F, f, g, t, N) @ v) * exp_inner(f, g, t, None)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
     def test_dimension_checks(self):
         z = StepFunction.zero(1)
         with pytest.raises(ValueError, match="dimensions"):
@@ -276,22 +293,23 @@ class TestOracleStateNorm:
 
 class TestKernels:
     def test_element_chain_empty_schedule_is_identity(self):
-        mats = random_complex(np.random.default_rng(12), (2, 3, 3))
+        mats = random_complex(np.random.default_rng(12), (0, 3, 3))
         got = _kernels.element_chain(mats, np.zeros(0, dtype=np.int64))
         assert np.array_equal(got, np.eye(3))
+        assert np.array_equal(got, sequential_chain(mats, []))
 
     def test_element_chain_single_run(self):
         rng = np.random.default_rng(13)
-        mats = np.eye(3) + random_complex(rng, (2, 3, 3), 0.05)
-        idx = np.full(1000, 1)
-        ref = sequential_chain(mats, idx)
-        got = _kernels.element_chain(mats, idx)
+        mats = np.eye(3) + random_complex(rng, (1, 3, 3), 0.05)
+        counts = np.array([1000])
+        ref = sequential_chain(mats, np.repeat(np.arange(1), counts))
+        got = _kernels.element_chain(mats, counts)
         assert op_norm(got - ref) <= 1e-11 * op_norm(ref)
 
     @pytest.mark.parametrize("pieces", [2, 5, 12])
     def test_element_chain_long_runs(self, pieces):
         # Near-identity contractions over 2^16 slots, the shape of the
-        # oracle's schedule: a few long runs of each distinct slot matrix.
+        # oracle's schedule: a few long runs, one slot matrix per run.
         rng = np.random.default_rng(14 + pieces)
         n_slots, dh = 2**16, 3
         mats = np.empty((pieces, dh, dh), dtype=np.complex128)
@@ -299,9 +317,9 @@ class TestKernels:
             x = random_complex(rng, (dh, dh))
             mats[i] = np.eye(dh) + (x - x.conj().T - 0.5 * x.conj().T @ x) / n_slots
         cuts = np.sort(rng.choice(np.arange(1, n_slots), size=pieces - 1, replace=False))
-        idx = np.repeat(rng.permutation(pieces), np.diff(np.concatenate(([0], cuts, [n_slots]))))
-        ref = sequential_chain(mats, idx)
-        got = _kernels.element_chain(mats, idx)
+        counts = np.diff(np.concatenate(([0], cuts, [n_slots])))
+        ref = sequential_chain(mats, np.repeat(np.arange(pieces), counts))
+        got = _kernels.element_chain(mats, counts)
         assert op_norm(got - ref) <= 1e-11 * op_norm(ref)
 
     @pytest.mark.parametrize("dh, m, n", [(2, 2, 4), (2, 3, 3), (1, 2, 5)])
