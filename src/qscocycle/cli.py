@@ -238,7 +238,13 @@ def cmd_oracle_norm(args) -> int:
     g = jsonio.load_step(args.g)
     v = np.eye(F.dim_h, dtype=np.complex128)[0]
     norm = toyfock.oracle_state_norm(F, v, g, args.t, args.steps, budget=args.budget)
-    reference = float(np.sqrt(abs(exp_inner(g, g, 0.0, None))))
+    with np.errstate(over="ignore"):
+        reference = float(np.sqrt(abs(exp_inner(g, g, 0.0, None))))
+    if not np.isfinite(reference):
+        raise OverflowError(
+            "reference |v| * |eps(g)| overflowed: |eps(g)|^2 = exp(int |g|^2) is not "
+            "finite in double precision"
+        )
     print(f"discrete state norm  {norm:.12g}")
     print(f"|v| * |eps(g)|       {reference:.12g}")
     print(f"defect               {abs(norm - reference):.6g}")

@@ -124,38 +124,52 @@ class StepFunction:
         return StepFunction(bps, vals, max(self.support_end, t))
 
 
-def _refinement(f: StepFunction, g: StepFunction, a: float, b: float):
-    """Joint refinement of [a, b] by the jumps of f and g.
+def _refinement(f: StepFunction, g: StepFunction, a: float, b: float, extra=()):
+    """Joint refinement of [a, b] by the jumps of f and g and the ``extra`` cuts.
 
-    Returns the cut points (a, b and every breakpoint or support end of f or g
-    strictly between them, sorted and distinct) and the (pieces, dim_k) values
-    of f and of g on each piece [cuts[i], cuts[i+1]).
+    Returns the cut points (a, b and every breakpoint or support end of f or g,
+    or extra cut, strictly between them, sorted and distinct) and the
+    (pieces, dim_k) values of f and of g on each piece [cuts[i], cuts[i+1]).
     """
-    jumps = np.concatenate((f.breakpoints, g.breakpoints, (f.support_end, g.support_end)))
+    jumps = np.concatenate((f.breakpoints, g.breakpoints, (f.support_end, g.support_end), extra))
     cuts = np.sort(np.concatenate(((a, b), jumps[(jumps > a) & (jumps < b)])))
     # Deduplicated by hand: np.unique imports numpy.ma (about 1 MB resident).
     cuts = cuts[np.append(True, np.diff(cuts) > 0)]
     return cuts, f.at(cuts[:-1]), g.at(cuts[:-1])
 
 
-def exp_inner(f: StepFunction, g: StepFunction, a: float, b: float | None = None) -> complex:
+def exp_inner(
+    f: StepFunction, g: StepFunction, a: float | np.ndarray, b: float | None = None
+) -> complex | np.ndarray:
     """exp of int_a^b <f(s), g(s)> ds, computed exactly piecewise.
 
     ``b = None`` means +infinity; the integrand vanishes past both supports.
+    A nondecreasing array of starts ``a`` gives the array of factors over
+    [a_i, b]: one refinement of [a_0, b] holds every start as a cut, and one
+    reversed cumulative sum of its piece integrals gives every exponent.
     """
     if f.dim_k != g.dim_k:
         raise ValueError(f"dimension mismatch: {f.dim_k} vs {g.dim_k}")
-    if a < 0:
+    starts = np.asarray(a, dtype=np.float64).reshape(-1)
+    if not (starts >= 0).all():
         raise ValueError(f"step functions live on t >= 0, got a={a}")
+    if (starts[1:] < starts[:-1]).any():
+        raise ValueError("times must be nondecreasing")
+    end = max(f.support_end, g.support_end)
     if b is None:
-        b = max(f.support_end, g.support_end, a)
-    if a > b:
+        b = end
+    elif starts.size and starts[-1] > b:
         raise ValueError(f"interval endpoints out of order: {a} > {b}")
-    b = min(b, max(f.support_end, g.support_end))
-    if b <= a:
-        return 1.0 + 0.0j
-    cuts, fv, gv = _refinement(f, g, a, b)
-    return complex(np.exp(np.einsum("pk,pk,p->", fv.conj(), gv, np.diff(cuts))))
+    b = min(b, end)
+    if not (starts.size and starts[0] < b):
+        return np.ones(starts.size, dtype=np.complex128) if np.ndim(a) else 1.0 + 0.0j
+    # Past both supports the integrand vanishes, so a start there is b itself.
+    starts = np.minimum(starts, b)
+    cuts, fv, gv = _refinement(f, g, starts[0], b, starts)
+    pieces = np.einsum("pk,pk,p->p", fv.conj(), gv, np.diff(cuts))
+    tails = np.append(np.cumsum(pieces[::-1])[::-1], 0.0)
+    out = np.exp(tails[np.searchsorted(cuts, starts)])
+    return out if np.ndim(a) else complex(out[0])
 
 
 def _family(source) -> SemigroupFamily:
@@ -167,35 +181,49 @@ def _family(source) -> SemigroupFamily:
 
 
 def sliced_element(
-    source, f: StepFunction, g: StepFunction, t: float, start: float = 0.0
+    source, f: StepFunction, g: StepFunction, t: float | np.ndarray, start: float = 0.0
 ) -> np.ndarray:
     """Ordered product of P-semigroup factors over the joint refinement of [start, t).
 
     This h-operator is E^{eps(f|[start,t))} sigma_start(V_{t-start})
-    E_{eps(g|[start,t))}; ``start = 0`` gives the slice of V_t.
+    E_{eps(g|[start,t))}; ``start = 0`` gives the slice of V_t.  A
+    nondecreasing array of times gives the (len(t), dim_h, dim_h) stack of
+    these products: one sweep over one refinement of [start, t[-1]] that
+    holds every time as a cut, read off at each time by the cocycle law.
     """
     fam = _family(source)
     F = fam.source
-    if not (0.0 <= start <= t and np.isfinite(t)):
+    times = np.asarray(t, dtype=np.float64).reshape(-1)
+    first = times[0] if times.size else start
+    if not (0.0 <= start <= first and np.all(np.isfinite(times))):
         raise ValueError(
             f"times must be finite and nonnegative with start <= t, got start={start}, t={t}"
         )
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be nondecreasing")
     if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
         raise ValueError(
             f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}"
         )
-    out = np.eye(F.dim_h, dtype=np.complex128)
-    cuts, fv, gv = _refinement(f, g, start, t)
-    for c, d, h in zip(fv, gv, np.diff(cuts)):
-        out = out @ fam.p(c, d, h)
-    return out
+    cuts, fv, gv = _refinement(f, g, start, times[-1] if times.size else start, times)
+    # Rows rows[j]:rows[j+1] of the output are the times at cuts[j]; each gets
+    # the product of the factors of the pieces before that cut.
+    rows = np.searchsorted(np.searchsorted(cuts, times), np.arange(cuts.size + 1))
+    out = np.empty((times.size, F.dim_h, F.dim_h), dtype=np.complex128)
+    prefix = np.eye(F.dim_h, dtype=np.complex128)
+    out[rows[0] : rows[1]] = prefix
+    for j, (c, d, h) in enumerate(zip(fv, gv, np.diff(cuts)), start=1):
+        prefix = prefix @ fam.p(c, d, h)
+        out[rows[j] : rows[j + 1]] = prefix
+    return out if np.ndim(t) else out[0]
 
 
 def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np.ndarray:
     """<u eps(f), V_t v eps(g)> at each of a nondecreasing sequence of times.
 
-    One left-to-right sweep: by the cocycle law the P-product up to each time
-    is the product up to the previous time times the factors in between.
+    One sweep: by the cocycle law the P-product up to each time is the
+    product up to the previous time times the factors in between, so one
+    ``sliced_element`` stack and one ``exp_inner`` array serve the whole grid.
     Raises ``OverflowError``, naming the first such time, when an element is
     not finite because the unnormalized exponential-vector factors overflow.
     """
@@ -211,21 +239,14 @@ def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"times must be finite; times[{i}] is {times[i]}")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be nondecreasing")
-    out = np.empty(times.size, dtype=np.complex128)
-    prefix = np.eye(fam.source.dim_h, dtype=np.complex128)
-    previous = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(times):
-            prefix = prefix @ sliced_element(fam, f, g, t, previous)
-            out[i] = np.vdot(u, prefix @ v) * exp_inner(f, g, t, None)
-            if not np.isfinite(out[i]):
-                raise OverflowError(
-                    f"exponential-vector factors overflowed at t={t:.6g}: the matrix "
-                    "element is not finite in double precision"
-                )
-            previous = t
+        out = (u.conj() @ sliced_element(fam, f, g, times) @ v) * exp_inner(f, g, times, None)
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise OverflowError(
+            f"exponential-vector factors overflowed at t={times[np.argmin(finite)]:.6g}: the "
+            "matrix element is not finite in double precision"
+        )
     return out
 
 

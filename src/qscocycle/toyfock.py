@@ -64,7 +64,7 @@ def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     """One-slot interaction matrix G_tau on h (x) (C + k)."""
     if tau <= 0:
         raise ValueError(f"step size must be positive, got {tau}")
-    dh, dk = F.dim_h, F.dim_k
+    dh = F.dim_h
     n = F.total_dim
     g = np.zeros((n, n), dtype=np.complex128)
     g[:dh, :dh] = np.eye(dh) + tau * F.K

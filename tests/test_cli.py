@@ -355,6 +355,16 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "t=1e+308" in err and "not finite" in err
 
+    def test_oracle_norm_reference_overflow_is_validation_error(self, tmp_path, capsys):
+        # |eps(g)|^2 = exp(int |g|^2) = e^900 for g = 30 on [0, 1).
+        gen = tmp_path / "gen.json"
+        jsonio.save_generator(random_contractive(2, 1, seed=3), gen)
+        step = write_json(tmp_path / "g.json", step_payload(values=[[[30.0, 0.0]]]))
+        assert main(["oracle-norm", str(gen), step, "--t", "1", "--steps", "4"]) == 3
+        captured = capsys.readouterr()
+        assert "reference |v| * |eps(g)| overflowed" in captured.err
+        assert captured.out == ""
+
 
 class TestRoundTrips:
     def test_generator_payload_round_trip(self, tmp_path):
@@ -657,6 +667,8 @@ class TestBoundaryFuzz:
     @example(argv=["schur", "GEN", "--samples=5", "--seed=-1"])
     @example(argv=["evolve", "GEN", "STEP", "STEP", "--t=1", "--oracle=-5"])
     @example(argv=["oracle-norm", "GEN", "STEP", "--t=1", "--steps=4", "--budget=-1"])
+    # STEP30 equals 30 on [0, 1), so |eps(g)|^2 = e^900 overflows.
+    @example(argv=["oracle-norm", "GEN", "STEP30", "--t=1", "--steps=4"])
     @example(argv=["check", "GEN", "--tol"])
     @example(argv=["nope"])
     def test_argv_flags(self, argv):
@@ -666,5 +678,6 @@ class TestBoundaryFuzz:
             gen = tmp / "gen.json"
             jsonio.save_generator(random_contractive(2, 1, seed=4), gen)
             names = {"SPEC": spec, "GEN": str(gen), "STEP": write_json(tmp / "g.json", step_payload()),
+                     "STEP30": write_json(tmp / "g30.json", step_payload(values=[[[30.0, 0.0]]])),
                      "OUT": str(tmp / "out.json")}
             assert_clean_exit(*run_cli([names.get(arg, arg) for arg in argv]))

@@ -132,6 +132,35 @@ class TestExpInner:
         with pytest.raises(ValueError, match="t >= 0"):
             exp_inner(StepFunction.constant([1.0], 2.0), z, -1.0, 1.0)
 
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_grid_matches_pointwise(self, seed):
+        rng = np.random.default_rng(seed)
+        f = random_step(rng, 2, 5, 2.0)
+        g = random_step(rng, 2, 5, 2.0)
+        end = max(f.support_end, g.support_end)
+        uniform = np.linspace(0.0, end, 21)
+        # t = 0 twice, every breakpoint and both support ends, repeated times
+        # and times past both supports (one repeated).
+        marks = [0.0, 0.0, *f.breakpoints, *g.breakpoints, f.support_end, g.support_end,
+                 end + 0.25, end + 0.5, end + 0.5]
+        times = np.sort(np.concatenate((uniform, uniform[::4], marks)))
+        for b, grid in ((None, times), (end + 1.0, times), (1.0, times[times <= 1.0])):
+            got = exp_inner(f, g, grid, b)
+            ref = np.array([exp_inner(f, g, t, b) for t in grid])
+            assert got.shape == grid.shape
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_grid_edge_cases(self):
+        f = StepFunction.constant([1.0], 2.0)
+        assert exp_inner(f, f, np.array([]), None).shape == (0,)
+        assert isinstance(exp_inner(f, f, 0.5, None), complex)
+        with pytest.raises(ValueError, match="t >= 0"):
+            exp_inner(f, f, [-0.5, 0.5], None)
+        with pytest.raises(ValueError, match="order"):
+            exp_inner(f, f, [0.2, 1.5], 1.0)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            exp_inner(f, f, [0.5, 0.2], None)
+
 
 class TestSlicedElement:
     def test_identity_cocycle(self):
@@ -158,6 +187,35 @@ class TestSlicedElement:
         z = StepFunction.zero(1)
         with pytest.raises(ValueError, match="nonnegative"):
             sliced_element(scalar_hp(), z, z, -1.0)
+
+    @pytest.mark.parametrize("start", [0.0, 0.6])
+    def test_grid_matches_pointwise(self, start):
+        fam = SemigroupFamily(random_contractive(3, 2, seed=22))
+        rng = np.random.default_rng(23)
+        f = random_step(rng, 2, 5, 2.0)
+        g = random_step(rng, 2, 5, 2.0)
+        end = max(f.support_end, g.support_end)
+        marks = [start, start, *f.breakpoints, *g.breakpoints, f.support_end, g.support_end,
+                 end + 0.25, end + 0.5, end + 0.5]
+        times = np.sort(np.concatenate((np.linspace(start, end, 21), marks)))
+        times = times[times >= start]
+        got = sliced_element(fam, f, g, times, start)
+        assert got.shape == (times.size, 3, 3)
+        for t, out in zip(times, got):
+            ref = sliced_element(fam, f, g, t, start)
+            assert op_norm(out - ref) <= 1e-12 * max(1.0, op_norm(ref))
+
+    def test_grid_rejects_bad_times(self):
+        F = random_contractive(2, 1, seed=24)
+        z = StepFunction.zero(1)
+        assert sliced_element(F, z, z, np.array([])).shape == (0, 2, 2)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            sliced_element(F, z, z, [0.5, 0.2])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sliced_element(F, z, z, [0.1, bad])
+        with pytest.raises(ValueError, match="start <= t"):
+            sliced_element(F, z, z, [0.5, 0.7], 0.6)
 
     def test_markov_slice_matches_q_exactly(self):
         F = random_contractive(3, 2, seed=3)

@@ -1,6 +1,7 @@
 """Package hygiene: every public name and every name the benchmark tracer
-wraps resolves, no module imports a name it never uses, and no module reads
-another package module's private names."""
+wraps resolves, no module imports a name it never uses, no function assigns a
+local it never reads, and no module reads another package module's private
+names."""
 
 import ast
 import importlib
@@ -26,6 +27,39 @@ def unused_imports(source: str) -> list[str]:
             imported += [alias.asname or alias.name for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """The nodes of a function's own body, not of the functions or classes in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source: str) -> list[str]:
+    """``function.name`` for each name a function assigns and never reads.
+
+    A read anywhere in the function counts, nested functions included, since
+    they may close over it; ``_`` and global or nonlocal names are exempt.
+    """
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, _SCOPES):
+            continue
+        own = list(_own_nodes(scope))
+        exempt = {"_"}.union(*(n.names for n in own if isinstance(n, (ast.Global, ast.Nonlocal))))
+        stored = [n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        label = getattr(scope, "name", "<lambda>")
+        found += [f"{label}.{name}" for name in sorted(set(stored))
+                  if name not in read and name not in exempt]
+    return found
 
 
 def private_reads(source: str) -> list[str]:
@@ -69,6 +103,22 @@ def test_unused_import_is_found():
     assert unused_imports("import os\nfrom a import b, c as d\nd(b)\n") == ["os"]
 
 
+def test_dead_local_is_found():
+    source = (
+        "def f(x):\n"
+        "    a, b = x\n"
+        "    for _ in a:\n"
+        "        c = 1\n"
+        "    def g():\n"
+        "        return a\n"
+        "    return g\n"
+        "def h():\n"
+        "    global d\n"
+        "    d = 2\n"
+    )
+    assert dead_locals(source) == ["f.b", "f.c"]
+
+
 def test_private_read_is_found():
     source = "from . import a, b as c\nfrom .d import _e, f\na._x\nc._y\nc.z\nobj._w\n"
     assert private_reads(source) == ["d._e", "a._x", "c._y"]
@@ -79,6 +129,11 @@ def test_private_read_is_found():
 )
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_dead_locals(module):
+    assert dead_locals((PACKAGE / module).read_text()) == []
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
