@@ -48,7 +48,6 @@ from .semigroups import (
     g_generator,
 )
 from .toyfock import (
-    MemoryBudgetError,
     ToyLattice,
     oracle_matrix_element,
     oracle_state_norm,
@@ -61,7 +60,6 @@ __all__ = [
     "BlockGenerator",
     "Classification",
     "ConvergenceReport",
-    "MemoryBudgetError",
     "OscillatorSpec",
     "Probe",
     "ProbeReport",

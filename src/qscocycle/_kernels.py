@@ -1,9 +1,9 @@
 """Hot inner loops of the repeated-interaction oracle, in plain numpy.
 
 ``element_chain`` multiplies the run powers of the slot matrices instead of
-one factor per slot; ``slot_apply`` turns each slot step into one BLAS matrix
-product on a contiguous copy of the lattice state.  Neither uses a matrix
-exponential.
+one factor per slot; ``slot_apply`` carries the h-marginal of the lattice
+state through the slots, two batched products per slot.  Neither uses a
+matrix exponential.
 """
 
 from __future__ import annotations
@@ -28,25 +28,18 @@ def element_chain(mats: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def slot_apply(state: np.ndarray, g4: np.ndarray, dh: int, m: int, n: int) -> np.ndarray:
-    """Apply the step contraction to (h, slot j) for j = n down to 1.
+def slot_apply(rho: np.ndarray, g4: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Carry the h density matrix ``rho`` through slots n down to 1.
 
-    ``state`` is the flattened h (x) slot_1 (x) ... (x) slot_n vector with h
-    slowest and slot n fastest; ``g4`` is the step matrix reshaped to
-    (dh, m, dh, m).  Before step j the state is held in the axis order
-    (h, slots j+1..n, slots 1..j); moving slot j next to h gives a contiguous
-    (dh*m, rest) matrix for one matmul, whose output is already in the order
-    step j-1 expects.  After step 1 the order is the original one again.
+    ``g4`` is the step matrix reshaped to (m, dh, m, dh), slot index slow;
+    ``etas[j - 1]`` is the product vector slot j holds when the step meets it.
+    Slot j acts once and is then traced out, so with
+    A_a = sum_b etas[j - 1, b] g4[a, :, b, :] the step is
+    rho <- sum_a A_a rho A_a*.
     """
-    g2 = np.asarray(g4, dtype=np.complex128).reshape(dh * m, dh * m)
-    cur = np.array(state, dtype=np.complex128).reshape(-1)
-    buf = np.empty_like(cur)
-    for j in range(n, 0, -1):
-        pre = m ** (j - 1)
-        post = m ** (n - j)
-        np.copyto(
-            buf.reshape(dh, m, post, pre),
-            cur.reshape(dh, post, pre, m).transpose(0, 3, 1, 2),
-        )
-        np.matmul(g2, buf.reshape(dh * m, post * pre), out=cur.reshape(dh * m, post * pre))
-    return cur
+    kraus = np.einsum("jb,apbq->japq", etas, g4)
+    adjoint = kraus.conj().swapaxes(-1, -2)
+    rho = np.asarray(rho, dtype=np.complex128)
+    for j in range(len(etas) - 1, -1, -1):
+        rho = (kraus[j] @ rho @ adjoint[j]).sum(axis=0)
+    return rho

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio, models, reconstruct, toyfock
-from .cocycle import exp_inner, full_matrix_element
+from .cocycle import StepFunction, exp_inner, full_matrix_element
 from .generator import BlockGenerator, classify, form_defect, from_hlc, random_state
 from .opcore import op_norm
 from .semigroups import SemigroupFamily, coords_from_f, coords_to_f, dual_generator
@@ -237,12 +237,15 @@ def cmd_oracle_norm(args) -> int:
     F = jsonio.load_generator(args.generator)
     g = jsonio.load_step(args.g)
     v = np.eye(F.dim_h, dtype=np.complex128)[0]
-    norm = toyfock.oracle_state_norm(F, v, g, args.t, args.steps, budget=args.budget)
+    norm = toyfock.oracle_state_norm(F, v, g, args.t, args.steps)
+    # |eps(g)| = exp(int |g|^2 / 2) is exp int |h|^2 for h = g / sqrt(2); taking
+    # it directly, not as sqrt(|eps(g)|^2), overflows only where it is not a double.
+    h = StepFunction(g.breakpoints, g.values / np.sqrt(2.0), g.support_end)
     with np.errstate(over="ignore"):
-        reference = float(np.sqrt(abs(exp_inner(g, g, 0.0, None))))
+        reference = float(abs(exp_inner(h, h, 0.0, None)))
     if not np.isfinite(reference):
         raise OverflowError(
-            "reference |v| * |eps(g)| overflowed: |eps(g)|^2 = exp(int |g|^2) is not "
+            "reference |v| * |eps(g)| overflowed: |eps(g)| = exp(int |g|^2 / 2) is not "
             "finite in double precision"
         )
     print(f"discrete state norm  {norm:.12g}")
@@ -320,7 +323,6 @@ def make_parser() -> argparse.ArgumentParser:
     norm.add_argument("g", type=Path)
     norm.add_argument("--t", type=TIME, required=True)
     norm.add_argument("--steps", type=POSITIVE, required=True)
-    norm.add_argument("--budget", type=COUNT, default=toyfock.DEFAULT_STATE_BUDGET)
     norm.set_defaults(func=cmd_oracle_norm)
 
     return parser
@@ -341,7 +343,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, RecursionError, jsonio.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, toyfock.MemoryBudgetError, OverflowError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

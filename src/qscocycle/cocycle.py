@@ -158,8 +158,8 @@ def exp_inner(
     end = max(f.support_end, g.support_end)
     if b is None:
         b = end
-    elif starts.size and starts[-1] > b:
-        raise ValueError(f"interval endpoints out of order: {a} > {b}")
+    elif np.isnan(b) or (starts.size and starts[-1] > b):
+        raise ValueError(f"interval endpoints out of order: a={a}, b={b}")
     b = min(b, end)
     if not (starts.size and starts[0] < b):
         return np.ones(starts.size, dtype=np.complex128) if np.ndim(a) else 1.0 + 0.0j

@@ -25,38 +25,14 @@ _PADE_THETA = (
     (9, 2.097847961257068e000),
     (13, 5.371920351148152e000),
 )
+# Pade coefficients c_j = (2m - j)! / (j! (m - j)!), so c_m = 1; each quotient
+# is exact in integers before it becomes a float.
 _PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0,
-        8821612800.0,
-        2075673600.0,
-        302702400.0,
-        30270240.0,
-        2162160.0,
-        110880.0,
-        3960.0,
-        90.0,
-        1.0,
-    ),
-    13: (
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ),
+    m: tuple(
+        float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
+        for j in range(m + 1)
+    )
+    for m, _ in _PADE_THETA
 }
 
 

@@ -27,19 +27,6 @@ from . import _kernels
 from .cocycle import StepFunction, exp_inner
 from .generator import BlockGenerator
 
-DEFAULT_STATE_BUDGET = 2**22
-
-
-class MemoryBudgetError(RuntimeError):
-    """Raised when the discrete state vector would exceed the budget."""
-
-    def __init__(self, required: int, allowed: int):
-        super().__init__(
-            f"discrete state dimension {required} exceeds the budget {allowed}"
-        )
-        self.required = required
-        self.allowed = allowed
-
 
 @dataclass(frozen=True)
 class ToyLattice:
@@ -127,19 +114,14 @@ def oracle_matrix_element(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def oracle_state_norm(
-    F: BlockGenerator,
-    v,
-    g: StepFunction,
-    t: float,
-    N: int,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> float:
+def oracle_state_norm(F: BlockGenerator, v, g: StepFunction, t: float, N: int) -> float:
     """Norm of the fully resolved discrete state V^(N)_t (v (x) eps_N(g)).
 
-    Builds the complete lattice state vector (dimension dim_h * (1+dim_k)^N,
-    checked against ``budget``) and applies the one-slot contraction slot by
-    slot.  For equality-case generators (unitary C) the value converges to
+    Each slot meets the one-slot step once, while it still holds its product
+    vector eta_j = (1, sqrt(tau) g(s_j)), so the squared norm is the trace of
+    the h-marginal carried from rho = |v><v| through slots N down to 1 by
+    rho <- Tr_slot[G (rho (x) |eta_j><eta_j|) G*]; memory is linear in N.
+    For equality-case generators (unitary C) the value converges to
     |v| * |eps(g)| from the isometric limit.
     """
     lattice = ToyLattice(n_steps=N, horizon=t)
@@ -148,19 +130,9 @@ def oracle_state_norm(
         raise ValueError(f"state vector has dimension {v.size}, expected {F.dim_h}")
     if g.dim_k != F.dim_k:
         raise ValueError(f"step function has dim_k {g.dim_k}, generator has {F.dim_k}")
-    m = 1 + F.dim_k
-    required = F.dim_h * m**N
-    if required > budget:
-        raise MemoryBudgetError(required=required, allowed=budget)
+    m, dh = 1 + F.dim_k, F.dim_h
     tau = lattice.tau
     etas = np.hstack([np.ones((N, 1)), np.sqrt(tau) * g.at(lattice.left_endpoints())])
-    state = v.copy()
-    for eta in etas:
-        state = np.kron(state, eta)
-    # In the block layout the slot index is slow and the h index fast, so the
-    # (dh, m, dh, m) kernel tensor comes from a (m, dh, m, dh) reshape.
-    g4 = np.ascontiguousarray(
-        step_matrix(F, tau).reshape(m, F.dim_h, m, F.dim_h).transpose(1, 0, 3, 2)
-    )
-    state = _kernels.slot_apply(state, g4, F.dim_h, m, N)
-    return _finite(float(np.linalg.norm(state)), t)
+    g4 = step_matrix(F, tau).reshape(m, dh, m, dh)
+    rho = _kernels.slot_apply(np.outer(v, v.conj()), g4, etas)
+    return _finite(float(np.sqrt(abs(np.trace(rho).real))), t)

@@ -198,6 +198,29 @@ def reduced_state_norm(F, v, g, t, N):
     return float(np.sqrt(np.trace(rho).real))
 
 
+def lattice_state_norm(F, v, g, t, N):
+    """Norm of the discrete state V^(N)_t (v (x) eps_N(g)) on the full lattice.
+
+    The small-N reference for the oracle's reduced recurrence: the product
+    state v (x) eta_1 (x) ... (x) eta_N, of dimension dim_h (1+dim_k)^N with h
+    slowest and slot N fastest, is built with ``np.kron``, and the Euler step
+    acts on (h, slot j) for j = N down to 1 as one contraction over the whole
+    state.  G is assembled from the generator blocks in the block layout.
+    """
+    dh, m = F.dim_h, 1 + F.dim_k
+    tau = t / N
+    root = np.sqrt(tau)
+    step = np.block([[np.eye(dh) + tau * F.K, root * F.M], [root * F.L, F.C]])
+    step = step.reshape(m, dh, m, dh)
+    state = np.asarray(v, dtype=np.complex128).reshape(-1)
+    for j in range(N):
+        state = np.kron(state, np.concatenate(([1.0], root * g(j * tau))))
+    for j in range(N, 0, -1):
+        blocks = state.reshape(dh, m ** (j - 1), m, m ** (N - j))
+        state = np.einsum("apbq,qxby->pxay", step, blocks).reshape(-1)
+    return float(np.linalg.norm(state))
+
+
 def hat_vector(d):
     """d-hat = (1, d) in C^(1+dim_k)."""
     d = np.asarray(d, dtype=np.complex128).reshape(-1)

@@ -266,6 +266,9 @@ def test_criterion_7_generator_slice_identities():
 
 def test_criterion_8_isometry_equality_case():
     shrinks = True
+    rate_ratios = []
+    richardson = {8: [], 4: []}
+    sizes = [2**p for p in range(10, 17)]
     g = StepFunction.constant([0.6], 1.0)
     for seed in (80, 81):
         F = random_contractive(2, 1, seed=seed, mode="unitary_C")
@@ -277,6 +280,18 @@ def test_criterion_8_isometry_equality_case():
         }
         if not defects[16] < defects[12]:
             shrinks = False
+        # The isometric defect is first order in 1/N, so it halves with each
+        # doubling; Richardson extrapolation 2 n(2N) - n(N) cancels it and
+        # leaves a second-order residual.
+        norms = {n: oracle_state_norm(F, v, g, 1.0, n) for n in sizes}
+        rate_ratios += [
+            (norms[n] - reference) / (norms[2 * n] - reference) for n in sizes[:-1]
+        ]
+        residual = {
+            n: abs(2.0 * norms[2 * n] - norms[n] - reference) for n in (2**10, 2**13, 2**15)
+        }
+        richardson[8].append(residual[2**13] / residual[2**10])
+        richardson[4].append(residual[2**15] / residual[2**13])
     spec = OscillatorSpec(dim=6, lam=np.linspace(1.0, 1.5, 7), mu=np.ones(6))
     F = inverse_oscillator(spec)
     full = F.full_matrix()
@@ -295,12 +310,24 @@ def test_criterion_8_isometry_equality_case():
         xi = random_complex(rng, F.total_dim)
         xi[F.dim_h - 1] = 0.0
         worst_form = max(worst_form, abs(form_defect(F, xi)) / np.vdot(xi, xi).real)
-    ok = shrinks and left_max == 0.0 and right_max == 0.0 and worst_form <= 1e-13
+    ok = (
+        shrinks
+        and all(1.9 <= r <= 2.1 for r in rate_ratios)
+        and all(1.0 / 128 <= r <= 1.0 / 32 for r in richardson[8])
+        and all(1.0 / 32 <= r <= 1.0 / 8 for r in richardson[4])
+        and left_max == 0.0
+        and right_max == 0.0
+        and worst_form <= 1e-13
+    )
     report(
         8,
         ok,
-        f"norm defect shrinks N=12->16: {shrinks}; interior operator residues "
-        f"{left_max:.1e}/{right_max:.1e}; interior form defect {worst_form:.1e}",
+        f"norm defect shrinks N=12->16: {shrinks}; defect halving ratios "
+        f"[{min(rate_ratios):.4f}, {max(rate_ratios):.4f}] for N=2^10..2^16; "
+        f"Richardson ratios 2^10->2^13 {min(richardson[8]):.4f}-{max(richardson[8]):.4f}, "
+        f"2^13->2^15 {min(richardson[4]):.4f}-{max(richardson[4]):.4f}; "
+        f"interior operator residues {left_max:.1e}/{right_max:.1e}; "
+        f"interior form defect {worst_form:.1e}",
     )
 
 

@@ -127,6 +127,8 @@ class TestExpInner:
         z = StepFunction.zero(1)
         with pytest.raises(ValueError, match="order"):
             exp_inner(z, z, 2.0, 1.0)
+        with pytest.raises(ValueError, match="b=nan"):
+            exp_inner(z, z, 0.0, float("nan"))
         with pytest.raises(ValueError, match="mismatch"):
             exp_inner(z, StepFunction.zero(2), 0.0, 1.0)
         with pytest.raises(ValueError, match="t >= 0"):

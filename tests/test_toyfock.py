@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,12 @@ from qscocycle import (
     random_contractive,
     step_matrix,
 )
-from qscocycle.toyfock import MemoryBudgetError
-from qscocycle import _kernels
+from qscocycle import _kernels, jsonio
+from qscocycle.cli import main
 
 from oracles import (
     aligned_step,
+    lattice_state_norm,
     per_slot_chain,
     random_complex,
     random_step,
@@ -248,14 +251,6 @@ class TestOracleStateNorm:
         n_strict = oracle_state_norm(strict, [1.0], g, 1.0, 12)
         assert n_strict < n_unitary - 1e-3
 
-    def test_budget_error_reports_dimensions(self):
-        F = random_contractive(2, 1, seed=9)
-        z = StepFunction.zero(1)
-        with pytest.raises(MemoryBudgetError) as err:
-            oracle_state_norm(F, [1.0, 0.0], z, 1.0, 12, budget=1000)
-        assert err.value.required == 2 * 2**12
-        assert err.value.allowed == 1000
-
     def test_matches_dense_operator_construction(self):
         # Brute-force oracle: assemble each slot factor as a dense matrix on
         # the full lattice space by explicit index arithmetic and apply the
@@ -287,8 +282,36 @@ class TestOracleStateNorm:
         g = random_step(rng, dim_k, 3, 1.0)
         v = random_complex(rng, 2)
         got = oracle_state_norm(F, v, g, 1.0, N)
-        expect = reduced_state_norm(F, v, g, 1.0, N)
-        assert abs(got - expect) <= 1e-12 * expect
+        for expect in (reduced_state_norm(F, v, g, 1.0, N), lattice_state_norm(F, v, g, 1.0, N)):
+            assert abs(got - expect) <= 1e-12 * expect
+
+
+class TestIndependence:
+    def test_oracles_never_exponentiate(self, monkeypatch, tmp_path, capsys):
+        # The oracle cross-checks the semigroup engine, so it must not share
+        # the engine's matrix exponential.
+        def refuse(*args, **kwargs):
+            raise AssertionError("mat_exp was called")
+
+        F = random_contractive(2, 1, seed=40)
+        rng = np.random.default_rng(41)
+        f, g = random_step(rng, 1, 3, 1.0), random_step(rng, 1, 3, 1.0)
+        u, v = random_unit(rng, 2), random_unit(rng, 2)
+        jsonio.save_generator(F, tmp_path / "gen.json")
+        jsonio.save_step(g, tmp_path / "g.json")
+        # Every package module that binds mat_exp, opcore and semigroups among them.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qscocycle" and hasattr(module, "mat_exp"):
+                monkeypatch.setattr(module, "mat_exp", refuse)
+        assert np.isfinite(oracle_matrix_element(F, u, f, v, g, 1.0, 64))
+        assert np.isfinite(oracle_state_norm(F, v, g, 1.0, 16))
+        argv = ["oracle-norm", str(tmp_path / "gen.json"), str(tmp_path / "g.json"),
+                "--t", "1", "--steps", "16"]
+        assert main(argv) == 0
+        assert "discrete state norm" in capsys.readouterr().out
+        # The engine path does exponentiate, so the patch is live.
+        with pytest.raises(AssertionError, match="mat_exp"):
+            full_matrix_element(F, u, f, v, g, 1.0)
 
 
 class TestKernels:
@@ -324,15 +347,20 @@ class TestKernels:
 
     @pytest.mark.parametrize("dh, m, n", [(2, 2, 4), (2, 3, 3), (1, 2, 5)])
     def test_slot_apply_matches_dense_slot_factors(self, dh, m, n):
+        # The traced-out h-marginal keeps the squared norm of the full state
+        # the dense slot factors produce from v (x) eta_1 (x) ... (x) eta_n.
         rng = np.random.default_rng(15 + n)
         step = random_complex(rng, (dh * m, dh * m), 0.5)
-        state = random_complex(rng, dh * m**n)
-        g4 = step.reshape(m, dh, m, dh).transpose(1, 0, 3, 2)
-        dense = state.copy()
+        v = random_complex(rng, dh)
+        etas = random_complex(rng, (n, m))
+        dense = v.copy()
+        for eta in etas:
+            dense = np.kron(dense, eta)
         for j in range(n, 0, -1):
             dense = slot_factor(step, dh, m, n, j) @ dense
-        got = _kernels.slot_apply(state, g4, dh, m, n)
-        assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
+        rho = _kernels.slot_apply(np.outer(v, v.conj()), step.reshape(m, dh, m, dh), etas)
+        expect = np.vdot(dense, dense).real
+        assert abs(np.trace(rho).real - expect) <= 1e-13 * expect
 
     def test_backend_name_is_numpy(self):
         assert _kernels.backend_name() == "numpy"
