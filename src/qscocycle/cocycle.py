@@ -1,16 +1,24 @@
 """Step functions, exponential-vector inner products, and exact cocycle
 matrix elements through the semigroup product decomposition.
 
-Working convention: UNNORMALIZED exponential vectors.  The matrix element
-between u eps(f) and V_t v eps(g) is
+Slices are normalized: ``sliced_element`` multiplies the associated
+contraction semigroups,
 
-    <u, P^{f(s_0),g(s_0)}_{dt_0} ... P^{f(s_m),g(s_m)}_{dt_m} v>
-        * exp( int_t^inf <f(s), g(s)> ds )
+    Q^{f(s_0),g(s_0)}_{dt_0} ... Q^{f(s_m),g(s_m)}_{dt_m},
 
-with the product ordered left-to-right in increasing time over a joint
-refinement of the jump times (left cocycle order), and right-continuous
-evaluation at the breakpoints.  Zero-length refinement intervals contribute
-identity factors.
+ordered left-to-right in increasing time over a joint refinement of the jump
+times (left cocycle order), with right-continuous evaluation at the
+breakpoints; zero-length refinement intervals contribute identity factors.
+This is the slice of V_t between NORMALIZED exponential vectors, so it is a
+contraction for a contractive generator.  The matrix element between the
+unnormalized vectors u eps(f) and v eps(g) is the Q-product element times
+the exponential of one log scalar,
+
+    <u, Q-product v> * exp( S(t) + int_t^inf <f(s), g(s)> ds ),
+    S(t) = 1/2 int_0^t (|f(s)|^2 + |g(s)|^2) ds,
+
+with log <u, Q-product v> + S(t) exponentiated once, so an element whose
+Q-product underflows is an exact 0 rather than 0 * inf.
 
 On a grid of times the cocycle law V_t = V_s sigma_s(V_{t-s}) extends the
 product up to one time s to the next time t by the factors of [s, t) alone,
@@ -23,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import BlockGenerator
-from .opcore import op_norm
+from .generator import BlockGenerator, component
+from .opcore import mat_exp, op_norm
 from .semigroups import SemigroupFamily
 
 
@@ -49,10 +57,10 @@ class StepFunction:
             raise ValueError("a step function needs at least one breakpoint")
         if bp[0] != 0.0:
             raise ValueError(f"first breakpoint must be 0, got {bp[0]}")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
         if not np.all(np.isfinite(bp)):
             raise ValueError("breakpoints must be finite")
+        if not np.all(np.diff(bp) > 0):
+            raise ValueError("breakpoints must be strictly increasing")
         if vals.shape[0] != bp.size:
             raise ValueError(
                 f"{vals.shape[0]} values for {bp.size} breakpoints"
@@ -85,8 +93,8 @@ class StepFunction:
         return cls(np.zeros(1), value, end)
 
     def __call__(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise ValueError(f"step functions live on t >= 0, got {t}")
+        if not t >= 0:
+            raise ValueError(f"step functions live on t >= 0, got t={t}")
         return self.at(np.array([t]))[0]
 
     def at(self, times: np.ndarray) -> np.ndarray:
@@ -97,8 +105,8 @@ class StepFunction:
 
     def shifted(self, r: float) -> "StepFunction":
         """The time-shifted restriction s -> f(r + s)."""
-        if r < 0:
-            raise ValueError(f"shift must be nonnegative, got {r}")
+        if not r >= 0:
+            raise ValueError(f"shift r must be nonnegative, got r={r}")
         if r >= self.support_end:
             return StepFunction.zero(self.dim_k)
         cuts, vals, _ = _refinement(self, self, r, self.support_end)
@@ -111,8 +119,8 @@ class StepFunction:
         dual cocycle; values at the isolated reflection points follow the
         right-continuous convention.
         """
-        if t < 0:
-            raise ValueError(f"reversal horizon must be nonnegative, got {t}")
+        if not 0 <= t < np.inf:
+            raise ValueError(f"reversal horizon t must be finite and nonnegative, got t={t}")
         if t == 0:
             return self
         cuts, vals, _ = _refinement(self, self, 0.0, t)
@@ -183,11 +191,13 @@ def _family(source) -> SemigroupFamily:
 def sliced_element(
     source, f: StepFunction, g: StepFunction, t: float | np.ndarray, start: float = 0.0
 ) -> np.ndarray:
-    """Ordered product of P-semigroup factors over the joint refinement of [start, t).
+    """Ordered product of Q-semigroup factors over the joint refinement of [start, t).
 
     This h-operator is E^{eps(f|[start,t))} sigma_start(V_{t-start})
-    E_{eps(g|[start,t))}; ``start = 0`` gives the slice of V_t.  A
-    nondecreasing array of times gives the (len(t), dim_h, dim_h) stack of
+    E_{eps(g|[start,t))} divided by |eps(f|[start,t))| |eps(g|[start,t))|:
+    the slice between normalized exponential vectors, a contraction for a
+    contractive generator; ``start = 0`` gives the normalized slice of V_t.
+    A nondecreasing array of times gives the (len(t), dim_h, dim_h) stack of
     these products: one sweep over one refinement of [start, t[-1]] that
     holds every time as a cut, read off at each time by the cocycle law.
     """
@@ -199,7 +209,7 @@ def sliced_element(
         raise ValueError(
             f"times must be finite and nonnegative with start <= t, got start={start}, t={t}"
         )
-    if np.any(np.diff(times) < 0):
+    if not np.all(np.diff(times) >= 0):
         raise ValueError("times must be nondecreasing")
     if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
         raise ValueError(
@@ -213,17 +223,26 @@ def sliced_element(
     prefix = np.eye(F.dim_h, dtype=np.complex128)
     out[rows[0] : rows[1]] = prefix
     for j, (c, d, h) in enumerate(zip(fv, gv, np.diff(cuts)), start=1):
-        prefix = prefix @ fam.p(c, d, h)
+        prefix = prefix @ fam.q(c, d, h)
         out[rows[j] : rows[j + 1]] = prefix
     return out if np.ndim(t) else out[0]
+
+
+def _log_norms(f: StepFunction, g: StepFunction, times: np.ndarray) -> np.ndarray:
+    """S(t) = log |eps(f|[0,t))| + log |eps(g|[0,t))| at each of the sorted times."""
+    cuts, fv, gv = _refinement(f, g, 0.0, times[-1] if times.size else 0.0, times)
+    pieces = 0.5 * (np.abs(fv) ** 2 + np.abs(gv) ** 2).sum(axis=1) * np.diff(cuts)
+    return np.append(0.0, np.cumsum(pieces))[np.searchsorted(cuts, times)]
 
 
 def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np.ndarray:
     """<u eps(f), V_t v eps(g)> at each of a nondecreasing sequence of times.
 
-    One sweep: by the cocycle law the P-product up to each time is the
+    One sweep: by the cocycle law the Q-product up to each time is the
     product up to the previous time times the factors in between, so one
     ``sliced_element`` stack and one ``exp_inner`` array serve the whole grid.
+    The norms of the exponential vectors enter as one log scalar, exp(log <u,
+    Q-product v> + S(t)), so an underflowed Q-product gives an exact 0.
     Raises ``OverflowError``, naming the first such time, when an element is
     not finite because the unnormalized exponential-vector factors overflow.
     """
@@ -239,8 +258,10 @@ def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"times must be finite; times[{i}] is {times[i]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (u.conj() @ sliced_element(fam, f, g, times) @ v) * exp_inner(f, g, times, None)
+    slices = sliced_element(fam, f, g, times)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logs = np.log(u.conj() @ slices @ v) + _log_norms(f, g, times)
+        out = np.exp(logs) * exp_inner(f, g, times, None)
     finite = np.isfinite(out)
     if not finite.all():
         raise OverflowError(
@@ -251,7 +272,7 @@ def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np
 
 
 def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t):
-    """<u eps(f), V_t v eps(g)> = <u, (P-product) v> * tail integral factor.
+    """<u eps(f), V_t v eps(g)> = <u, Q-product v> * exp(S(t)) * tail factor.
 
     A single time t gives a complex number and a nondecreasing array of times
     gives an array; both are one call to ``matrix_elements``.
@@ -264,61 +285,54 @@ def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float)
     """Operator-norm defect of V_{r+t} = V_r sigma_r(V_t) on the (f, g) slice.
 
     The split side evaluates sigma_r on step data (shift and restrict), so
-    both sides are products of the same P-factors up to refinement; the
-    defect measures floating-point error only.  The common tail factor over
-    [r+t, inf) is included so the value is on the matrix-element scale.
+    both sides are products of the same Q-factors up to refinement; the
+    defect measures floating-point error only.  It is taken on the scale of
+    the normalized slices, where the exponential-vector norms of [0, r) and
+    [r, r+t) multiply to those of [0, r+t).
     """
-    if r < 0 or t < 0:
-        raise ValueError(f"times must be nonnegative, got r={r}, t={t}")
+    if not (0 <= r < np.inf and 0 <= t < np.inf):
+        raise ValueError(f"times must be finite and nonnegative, got r={r}, t={t}")
     fam = _family(source)
-    whole = sliced_element(fam, f, g, r + t)
-    first = sliced_element(fam, f, g, r)
+    first, whole = sliced_element(fam, f, g, [r, r + t])
     second = sliced_element(fam, f.shifted(r), g.shifted(r), t)
-    tail = abs(exp_inner(f, g, r + t, None))
-    return float(op_norm(whole - first @ second) * tail)
+    return float(op_norm(whole - first @ second))
 
 
 def t_operator_fd(source, d, t: float) -> np.ndarray:
     """Finite-difference recovery of T_d = L + C E_d from P-semigroup slopes.
 
-    Channel block a is (P^{e_a,d}_t - P^{0,d}_t) / t; converges with O(t)
-    error as t -> 0 in this bounded setting.  The same limits could be read
-    off a one-particle-sector construction; only the semigroup-difference
-    route is implemented here.
+    Channel block a is (P^{e_a,d}_t - P^{0,d}_t) / t, with the unnormalized
+    semigroup P^{c,d}_t = exp(t (E^c-hat F E_d-hat + <c, d>)) formed here and
+    not cached; converges with O(t) error as t -> 0 in this bounded setting.
+    The same limits could be read off a one-particle-sector construction;
+    only the semigroup-difference route is implemented here.
     """
-    if t <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {t}")
-    fam = _family(source)
-    F = fam.source
+    if not 0 < t < np.inf:
+        raise ValueError(f"finite-difference step t must be finite and positive, got t={t}")
+    F = _family(source).source
     d = np.asarray(d, dtype=np.complex128).reshape(-1)
-    zero = np.zeros(F.dim_k, dtype=np.complex128)
-    base = fam.p(zero, d, t)
+    eye = np.eye(F.dim_h, dtype=np.complex128)
+
+    def p(c):
+        return mat_exp(t * (component(F, c, d) + np.vdot(c, d) * eye))
+
+    base = p(np.zeros(F.dim_k, dtype=np.complex128))
     out = np.zeros((F.dim_h * F.dim_k, F.dim_h), dtype=np.complex128)
     for a, e in enumerate(np.eye(F.dim_k, dtype=np.complex128)):
-        out[a * F.dim_h : (a + 1) * F.dim_h] = (fam.p(e, d, t) - base) / t
+        out[a * F.dim_h : (a + 1) * F.dim_h] = (p(e) - base) / t
     return out
 
 
 def c_operator_fd(source, t: float) -> np.ndarray:
     """Finite-difference recovery of C from second differences of P-semigroups.
 
-    Block (a, b) is (P^{e_a,e_b}_t - P^{e_a,0}_t - P^{0,e_b}_t + P^{0,0}_t)/t.
+    Block (a, b) is (P^{e_a,e_b}_t - P^{e_a,0}_t - P^{0,e_b}_t + P^{0,0}_t)/t,
+    block a of ``t_operator_fd`` at d = e_b minus the same at d = 0.
     """
-    if t <= 0:
-        raise ValueError(f"finite-difference step must be positive, got {t}")
-    fam = _family(source)
-    F = fam.source
+    F = _family(source).source
     dh = F.dim_h
-    zero = np.zeros(F.dim_k, dtype=np.complex128)
-    basis = np.eye(F.dim_k, dtype=np.complex128)
-    p00 = fam.p(zero, zero, t)
+    base = t_operator_fd(F, np.zeros(F.dim_k), t)
     out = np.zeros((dh * F.dim_k, dh * F.dim_k), dtype=np.complex128)
-    for a, ea in enumerate(basis):
-        pa0 = fam.p(ea, zero, t)
-        for b, eb in enumerate(basis):
-            p0b = fam.p(zero, eb, t)
-            pab = fam.p(ea, eb, t)
-            out[a * dh : (a + 1) * dh, b * dh : (b + 1) * dh] = (
-                pab - pa0 - p0b + p00
-            ) / t
+    for b, e in enumerate(np.eye(F.dim_k, dtype=np.complex128)):
+        out[:, b * dh : (b + 1) * dh] = t_operator_fd(F, e, t) - base
     return out

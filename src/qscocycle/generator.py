@@ -46,7 +46,7 @@ class BlockGenerator:
     def __post_init__(self):
         if self.dim_h < 1:
             raise ValueError("dim_h must be >= 1")
-        if self.dim_k < 0:
+        if not self.dim_k >= 0:
             raise ValueError("dim_k must be >= 0")
         dh, dk = self.dim_h, self.dim_k
         shapes = {

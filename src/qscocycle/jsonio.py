@@ -86,7 +86,7 @@ def read_field(payload: dict, name: str, kind: str, shape=None):
     obj = payload[name]
     if kind == "count":
         value = decode_int(obj, name)
-        if value < 0:
+        if not value >= 0:
             raise SchemaError(f"field {name!r} must be nonnegative, got {value}")
         return value
     if kind == "real":

@@ -90,7 +90,7 @@ def birth_death(dim: int, birth_rates, death_rates) -> BlockGenerator:
         raise ValueError(
             f"rate sequences need {dim} entries, got {birth.size} and {death.size}"
         )
-    if np.any(birth < 0) or np.any(death < 0):
+    if not (np.all(birth >= 0) and np.all(death >= 0)):
         raise ValueError("rates must be nonnegative")
     up = np.zeros((dim, dim), dtype=np.complex128)
     down = np.zeros((dim, dim), dtype=np.complex128)

@@ -37,8 +37,8 @@ def varpi_matrix(c_tuple, t: float) -> np.ndarray:
     chi(c_i, c_j) = (|c_i|^2 + |c_j|^2)/2 - <c_i, c_j> is read off the one
     Gram matrix [<c_i, c_j>].
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"time t must be finite and nonnegative, got t={t}")
     c = np.asarray(c_tuple, dtype=np.complex128)
     if c.ndim != 2:
         c = c.reshape(len(c), -1)

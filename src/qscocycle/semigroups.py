@@ -1,14 +1,14 @@
 """Associated semigroups of a block generator, their dual, and coordinates.
 
-For slice vectors (c, d) the two generators on h are
+For slice vectors (c, d) the associated semigroup Q^{c,d}_t = exp(t G_{c,d})
+on h has the generator
 
-    G_{c,d} = E^c-hat F E_d-hat - chi(c, d)       (contraction semigroup)
-    H_{c,d} = E^c-hat F E_d-hat + <c, d>          (unnormalized variant)
+    G_{c,d} = E^c-hat F E_d-hat - chi(c, d),
 
-so H - G = (|c|^2 + |d|^2)/2 exactly.  ``SemigroupFamily`` memoizes the
-exponentials exp(t G) and exp(t H) keyed on the exact bit patterns of
-(c, d, t); reproducibility is preferred over cache hit rate, so no rounding
-is applied to keys.
+and for a contractive F each Q^{c,d}_t is a contraction.  ``SemigroupFamily``
+memoizes G_{c,d} per slice and exp(t G_{c,d}) keyed on the exact bit
+patterns of (c, d) and the value of t; reproducibility is preferred over cache
+hit rate, so no rounding is applied to keys.
 
 At finite dimension every semigroup here is norm-continuous, so the usual
 strong/weak continuity distinctions are vacuous and carry no representation
@@ -25,20 +25,9 @@ from .generator import BlockGenerator, adjoint, chi, component
 from .opcore import mat_exp
 
 
-def _exponents(F: BlockGenerator, c, d) -> tuple[np.ndarray, np.ndarray]:
-    """(G_{c,d}, H_{c,d}) from one evaluation of the slice E^c-hat F E_d-hat."""
-    comp = component(F, c, d)
-    eye = np.eye(F.dim_h, dtype=np.complex128)
-    return comp - chi(c, d) * eye, comp + np.vdot(c, d) * eye
-
-
 def g_generator(F: BlockGenerator, c, d) -> np.ndarray:
     """The generator G_{c,d} of the contraction semigroup Q^{c,d}."""
-    return _exponents(F, c, d)[0]
-
-
-def _key(c: np.ndarray, d: np.ndarray, t: float, tag: str):
-    return (tag, c.tobytes(), d.tobytes(), np.float64(t).tobytes())
+    return component(F, c, d) - chi(c, d) * np.eye(F.dim_h, dtype=np.complex128)
 
 
 class SemigroupFamily:
@@ -62,38 +51,33 @@ class SemigroupFamily:
             )
         return v
 
-    def slice_generators(self, c, d) -> tuple[np.ndarray, np.ndarray]:
-        """The exponents (G_{c,d}, H_{c,d}) of Q^{c,d} and P^{c,d}."""
-        c, d = self._vec(c), self._vec(d)
-        key = _key(c, d, 0.0, "slice")
+    def _lookup(self, key, make):
         hit = self._cache.get(key)
         if hit is None:
-            hit = _exponents(self.source, c, d)
-            with self._lock:
-                hit = self._cache.setdefault(key, hit)
-        return hit
-
-    def _exp(self, c, d, t: float, tag: str) -> np.ndarray:
-        if t < 0:
-            raise ValueError(f"semigroup time must be nonnegative, got {t}")
-        c, d = self._vec(c), self._vec(d)
-        key = _key(c, d, t, tag)
-        hit = self._cache.get(key)
-        if hit is None:
-            g, h = self.slice_generators(c, d)
-            hit = mat_exp(t * (g if tag == "q" else h))
+            hit = make()
             hit.flags.writeable = False
             with self._lock:
                 hit = self._cache.setdefault(key, hit)
         return hit
 
+    def slice_generators(self, c, d) -> np.ndarray:
+        """The generator G_{c,d} of Q^{c,d}, evaluated once per slice."""
+        c, d = self._vec(c), self._vec(d)
+        return self._lookup(
+            (c.tobytes(), d.tobytes(), None), lambda: g_generator(self.source, c, d)
+        )
+
+    def _exp(self, c, d, t: float) -> np.ndarray:
+        if not 0 <= t < np.inf:
+            raise ValueError(f"semigroup time t must be finite and nonnegative, got t={t}")
+        c, d = self._vec(c), self._vec(d)
+        return self._lookup(
+            (c.tobytes(), d.tobytes(), float(t)), lambda: mat_exp(t * self.slice_generators(c, d))
+        )
+
     def q(self, c, d, t: float) -> np.ndarray:
         """Q^{c,d}_t = exp(t G_{c,d}); a contraction for contractive sources."""
-        return self._exp(c, d, t, "q")
-
-    def p(self, c, d, t: float) -> np.ndarray:
-        """P^{c,d}_t = exp(t H_{c,d}) = e^{t(|c|^2+|d|^2)/2} Q^{c,d}_t."""
-        return self._exp(c, d, t, "p")
+        return self._exp(c, d, t)
 
 
 def dual_generator(F: BlockGenerator) -> BlockGenerator:

@@ -49,8 +49,8 @@ class ToyLattice:
 
 def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     """One-slot interaction matrix G_tau on h (x) (C + k)."""
-    if tau <= 0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"step size tau must be finite and positive, got tau={tau}")
     dh = F.dim_h
     n = F.total_dim
     g = np.zeros((n, n), dtype=np.complex128)

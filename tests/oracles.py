@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the package's own code paths where the
 point is cross-validation: the matrix exponential reference is scipy, the
-Schur product reference is an explicit loop, generator slices, Schur
-criterion ampliations and the oracle's per-slot factors are built from
-explicit ``np.kron`` lift maps, and the classical birth-death generator is
-assembled directly from the jump rates.
+Schur product reference is an explicit loop, generator slices (those of the
+per-time matrix-element reference included), Schur criterion ampliations
+and the oracle's per-slot factors are built from explicit ``np.kron`` lift
+maps, and the classical birth-death generator is assembled directly from
+the jump rates.
 """
 
 import numpy as np
@@ -112,18 +113,23 @@ def _cut_points(f, g, a, b):
     return sorted(pts)
 
 
-def pointwise_element(family, u, f, v, g, t):
+def pointwise_element(F, u, f, v, g, t):
     """<u eps(f), V_t v eps(g)> from a fresh refinement of [0, t).
 
-    The per-time reference for the grid sweep: the ordered P-product over the
-    joint cut points of [0, t), found with set loops and scalar step-function
-    calls, and exp of int_t^inf <f, g> summed piece by piece; nothing is
-    carried over from another time.
+    The per-time reference for the grid sweep: the ordered product of the
+    unnormalized semigroups P^{c,d}_dt = expm(dt (E^c-hat F E_d-hat + <c, d>))
+    over the joint cut points of [0, t), each built from the assembled matrix
+    with scipy's expm, the cut points found with set loops and scalar
+    step-function calls, and exp of int_t^inf <f, g> summed piece by piece;
+    nothing is carried over from another time or shared with the package's
+    semigroup cache.
     """
-    prod = np.eye(family.source.dim_h, dtype=np.complex128)
+    prod = np.eye(F.dim_h, dtype=np.complex128)
     cuts = _cut_points(f, g, 0.0, t)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        prod = prod @ family.p(f(lo), g(lo), hi - lo)
+        c, d = f(lo), g(lo)
+        gen = kron_component(F, c, d) + np.vdot(c, d) * np.eye(F.dim_h)
+        prod = prod @ scipy_expm((hi - lo) * gen)
     tail = 0.0 + 0.0j
     end = max(f.support_end, g.support_end)
     if end > t:

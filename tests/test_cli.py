@@ -227,6 +227,24 @@ class TestEvolve:
         assert "exponential-vector factors overflowed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_underflowing_element_prints_zeros(self, tmp_path, capsys):
+        # <f, g> = -100 on [0, 10) makes every element e^{-1000}, which
+        # underflows while the exponential-vector norms overflow.
+        spec = write_json(tmp_path / "zero.json", {
+            "format": 1, "model": "zero", "dim_h": 1, "dim_k": 1,
+        })
+        gen = tmp_path / "zero.gen.json"
+        assert main(["build", spec, "--out", str(gen)]) == 0
+        f = write_json(tmp_path / "f.json", step_payload(values=[[[10.0, 0.0]]], support_end=10.0))
+        g = write_json(tmp_path / "g.json", step_payload(values=[[[-10.0, 0.0]]], support_end=10.0))
+        capsys.readouterr()
+        assert main(["evolve", str(gen), f, g, "--t", "10", "--grid", "4"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            _, re, im = row.split(",")
+            assert float(re) == 0.0 and float(im) == 0.0
+
     @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
     def test_non_finite_or_negative_t_is_validation_error(self, tmp_path, capsys, t):
         gen = scalar_hp_file(tmp_path)

@@ -17,7 +17,9 @@ from qscocycle import (
     op_norm,
     random_contractive,
     sliced_element,
+    step_matrix,
     t_operator_fd,
+    varpi_matrix,
 )
 from qscocycle.semigroups import dual_generator
 
@@ -172,7 +174,8 @@ class TestSlicedElement:
         g = random_step(rng, 1, 3, 1.5)
         t = 1.2
         out = sliced_element(F, f, g, t)
-        expect = exp_inner(f, g, 0.0, t) * np.eye(2)
+        # Q^{c,d}_dt = exp(-dt chi(c, d)), so the slice is exp(-int_0^t chi(f, g)).
+        expect = exp_inner(f, g, 0.0, t) / (eps_norm(f, 0.0, t) * eps_norm(g, 0.0, t)) * np.eye(2)
         assert op_norm(out - expect) <= 1e-12
 
     def test_time_zero(self):
@@ -243,15 +246,33 @@ class TestSlicedElement:
         assert op_norm(out - base) <= 1e-12 * max(1.0, op_norm(base))
 
     def test_cauchy_schwarz_contraction_bound(self):
+        # |<u eps(f), V_t v eps(g)>| <= |u| |v| |eps(f)| |eps(g)| for a
+        # contraction V_t, on the unnormalized scale that matrix_elements
+        # restores from the normalized slice; u and v are the top singular
+        # vectors of that slice.
         F = random_contractive(3, 2, seed=6)
         rng = np.random.default_rng(7)
         for _ in range(10):
             f = random_step(rng, 2, 4, 1.5)
             g = random_step(rng, 2, 4, 1.5)
             t = float(rng.uniform(0.2, 2.0))
-            out = sliced_element(F, f, g, t)
-            bound = eps_norm(f, 0.0, t) * eps_norm(g, 0.0, t)
-            assert op_norm(out) <= bound * (1 + 1e-9)
+            left, _, right = np.linalg.svd(sliced_element(F, f, g, t))
+            out = full_matrix_element(F, left[:, 0], f, right[0].conj(), g, t)
+            assert abs(out) <= eps_norm(f) * eps_norm(g) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_normalized_slices_are_contractions(self, seed):
+        # Between normalized exponential vectors every slice of a contraction
+        # cocycle is a contraction, at every time of a grid.
+        rng = np.random.default_rng(30 + seed)
+        F = random_contractive(
+            int(rng.integers(1, 5)), int(rng.integers(1, 4)), seed=seed,
+            mode="unitary_C" if seed % 2 else "strict_C",
+        )
+        f = random_step(rng, F.dim_k, 5, 2.0)
+        g = random_step(rng, F.dim_k, 5, 2.0)
+        times = np.linspace(0.0, 2.5, 26)
+        assert max(op_norm(m) for m in sliced_element(F, f, g, times)) <= 1 + 1e-12
 
 
 class TestFullMatrixElement:
@@ -279,6 +300,17 @@ class TestFullMatrixElement:
         z = StepFunction.zero(1)
         with pytest.raises(ValueError, match="dimensions"):
             full_matrix_element(scalar_hp(), [1.0, 0.0], z, [1.0], z, 1.0)
+
+    def test_underflow_is_an_exact_zero(self):
+        # The element is e^{-100 t} * e^{-100 (10 - t)} = e^{-1000}, which
+        # underflows; the Q-product e^{-200 t} underflows as well while the
+        # norm factor e^{100 t} overflows, so 0 * inf must not arise.
+        F = zero_generator(1, 1)
+        f = StepFunction.constant([10.0], 10.0)
+        g = StepFunction.constant([-10.0], 10.0)
+        assert full_matrix_element(F, [1.0], f, [1.0], g, 10.0) == 0.0
+        got = full_matrix_element(F, [1.0], f, [1.0], g, np.linspace(0.0, 10.0, 5))
+        assert np.array_equal(got, np.zeros(5))
 
 
 def evolve_models():
@@ -322,7 +354,7 @@ class TestMatrixElements:
         times = np.sort(np.concatenate((uniform, uniform[::9], marks)))
         fam = SemigroupFamily(F)
         got = matrix_elements(fam, u, f, v, g, times)
-        ref = np.array([pointwise_element(fam, u, f, v, g, t) for t in times])
+        ref = np.array([pointwise_element(F, u, f, v, g, t) for t in times])
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
         assert np.array_equal(full_matrix_element(fam, u, f, v, g, times), got)
         assert abs(full_matrix_element(fam, u, f, v, g, times[-1]) - ref[-1]) <= 1e-12 * abs(ref[-1])
@@ -403,6 +435,9 @@ class TestCocycleLaw:
         z = StepFunction.zero(1)
         with pytest.raises(ValueError, match="nonnegative"):
             cocycle_defect(scalar_hp(), z, z, -0.1, 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"r={bad}"):
+                cocycle_defect(scalar_hp(), z, z, bad, 1.0)
 
 
 class TestDualConsistency:
@@ -482,3 +517,27 @@ class TestFiniteDifferenceRecovery:
         assert op_norm(got - C) < 5e-3
         offdiag = got[0:2, 2:4]
         assert op_norm(offdiag - (-np.sin(theta)) * np.eye(2)) < 5e-3
+
+
+STEP = StepFunction.constant([1.0], 1.0)
+GUARDED = {
+    "step-call": (STEP, "t", (np.nan,)),
+    "shifted": (STEP.shifted, "r", (np.nan,)),
+    "reversed_on": (STEP.reversed_on, "t", (np.nan, np.inf)),
+    "varpi_matrix": (lambda x: varpi_matrix(np.eye(2), x), "t", (np.nan, np.inf)),
+    "step_matrix": (lambda x: step_matrix(scalar_hp(), x), "tau", (np.nan, np.inf)),
+    "q": (lambda x: SemigroupFamily(scalar_hp()).q([0.0], [0.0], x), "t", (np.nan, np.inf)),
+    "t_operator_fd": (lambda x: t_operator_fd(scalar_hp(), [0.0], x), "t", (np.nan, np.inf)),
+    "c_operator_fd": (lambda x: c_operator_fd(scalar_hp(), x), "t", (np.nan, np.inf)),
+}
+
+
+@pytest.mark.parametrize(
+    "site, bad", [(site, bad) for site, (_, _, bads) in GUARDED.items() for bad in bads]
+)
+def test_nan_guards_name_the_argument(site, bad):
+    # A guard written ``if x < 0: raise`` lets NaN through; each of these
+    # rejects it, and an infinite value where one is invalid, by name.
+    call, name, _ = GUARDED[site]
+    with pytest.raises(ValueError, match=rf"\b{name}={bad}"):
+        call(bad)

@@ -1,7 +1,7 @@
 """Package hygiene: every public name and every name the benchmark tracer
 wraps resolves, no module imports a name it never uses, no function assigns a
-local it never reads, and no module reads another package module's private
-names."""
+local it never reads, no guard lets NaN through a comparison with 0, and no
+module reads another package module's private names."""
 
 import ast
 import importlib
@@ -62,6 +62,29 @@ def dead_locals(source: str) -> list[str]:
     return found
 
 
+def _is_zero(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+
+
+def nan_blind_guards(source: str) -> list[int]:
+    """Lines of each ``if`` that raises and tests ``x < 0`` or ``x <= 0``.
+
+    Every comparison with NaN is false, so such a guard lets NaN through;
+    ``not x >= 0`` (or ``not 0 <= x < inf``) rejects it.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)):
+            continue
+        if any(
+            isinstance(op, (ast.Lt, ast.LtE)) and _is_zero(right)
+            for cmp in ast.walk(node.test) if isinstance(cmp, ast.Compare)
+            for op, right in zip(cmp.ops, cmp.comparators)
+        ):
+            found.append(node.lineno)
+    return found
+
+
 def private_reads(source: str) -> list[str]:
     """Underscore-prefixed names that ``source`` reads from other package
     modules: ``module._name`` after ``from . import module``, and
@@ -119,6 +142,24 @@ def test_dead_local_is_found():
     assert dead_locals(source) == ["f.b", "f.c"]
 
 
+def test_nan_blind_guard_is_found():
+    source = (
+        "def f(t, xs, n):\n"
+        "    if t < 0:\n"
+        "        raise ValueError(t)\n"
+        "    if np.any(np.diff(xs) <= 0.0):\n"
+        "        raise ValueError(xs)\n"
+        "    if not 0 <= t < np.inf:\n"
+        "        raise ValueError(t)\n"
+        "    if not n >= 0:\n"
+        "        raise ValueError(n)\n"
+        "    if t < 0:\n"
+        "        t = 0\n"
+        "    return t\n"
+    )
+    assert nan_blind_guards(source) == [2, 4]
+
+
 def test_private_read_is_found():
     source = "from . import a, b as c\nfrom .d import _e, f\na._x\nc._y\nc.z\nobj._w\n"
     assert private_reads(source) == ["d._e", "a._x", "c._y"]
@@ -134,6 +175,11 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_dead_locals(module):
     assert dead_locals((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_nan_blind_guards(module):
+    assert nan_blind_guards((PACKAGE / module).read_text()) == []
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
