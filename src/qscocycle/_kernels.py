@@ -2,8 +2,8 @@
 
 ``element_chain`` multiplies the run powers of the slot matrices instead of
 one factor per slot; ``slot_apply`` carries the h-marginal of the lattice
-state through the slots, two batched products per slot.  Neither uses a
-matrix exponential.
+state through the same runs, one Kraus superoperator per run raised to its
+length by ``element_chain``.  Neither uses a matrix exponential.
 """
 
 from __future__ import annotations
@@ -28,18 +28,16 @@ def element_chain(mats: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def slot_apply(rho: np.ndarray, g4: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Carry the h density matrix ``rho`` through slots n down to 1.
+def slot_apply(rho: np.ndarray, g4: np.ndarray, etas: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Carry the h density matrix ``rho`` through runs of slots, last slot first.
 
     ``g4`` is the step matrix reshaped to (m, dh, m, dh), slot index slow;
-    ``etas[j - 1]`` is the product vector slot j holds when the step meets it.
-    Slot j acts once and is then traced out, so with
-    A_a = sum_b etas[j - 1, b] g4[a, :, b, :] the step is
-    rho <- sum_a A_a rho A_a*.
+    ``etas[r]`` is the product vector every slot of run r holds when the step
+    meets it, and ``counts[r]`` is the run length.  A slot acts once and is
+    then traced out, rho <- sum_a A_a rho A_a* with
+    A_a = sum_b etas[r, b] g4[a, :, b, :], so on vec(rho) a run is the power of
+    S_r = sum_a A_a (x) conj(A_a), and vec(rho_final) = S_1 ... S_R vec(rho).
     """
-    kraus = np.einsum("jb,apbq->japq", etas, g4)
-    adjoint = kraus.conj().swapaxes(-1, -2)
-    rho = np.asarray(rho, dtype=np.complex128)
-    for j in range(len(etas) - 1, -1, -1):
-        rho = (kraus[j] @ rho @ adjoint[j]).sum(axis=0)
-    return rho
+    kraus = np.einsum("rb,apbq->rapq", etas, g4)
+    superops = np.einsum("rapq,rast->rpsqt", kraus, kraus.conj()).reshape(len(etas), rho.size, -1)
+    return (element_chain(superops, counts) @ rho.reshape(-1)).reshape(rho.shape)

@@ -90,8 +90,9 @@ TIME = _flag_type(float, lambda x: 0.0 <= x < np.inf, "a finite time >= 0")
 HORIZON = _flag_type(float, lambda x: 0.0 < x < np.inf, "a finite horizon > 0")
 COUNT = _flag_type(int, lambda n: n >= 0, ">= 0")
 POSITIVE = _flag_type(int, lambda n: n >= 1, ">= 1")
-INT_LIST = _flag_type(lambda text: [int(x) for x in text.split(",")], lambda ns: min(ns) >= 1,
-                      "a comma-separated list of integers >= 1")
+INT_LIST = _flag_type(lambda text: [int(x) for x in text.split(",")],
+                      lambda ns: 1 <= ns[0] and all(a < b for a, b in zip(ns, ns[1:])),
+                      "a comma-separated, strictly increasing list of integers >= 1")
 
 
 def cmd_build(args) -> int:
@@ -238,14 +239,14 @@ def cmd_oracle_norm(args) -> int:
     g = jsonio.load_step(args.g)
     v = np.eye(F.dim_h, dtype=np.complex128)[0]
     norm = toyfock.oracle_state_norm(F, v, g, args.t, args.steps)
-    # |eps(g)| = exp(int |g|^2 / 2) is exp int |h|^2 for h = g / sqrt(2); taking
-    # it directly, not as sqrt(|eps(g)|^2), overflows only where it is not a double.
+    # The lattice covers [0, t): |eps(g 1_[0,t))| = exp(int_0^t |g|^2 / 2) is exp int_0^t |h|^2
+    # for h = g / sqrt(2), and taken so it overflows only where it is not a double.
     h = StepFunction(g.breakpoints, g.values / np.sqrt(2.0), g.support_end)
     with np.errstate(over="ignore"):
-        reference = float(abs(exp_inner(h, h, 0.0, None)))
+        reference = float(abs(exp_inner(h, h, 0.0, args.t)))
     if not np.isfinite(reference):
         raise OverflowError(
-            "reference |v| * |eps(g)| overflowed: |eps(g)| = exp(int |g|^2 / 2) is not "
+            "reference |v| * |eps(g)| overflowed: |eps(g)| = exp(int_0^t |g|^2 / 2) is not "
             "finite in double precision"
         )
     print(f"discrete state norm  {norm:.12g}")
@@ -321,7 +322,7 @@ def make_parser() -> argparse.ArgumentParser:
     norm = sub.add_parser("oracle-norm", help="discrete state norm vs isometric limit")
     norm.add_argument("generator", type=Path)
     norm.add_argument("g", type=Path)
-    norm.add_argument("--t", type=TIME, required=True)
+    norm.add_argument("--t", type=HORIZON, required=True)
     norm.add_argument("--steps", type=POSITIVE, required=True)
     norm.set_defaults(func=cmd_oracle_norm)
 

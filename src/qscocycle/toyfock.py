@@ -46,6 +46,19 @@ class ToyLattice:
     def left_endpoints(self) -> np.ndarray:
         return self.tau * np.arange(self.n_steps)
 
+    def runs(self, *fns: StepFunction) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Run lengths, and each fn's slot components (1, sqrt(tau) fn(s_j)) per run.
+
+        A run of slots starts wherever the row of values of ``fns`` changes.
+        """
+        times = self.left_endpoints()
+        values = [fn.at(times) for fn in fns]
+        # Comparing whole columns avoids a slow numpy reduction along short rows.
+        changed = np.logical_or.reduce([col[1:] != col[:-1] for v in values for col in v.T])
+        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+        one, root = np.ones((starts.size, 1)), np.sqrt(self.tau)
+        return np.diff(starts, append=self.n_steps), [np.hstack([one, root * v[starts]]) for v in values]
+
 
 def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     """One-slot interaction matrix G_tau on h (x) (C + k)."""
@@ -89,27 +102,13 @@ def oracle_matrix_element(
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if u.size != F.dim_h or v.size != F.dim_h:
-        raise ValueError(
-            f"state vectors have dimensions {u.size}, {v.size}; expected {F.dim_h}"
-        )
+        raise ValueError(f"state vectors have dimensions {u.size}, {v.size}; expected {F.dim_h}")
     if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
-        raise ValueError(
-            f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}"
-        )
-    tau = lattice.tau
-    times = lattice.left_endpoints()
-    fs, gs = f.at(times), g.at(times)
-    # A run of equal slot matrices starts wherever the (f, g) row changes.
-    # Comparing whole columns avoids a slow numpy reduction along short rows.
-    changed = np.logical_or.reduce([col[1:] != col[:-1] for col in (*fs.T, *gs.T)])
-    starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
-    one, root = np.ones((starts.size, 1)), np.sqrt(tau)
-    xi, eta = np.hstack([one, root * fs[starts]]), np.hstack([one, root * gs[starts]])
+        raise ValueError(f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}")
+    counts, (xi, eta) = lattice.runs(f, g)
     m, dh = 1 + F.dim_k, F.dim_h
-    mats = np.einsum(
-        "ra,rb,apbq->rpq", xi.conj(), eta, step_matrix(F, tau).reshape(m, dh, m, dh)
-    )
-    acc = _kernels.element_chain(mats, np.diff(starts, append=N))
+    g4 = step_matrix(F, lattice.tau).reshape(m, dh, m, dh)
+    acc = _kernels.element_chain(np.einsum("ra,rb,apbq->rpq", xi.conj(), eta, g4), counts)
     return _finite(complex(np.vdot(u, acc @ v) * exp_inner(f, g, t, None)), t)
 
 
@@ -120,7 +119,8 @@ def oracle_state_norm(F: BlockGenerator, v, g: StepFunction, t: float, N: int) -
     Each slot meets the one-slot step once, while it still holds its product
     vector eta_j = (1, sqrt(tau) g(s_j)), so the squared norm is the trace of
     the h-marginal carried from rho = |v><v| through slots N down to 1 by
-    rho <- Tr_slot[G (rho (x) |eta_j><eta_j|) G*]; memory is linear in N.
+    rho <- Tr_slot[G (rho (x) |eta_j><eta_j|) G*].  A run of equal g is one map's
+    power, so only evaluating g is linear in N; R runs cost O(R log N) products.
     For equality-case generators (unitary C) the value converges to
     |v| * |eps(g)| from the isometric limit.
     """
@@ -130,9 +130,8 @@ def oracle_state_norm(F: BlockGenerator, v, g: StepFunction, t: float, N: int) -
         raise ValueError(f"state vector has dimension {v.size}, expected {F.dim_h}")
     if g.dim_k != F.dim_k:
         raise ValueError(f"step function has dim_k {g.dim_k}, generator has {F.dim_k}")
+    counts, (etas,) = lattice.runs(g)
     m, dh = 1 + F.dim_k, F.dim_h
-    tau = lattice.tau
-    etas = np.hstack([np.ones((N, 1)), np.sqrt(tau) * g.at(lattice.left_endpoints())])
-    g4 = step_matrix(F, tau).reshape(m, dh, m, dh)
-    rho = _kernels.slot_apply(np.outer(v, v.conj()), g4, etas)
+    g4 = step_matrix(F, lattice.tau).reshape(m, dh, m, dh)
+    rho = _kernels.slot_apply(np.outer(v, v.conj()), g4, etas, counts)
     return _finite(float(np.sqrt(abs(np.trace(rho).real))), t)

@@ -319,6 +319,22 @@ class TestOtherCommands:
         assert main(["oracle-norm", gen, step, "--t", "1.0", "--steps", "12"]) == 0
         assert "discrete state norm" in capsys.readouterr().out
 
+    def test_oracle_norm_reference_covers_the_lattice_horizon(self, tmp_path, capsys):
+        # The lattice covers [0, t), so below g's support end the reference is
+        # |eps(g 1_[0,t))| = exp(0.3^2 * 0.5 / 2), not |eps(g)| = exp(0.035).
+        gen = tmp_path / "gen.json"
+        jsonio.save_generator(random_contractive(2, 1, seed=3), gen)
+        step = write_json(tmp_path / "g.json", step_payload(
+            breakpoints=[0.0, 0.5], values=[[[0.3, 0.0]], [[0.1, 0.2]]]))
+        assert main(["oracle-norm", str(gen), step, "--t", "0.5", "--steps", "4096"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        norm, reference, defect = (float(line.split()[-1]) for line in lines)
+        assert reference == pytest.approx(np.exp(0.0225), rel=1e-11)
+        assert defect <= 2e-4 and norm == pytest.approx(reference, abs=2e-4)
+        assert main(["oracle-norm", str(gen), step, "--t", "1", "--steps", "4096"]) == 0
+        reference = float(capsys.readouterr().out.splitlines()[1].split()[-1])
+        assert reference == pytest.approx(np.exp(0.035), rel=1e-11)
+
     @pytest.mark.parametrize("flags, message", [
         (["evolve", "STEP", "STEP", "--t", "1.0", "--grid=-1"], "--grid must be >= 0"),
         (["check", "--samples=-2"], "--samples must be >= 0"),
@@ -326,6 +342,9 @@ class TestOtherCommands:
         (["tk", "--grid", "0"], "--grid must be >= 1"),
         (["tk", "--T", "nan"], "T must be a finite horizon > 0"),
         (["tk", "--T=-1"], "T must be a finite horizon > 0"),
+        (["oracle-norm", "STEP", "--t", "0", "--steps", "4"], "--t must be a finite horizon > 0"),
+        (["tk", "--n-list", "100,10"], "--n-list must be a comma-separated, strictly increasing"),
+        (["tk", "--n-list", "10,10"], "--n-list must be a comma-separated, strictly increasing"),
     ])
     def test_bad_count_or_horizon_is_validation_error(self, tmp_path, capsys, flags, message):
         gen = scalar_hp_file(tmp_path)

@@ -275,15 +275,30 @@ class TestOracleStateNorm:
         assert abs(got - np.linalg.norm(dense)) <= 1e-12
 
     @pytest.mark.parametrize("dim_k", [1, 2])
-    @pytest.mark.parametrize("N", [4, 8, 12])
+    @pytest.mark.parametrize("N", [1, 4, 7, 8, 12, 1000])
     def test_matches_reduced_density_recurrence(self, dim_k, N):
+        # The full lattice has dim 2 (1 + dim_k)^N, so it is a reference only
+        # for small N; N = 1000 puts hundreds of slots in each run of g.
         rng = np.random.default_rng(100 * dim_k + N)
         F = random_contractive(2, dim_k, seed=20 + N + dim_k)
         g = random_step(rng, dim_k, 3, 1.0)
         v = random_complex(rng, 2)
         got = oracle_state_norm(F, v, g, 1.0, N)
-        for expect in (reduced_state_norm(F, v, g, 1.0, N), lattice_state_norm(F, v, g, 1.0, N)):
+        expects = [reduced_state_norm(F, v, g, 1.0, N)]
+        if N <= 12:
+            expects.append(lattice_state_norm(F, v, g, 1.0, N))
+        for expect in expects:
             assert abs(got - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize("N", [1, 7, 1000])
+    def test_strict_C_matches_reduced_density_recurrence(self, N):
+        rng = np.random.default_rng(200 + N)
+        F = random_contractive(3, 2, seed=50 + N, mode="strict_C")
+        g = StepFunction([0.0, 0.3, 0.55], random_complex(rng, (3, 2), 0.5), 0.9)
+        v = random_complex(rng, 3)
+        got = oracle_state_norm(F, v, g, 1.0, N)
+        expect = reduced_state_norm(F, v, g, 1.0, N)
+        assert abs(got - expect) <= 1e-12 * expect
 
 
 class TestIndependence:
@@ -348,17 +363,20 @@ class TestKernels:
     @pytest.mark.parametrize("dh, m, n", [(2, 2, 4), (2, 3, 3), (1, 2, 5)])
     def test_slot_apply_matches_dense_slot_factors(self, dh, m, n):
         # The traced-out h-marginal keeps the squared norm of the full state
-        # the dense slot factors produce from v (x) eta_1 (x) ... (x) eta_n.
+        # the dense slot factors produce from v (x) eta_1 (x) ... (x) eta_N,
+        # where the n runs of lengths 1, 2, 1, ... repeat each run's eta.
         rng = np.random.default_rng(15 + n)
         step = random_complex(rng, (dh * m, dh * m), 0.5)
         v = random_complex(rng, dh)
         etas = random_complex(rng, (n, m))
+        counts = 1 + np.arange(n) % 2
+        slots = int(counts.sum())
         dense = v.copy()
-        for eta in etas:
+        for eta in np.repeat(etas, counts, axis=0):
             dense = np.kron(dense, eta)
-        for j in range(n, 0, -1):
-            dense = slot_factor(step, dh, m, n, j) @ dense
-        rho = _kernels.slot_apply(np.outer(v, v.conj()), step.reshape(m, dh, m, dh), etas)
+        for j in range(slots, 0, -1):
+            dense = slot_factor(step, dh, m, slots, j) @ dense
+        rho = _kernels.slot_apply(np.outer(v, v.conj()), step.reshape(m, dh, m, dh), etas, counts)
         expect = np.vdot(dense, dense).real
         assert abs(np.trace(rho).real - expect) <= 1e-13 * expect
 
