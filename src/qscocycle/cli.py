@@ -246,12 +246,12 @@ def cmd_oracle_norm(args) -> int:
         reference = float(abs(exp_inner(h, h, 0.0, args.t)))
     if not np.isfinite(reference):
         raise OverflowError(
-            "reference |v| * |eps(g)| overflowed: |eps(g)| = exp(int_0^t |g|^2 / 2) is not "
+            "reference |v| * |eps(g 1_[0,t))| overflowed: exp(int_0^t |g|^2 / 2) is not "
             "finite in double precision"
         )
-    print(f"discrete state norm  {norm:.12g}")
-    print(f"|v| * |eps(g)|       {reference:.12g}")
-    print(f"defect               {abs(norm - reference):.6g}")
+    print(f"discrete state norm      {norm:.12g}")
+    print(f"|v| * |eps(g 1_[0,t))|   {reference:.12g}")
+    print(f"defect                   {abs(norm - reference):.6g}")
     return EXIT_OK
 
 

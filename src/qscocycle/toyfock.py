@@ -64,14 +64,8 @@ def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     """One-slot interaction matrix G_tau on h (x) (C + k)."""
     if not 0 < tau < np.inf:
         raise ValueError(f"step size tau must be finite and positive, got tau={tau}")
-    dh = F.dim_h
-    n = F.total_dim
-    g = np.zeros((n, n), dtype=np.complex128)
-    g[:dh, :dh] = np.eye(dh) + tau * F.K
-    g[:dh, dh:] = np.sqrt(tau) * F.M
-    g[dh:, :dh] = np.sqrt(tau) * F.L
-    g[dh:, dh:] = F.C
-    return g
+    root = np.sqrt(tau)
+    return np.block([[np.eye(F.dim_h) + tau * F.K, root * F.M], [root * F.L, F.C]])
 
 
 def _finite(value, t: float):
@@ -120,7 +114,7 @@ def oracle_state_norm(F: BlockGenerator, v, g: StepFunction, t: float, N: int) -
     vector eta_j = (1, sqrt(tau) g(s_j)), so the squared norm is the trace of
     the h-marginal carried from rho = |v><v| through slots N down to 1 by
     rho <- Tr_slot[G (rho (x) |eta_j><eta_j|) G*].  A run of equal g is one map's
-    power, so only evaluating g is linear in N; R runs cost O(R log N) products.
+    power, taken by squaring where that costs fewer flops than the run's slots.
     For equality-case generators (unitary C) the value converges to
     |v| * |eps(g)| from the isometric limit.
     """

@@ -392,7 +392,7 @@ class TestOtherCommands:
         step = write_json(tmp_path / "g.json", step_payload(values=[[[40.0, 0.0]]]))
         assert main(["oracle-norm", str(gen), step, "--t", "1", "--steps", "4"]) == 3
         captured = capsys.readouterr()
-        assert "reference |v| * |eps(g)| overflowed" in captured.err
+        assert "reference |v| * |eps(g 1_[0,t))| overflowed" in captured.err
         assert captured.out == ""
         step = write_json(tmp_path / "g.json", step_payload(values=[[[30.0, 0.0]]]))
         assert main(["oracle-norm", str(gen), step, "--t", "1", "--steps", "4"]) == 0

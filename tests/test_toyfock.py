@@ -300,6 +300,28 @@ class TestOracleStateNorm:
         expect = reduced_state_norm(F, v, g, 1.0, N)
         assert abs(got - expect) <= 1e-12 * expect
 
+    @pytest.mark.parametrize("dh, N, squared", [(2, 16, False), (24, 16, False),
+                                                (2, 1000, True), (3, 1000, True)])
+    def test_runs_are_squared_only_where_that_costs_fewer_flops(self, monkeypatch, dh, N, squared):
+        # A run's dh^2 x dh^2 superoperator pays for long runs at small dh; at
+        # dh = 24 and N = 16 squaring it would cost about 100x the flops of the
+        # slots, so no superoperator may be formed there.
+        shapes, chain = [], _kernels.element_chain
+
+        def spy(mats, counts):
+            shapes.append(mats.shape)
+            return chain(mats, counts)
+
+        monkeypatch.setattr(_kernels, "element_chain", spy)
+        rng = np.random.default_rng(300 + dh)
+        F = random_contractive(dh, 1, seed=60 + dh)
+        g = StepFunction([0.0, 0.3, 0.55], random_complex(rng, (3, 1), 0.5), 0.9)
+        v = random_complex(rng, dh)
+        got = oracle_state_norm(F, v, g, 1.0, N)
+        expect = reduced_state_norm(F, v, g, 1.0, N)
+        assert abs(got - expect) <= 1e-12 * expect
+        assert shapes == ([(1, dh * dh, dh * dh)] * 4 if squared else [])
+
 
 class TestIndependence:
     def test_oracles_never_exponentiate(self, monkeypatch, tmp_path, capsys):
