@@ -8,13 +8,11 @@ repeated-interaction oracle for cross-validation.
 
 from .cocycle import (
     StepFunction,
-    c_operator_fd,
     cocycle_defect,
     exp_inner,
     full_matrix_element,
     matrix_elements,
     sliced_element,
-    t_operator_fd,
 )
 from .generator import (
     BlockGenerator,
@@ -46,6 +44,7 @@ from .semigroups import (
     dual_family,
     dual_generator,
     g_generator,
+    generator_from_semigroups,
 )
 from .toyfock import (
     ToyLattice,
@@ -67,7 +66,6 @@ __all__ = [
     "StepFunction",
     "ToyLattice",
     "birth_death",
-    "c_operator_fd",
     "chi",
     "classify",
     "cocycle_defect",
@@ -82,6 +80,7 @@ __all__ = [
     "from_hlc",
     "full_matrix_element",
     "g_generator",
+    "generator_from_semigroups",
     "inverse_oscillator",
     "make_probe",
     "mat_exp",
@@ -97,7 +96,6 @@ __all__ = [
     "screen_family",
     "sliced_element",
     "step_matrix",
-    "t_operator_fd",
     "trotter_kato_pipeline",
     "varpi_matrix",
     "yosida_approx",

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import BlockGenerator, component
-from .opcore import mat_exp, op_norm
+from .generator import BlockGenerator
+from .opcore import op_norm
 from .semigroups import SemigroupFamily
 
 
@@ -53,6 +53,8 @@ class StepFunction:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1) if vals.size else vals.reshape(0, 0)
+        if vals.ndim != 2:
+            raise ValueError(f"step function values must be one row per breakpoint, got shape {vals.shape}")
         if bp.size == 0:
             raise ValueError("a step function needs at least one breakpoint")
         if bp[0] != 0.0:
@@ -296,43 +298,3 @@ def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float)
     first, whole = sliced_element(fam, f, g, [r, r + t])
     second = sliced_element(fam, f.shifted(r), g.shifted(r), t)
     return float(op_norm(whole - first @ second))
-
-
-def t_operator_fd(source, d, t: float) -> np.ndarray:
-    """Finite-difference recovery of T_d = L + C E_d from P-semigroup slopes.
-
-    Channel block a is (P^{e_a,d}_t - P^{0,d}_t) / t, with the unnormalized
-    semigroup P^{c,d}_t = exp(t (E^c-hat F E_d-hat + <c, d>)) formed here and
-    not cached; converges with O(t) error as t -> 0 in this bounded setting.
-    The same limits could be read off a one-particle-sector construction;
-    only the semigroup-difference route is implemented here.
-    """
-    if not 0 < t < np.inf:
-        raise ValueError(f"finite-difference step t must be finite and positive, got t={t}")
-    F = _family(source).source
-    d = np.asarray(d, dtype=np.complex128).reshape(-1)
-    eye = np.eye(F.dim_h, dtype=np.complex128)
-
-    def p(c):
-        return mat_exp(t * (component(F, c, d) + np.vdot(c, d) * eye))
-
-    base = p(np.zeros(F.dim_k, dtype=np.complex128))
-    out = np.zeros((F.dim_h * F.dim_k, F.dim_h), dtype=np.complex128)
-    for a, e in enumerate(np.eye(F.dim_k, dtype=np.complex128)):
-        out[a * F.dim_h : (a + 1) * F.dim_h] = (p(e) - base) / t
-    return out
-
-
-def c_operator_fd(source, t: float) -> np.ndarray:
-    """Finite-difference recovery of C from second differences of P-semigroups.
-
-    Block (a, b) is (P^{e_a,e_b}_t - P^{e_a,0}_t - P^{0,e_b}_t + P^{0,0}_t)/t,
-    block a of ``t_operator_fd`` at d = e_b minus the same at d = 0.
-    """
-    F = _family(source).source
-    dh = F.dim_h
-    base = t_operator_fd(F, np.zeros(F.dim_k), t)
-    out = np.zeros((dh * F.dim_k, dh * F.dim_k), dtype=np.complex128)
-    for b, e in enumerate(np.eye(F.dim_k, dtype=np.complex128)):
-        out[:, b * dh : (b + 1) * dh] = t_operator_fd(F, e, t) - base
-    return out

@@ -10,6 +10,11 @@ memoizes G_{c,d} per slice and exp(t G_{c,d}) keyed on the exact bit
 patterns of (c, d) and the value of t; reproducibility is preferred over cache
 hit rate, so no rounding is applied to keys.
 
+The coordinates of F are the slice generators G_{c,d} over c, d in
+{0, e_1, ..., e_dk}; ``coords_to_f`` inverts them exactly, and
+``generator_from_semigroups`` reads F back from any semigroup callable by
+passing the slopes of Q^{c,d}_t at a small step t to it.
+
 At finite dimension every semigroup here is norm-continuous, so the usual
 strong/weak continuity distinctions are vacuous and carry no representation
 in this module.
@@ -97,20 +102,20 @@ def dual_family(F: BlockGenerator) -> SemigroupFamily:
     return SemigroupFamily(dual_generator(F))
 
 
+def _coordinate_grid(cell, dim_k: int) -> np.ndarray:
+    """[cell(c, d)] over c, d in {0, e_1, ..., e_dim_k}, stacked to 4 axes."""
+    # Row 0 is zero and rows 1..dk are the rows of the identity.
+    basis = np.eye(dim_k + 1, dim_k, k=-1, dtype=np.complex128)
+    return np.array([[cell(c, d) for d in basis] for c in basis])
+
+
 def coords_from_f(F: BlockGenerator) -> np.ndarray:
     """Grid [G^alpha_beta] of slice generators over the standard basis.
 
     Index 0 is the zero vector, indices 1..dim_k the standard basis of k;
     the result has shape (dim_k+1, dim_k+1, dim_h, dim_h).
     """
-    dh, dk = F.dim_h, F.dim_k
-    # Row 0 is zero and rows 1..dk are the rows of the identity.
-    basis = np.eye(dk + 1, dk, k=-1, dtype=np.complex128)
-    grid = np.empty((dk + 1, dk + 1, dh, dh), dtype=np.complex128)
-    for a, c in enumerate(basis):
-        for b, d in enumerate(basis):
-            grid[a, b] = g_generator(F, c, d)
-    return grid
+    return _coordinate_grid(lambda c, d: g_generator(F, c, d), F.dim_k)
 
 
 def coords_to_f(grid: np.ndarray) -> BlockGenerator:
@@ -145,3 +150,20 @@ def coords_to_f(grid: np.ndarray) -> BlockGenerator:
                 grid[i, j] - grid[i, 0] - grid[0, j] + g00
             )
     return BlockGenerator(dim_h=dh, dim_k=dk, K=K, L=L, M=M, C=C)
+
+
+def generator_from_semigroups(q, dim_k: int, t: float) -> BlockGenerator:
+    """The block generator read back from its associated semigroups at step t.
+
+    ``q`` is any callable (c, d, t) -> Q^{c,d}_t: ``family.q``, a dual
+    family's, or an oracle's.  Each coordinate cell, with n = (|c|^2 + |d|^2)/2,
+    is the slope (e^{t n} Q^{c,d}_t - I)/t - n I of G_{c,d}, and
+    ``coords_to_f`` inverts the grid; the error is O(t) as t -> 0.
+    """
+    if not 0 < t < np.inf:
+        raise ValueError(f"recovery step t must be finite and positive, got t={t}")
+    grid = _coordinate_grid(lambda c, d: q(c, d, t), dim_k)
+    half = 0.5 * (np.arange(dim_k + 1) > 0)
+    n = (half[:, None] + half[None, :])[:, :, None, None]
+    eye = np.eye(grid.shape[-1])
+    return coords_to_f((np.exp(t * n) * grid - eye) / t - n * eye)

@@ -32,6 +32,11 @@ def zero_generator(dim_h, dim_k, **blocks):
     return BlockGenerator(dim_h=dim_h, dim_k=dim_k, **{**zero, **blocks})
 
 
+def block_gap(A, B):
+    """Largest operator-norm difference over the four blocks K, L, M, C."""
+    return max(np.linalg.norm(getattr(A, X) - getattr(B, X), 2) for X in "KLMC")
+
+
 def scipy_expm(a):
     return scipy.linalg.expm(np.asarray(a, dtype=np.complex128))
 

@@ -20,6 +20,7 @@ from qscocycle import (
     exp_inner,
     form_defect,
     full_matrix_element,
+    generator_from_semigroups,
     inverse_oscillator,
     mat_exp,
     op_norm,
@@ -28,8 +29,6 @@ from qscocycle import (
     random_contractive,
     screen_family,
     sliced_element,
-    t_operator_fd,
-    c_operator_fd,
     trotter_kato_pipeline,
     StepFunction,
 )
@@ -38,6 +37,7 @@ from qscocycle.reconstruct import deterministic_core_probes
 
 from oracles import (
     aligned_step,
+    block_gap,
     classical_rate_matrix,
     compress_map,
     diagonal_flow_generator,
@@ -220,6 +220,20 @@ def test_criterion_6_coordinates_round_trip():
     report(6, ok, f"worst round-trip error over 50 generators {worst:.2e}")
 
 
+def oracle_semigroup(F, N):
+    """Q^{c,d}_t from the repeated-interaction oracle: elements between basis
+    vectors and eps(c 1_[0,t)), eps(d 1_[0,t)), over exp(t (|c|^2 + |d|^2)/2);
+    the tail factor is 1."""
+    basis = np.eye(F.dim_h)
+
+    def q(c, d, t):
+        f, g = StepFunction.constant(c, t), StepFunction.constant(d, t)
+        els = [[oracle_matrix_element(F, u, f, v, g, t, N) for v in basis] for u in basis]
+        return np.array(els) / np.exp(0.5 * t * (np.vdot(c, c).real + np.vdot(d, d).real))
+
+    return q
+
+
 def test_criterion_7_generator_slice_identities():
     rng = np.random.default_rng(707)
     worst_affine = 0.0
@@ -242,25 +256,41 @@ def test_criterion_7_generator_slice_identities():
         worst_increment = max(worst_increment, op_norm(inc - exact))
 
         exact_t = F.L + F.C @ lift_map(d, 3)
-        errs_t = [op_norm(t_operator_fd(F, d, t) - exact_t) for t in (1e-2, 5e-3, 2.5e-3)]
-        errs_c = [op_norm(c_operator_fd(F, t) - F.C) for t in (1e-2, 5e-3, 2.5e-3)]
+        recovered = [
+            generator_from_semigroups(SemigroupFamily(F).q, 2, t) for t in (1e-2, 5e-3, 2.5e-3)
+        ]
+        errs_t = [op_norm(R.L + R.C @ lift_map(d, 3) - exact_t) for R in recovered]
+        errs_c = [op_norm(R.C - F.C) for R in recovered]
         for errs in (errs_t, errs_c):
             assert errs[0] > 1e-8
             ratios.extend(small / big for small, big in zip(errs[1:], errs[:-1]))
-    scalar = scalar_hp()
-    scalar_err = abs(t_operator_fd(scalar, [0.0], 1e-3)[0, 0] - 1.0)
+    scalar = generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, 1e-3)
+    scalar_err = abs(scalar.L[0, 0] - 1.0)
+    # The cocycle against its generator directly: the oracle's semigroups
+    # read back at t = 1e-2 approach the engine's with O(1/N) error.
+    oracle_ratios = []
+    for seed in (70, 71):
+        F = random_contractive(3, 2, seed=seed)
+        engine = generator_from_semigroups(SemigroupFamily(F).q, 2, 1e-2)
+        gaps = [
+            block_gap(generator_from_semigroups(oracle_semigroup(F, N), 2, 1e-2), engine)
+            for N in (256, 1024, 4096)
+        ]
+        oracle_ratios.extend(small / big for small, big in zip(gaps[1:], gaps[:-1]))
     ok = (
         worst_affine <= 1e-12
         and worst_increment <= 1e-12
         and all(0.4 <= r <= 0.6 for r in ratios)
         and scalar_err <= 5e-3
+        and all(0.2 <= r <= 0.3 for r in oracle_ratios)
     )
     report(
         7,
         ok,
         f"affinity {worst_affine:.2e}, increment {worst_increment:.2e}, "
         f"halving ratios [{min(ratios):.3f}, {max(ratios):.3f}], "
-        f"scalar recovery {scalar_err:.2e}",
+        f"scalar recovery {scalar_err:.2e}, "
+        f"oracle 4xN ratios [{min(oracle_ratios):.3f}, {max(oracle_ratios):.3f}]",
     )
 
 

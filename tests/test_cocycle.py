@@ -7,18 +7,17 @@ from qscocycle import (
     SemigroupFamily,
     StepFunction,
     birth_death,
-    c_operator_fd,
     cocycle_defect,
     exp_inner,
     from_hlc,
     full_matrix_element,
+    generator_from_semigroups,
     inverse_oscillator,
     matrix_elements,
     op_norm,
     random_contractive,
     sliced_element,
     step_matrix,
-    t_operator_fd,
     varpi_matrix,
 )
 from qscocycle.semigroups import dual_generator
@@ -51,6 +50,8 @@ class TestStepFunction:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="values must be finite"):
                 StepFunction(np.array([0.0]), np.array([[bad]]), 1.0)
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 2\)"):
+            StepFunction(np.zeros(1), np.zeros((1, 2, 2)), 1.0)
 
     def test_right_continuous_evaluation(self):
         f = StepFunction(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]), 3.0)
@@ -457,40 +458,43 @@ class TestDualConsistency:
 
 
 class TestFiniteDifferenceRecovery:
-    def test_zero_generator_t_operator(self):
+    def test_zero_generator(self):
         F = zero_generator(2, 2)
-        # H_{e_a,0} = H_{0,0} = 0 for the identity cocycle: differences vanish.
-        assert op_norm(t_operator_fd(F, np.zeros(2), 0.5)) == 0.0
+        for t in (0.5, 0.25):
+            got = generator_from_semigroups(SemigroupFamily(F).q, 2, t)
+            # Q^{0,0}_t = I exactly; Q carries mat_exp's rounding of e^{-t/2}
+            # into L and M.
+            assert np.array_equal(got.K, np.zeros((2, 2)))
+            assert op_norm(got.L) <= 1e-15 and op_norm(got.M) <= 1e-15
+            # Second difference of e^{t<c,d>}: (e^t - 1 - 1 + 1)/t.
+            assert op_norm(got.C - (np.exp(t) - 1.0) / t * np.eye(4)) < 1e-13
 
     def test_scalar_hp_recovers_l(self):
-        got = t_operator_fd(scalar_hp(), [0.0], 1e-3)
-        assert abs(got[0, 0] - 1.0) < 5e-3
+        got = generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, 1e-3)
+        assert abs(got.L[0, 0] - 1.0) < 5e-3
 
     def test_t_operator_halving_trend(self):
         F = random_contractive(3, 2, seed=15)
         rng = np.random.default_rng(16)
         d = random_complex(rng, 2)
         exact = F.L + F.C @ lift_map(d, 3)
-        errs = [op_norm(t_operator_fd(F, d, t) - exact) for t in (1e-2, 5e-3, 2.5e-3)]
+        errs = []
+        for t in (1e-2, 5e-3, 2.5e-3):
+            got = generator_from_semigroups(SemigroupFamily(F).q, 2, t)
+            errs.append(op_norm(got.L + got.C @ lift_map(d, 3) - exact))
         assert errs[0] > 1e-8
         for small, big in zip(errs[1:], errs[:-1]):
             assert 0.4 <= small / big <= 0.6
 
     def test_positive_step_required(self):
-        with pytest.raises(ValueError, match="positive"):
-            t_operator_fd(scalar_hp(), [0.0], 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            c_operator_fd(scalar_hp(), -1e-3)
-
-    def test_zero_generator_c_operator(self):
-        F = zero_generator(1, 1)
-        t = 0.25
-        got = c_operator_fd(F, t)
-        # Second difference of e^{t<c,d>}: (e^t - 1 - 1 + 1)/t.
-        assert abs(got[0, 0] - (np.exp(t) - 1.0) / t) < 1e-13
+        q = SemigroupFamily(scalar_hp()).q
+        for bad in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="positive"):
+                generator_from_semigroups(q, 1, bad)
 
     def test_scalar_hp_recovers_c(self):
-        errs = [abs(c_operator_fd(scalar_hp(), t)[0, 0] - 1.0) for t in (1e-2, 1e-3)]
+        q = SemigroupFamily(scalar_hp()).q
+        errs = [abs(generator_from_semigroups(q, 1, t).C[0, 0] - 1.0) for t in (1e-2, 1e-3)]
         assert errs[1] < 5e-3
         assert errs[1] < errs[0]
 
@@ -513,7 +517,7 @@ class TestFiniteDifferenceRecovery:
         C = np.kron(rot, np.eye(dim_h))
         rng = np.random.default_rng(17)
         F = from_hlc(np.zeros((2, 2)), random_complex(rng, (4, 2), 0.4), C)
-        got = c_operator_fd(F, 1e-3)
+        got = generator_from_semigroups(SemigroupFamily(F).q, 2, 1e-3).C
         assert op_norm(got - C) < 5e-3
         offdiag = got[0:2, 2:4]
         assert op_norm(offdiag - (-np.sin(theta)) * np.eye(2)) < 5e-3
@@ -527,8 +531,11 @@ GUARDED = {
     "varpi_matrix": (lambda x: varpi_matrix(np.eye(2), x), "t", (np.nan, np.inf)),
     "step_matrix": (lambda x: step_matrix(scalar_hp(), x), "tau", (np.nan, np.inf)),
     "q": (lambda x: SemigroupFamily(scalar_hp()).q([0.0], [0.0], x), "t", (np.nan, np.inf)),
-    "t_operator_fd": (lambda x: t_operator_fd(scalar_hp(), [0.0], x), "t", (np.nan, np.inf)),
-    "c_operator_fd": (lambda x: c_operator_fd(scalar_hp(), x), "t", (np.nan, np.inf)),
+    "generator_from_semigroups": (
+        lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x),
+        "t",
+        (np.nan, np.inf),
+    ),
 }
 
 

@@ -1,7 +1,8 @@
 """Package hygiene: every public name and every name the benchmark tracer
 wraps resolves, no module imports a name it never uses, no function assigns a
 local it never reads, no guard lets NaN through a comparison with 0, and no
-module reads another package module's private names."""
+module reads another package module's private names, and only the semigroup
+module exponentiates."""
 
 import ast
 import importlib
@@ -104,6 +105,15 @@ def private_reads(source: str) -> list[str]:
     return found
 
 
+def mentions(source: str, name: str) -> bool:
+    """Whether ``source`` imports (under any alias), defines, assigns or reads
+    ``name``, as a plain name or an attribute; strings do not count."""
+    return any(
+        name in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
+        for node in ast.walk(ast.parse(source))
+    )
+
+
 def test_public_names_resolve():
     assert [name for name in qscocycle.__all__ if not hasattr(qscocycle, name)] == []
 
@@ -163,6 +173,23 @@ def test_nan_blind_guard_is_found():
 def test_private_read_is_found():
     source = "from . import a, b as c\nfrom .d import _e, f\na._x\nc._y\nc.z\nobj._w\n"
     assert private_reads(source) == ["d._e", "a._x", "c._y"]
+
+
+def test_mention_is_found():
+    sources = (
+        "from .opcore import mat_exp as expm\n",
+        "from . import opcore\nopcore.mat_exp(a)\n",
+        "def mat_exp(a):\n    return a\n",
+        "'uses no mat_exp'\nexpm(a)\n",
+    )
+    assert [mentions(s, "mat_exp") for s in sources] == [True, True, True, False]
+
+
+def test_only_semigroups_exponentiate():
+    # Q is the only semigroup in the package: opcore defines mat_exp,
+    # SemigroupFamily forms exp(t G_{c,d}) with it, and __init__ re-exports it.
+    found = sorted(p.stem for p in PACKAGE.glob("*.py") if mentions(p.read_text(), "mat_exp"))
+    assert found == ["__init__", "opcore", "semigroups"]
 
 
 @pytest.mark.parametrize(

@@ -13,11 +13,19 @@ from qscocycle import (
     dual_family,
     dual_generator,
     g_generator,
+    generator_from_semigroups,
     op_norm,
     random_contractive,
 )
 
-from oracles import chi_loop, kron_component, random_complex, scalar_hp, zero_generator
+from oracles import (
+    block_gap,
+    chi_loop,
+    kron_component,
+    random_complex,
+    scalar_hp,
+    zero_generator,
+)
 
 
 def random_blocks(rng, dim_h, dim_k):
@@ -138,6 +146,21 @@ class TestDuality:
         fam, dfam = SemigroupFamily(F), dual_family(F)
         c, d = np.array([0.4 + 0.2j]), np.array([1.0 - 0.3j])
         assert op_norm(dfam.q(c, d, 0.8) - np.conj(fam.q(d, c, 0.8).T)) <= 1e-14
+
+    def test_dual_generator_recovered(self):
+        # Read back from the dual family, the dual generator converges at
+        # O(t), and agrees with a read-back from (Q^{d,c}_t)*.
+        for seed in (70, 71):
+            F = random_contractive(3, 2, seed=seed)
+            fam, dfam = SemigroupFamily(F), dual_family(F)
+            errs = []
+            for t in (1e-2, 5e-3, 2.5e-3):
+                got = generator_from_semigroups(dfam.q, 2, t)
+                adjoint_q = generator_from_semigroups(lambda c, d, t: fam.q(d, c, t).conj().T, 2, t)
+                assert block_gap(got, adjoint_q) <= 1e-12
+                errs.append(block_gap(got, dual_generator(F)))
+            for small, big in zip(errs[1:], errs[:-1]):
+                assert 0.4 <= small / big <= 0.6
 
 
 class TestCoordinates:
