@@ -458,7 +458,7 @@ class TestDualConsistency:
 
 
 class TestFiniteDifferenceRecovery:
-    def test_zero_generator(self):
+    def test_zero_generator_t_operator(self):
         F = zero_generator(2, 2)
         for t in (0.5, 0.25):
             got = generator_from_semigroups(SemigroupFamily(F).q, 2, t)
@@ -466,6 +466,11 @@ class TestFiniteDifferenceRecovery:
             # into L and M.
             assert np.array_equal(got.K, np.zeros((2, 2)))
             assert op_norm(got.L) <= 1e-15 and op_norm(got.M) <= 1e-15
+
+    def test_zero_generator_c_operator(self):
+        F = zero_generator(2, 2)
+        for t in (0.5, 0.25):
+            got = generator_from_semigroups(SemigroupFamily(F).q, 2, t)
             # Second difference of e^{t<c,d>}: (e^t - 1 - 1 + 1)/t.
             assert op_norm(got.C - (np.exp(t) - 1.0) / t * np.eye(4)) < 1e-13
 
@@ -531,8 +536,15 @@ GUARDED = {
     "varpi_matrix": (lambda x: varpi_matrix(np.eye(2), x), "t", (np.nan, np.inf)),
     "step_matrix": (lambda x: step_matrix(scalar_hp(), x), "tau", (np.nan, np.inf)),
     "q": (lambda x: SemigroupFamily(scalar_hp()).q([0.0], [0.0], x), "t", (np.nan, np.inf)),
-    "generator_from_semigroups": (
-        lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x),
+    # The finite-difference read-backs of T = L + C E_d and of C, both taken
+    # from generator_from_semigroups.
+    "t_operator_fd": (
+        lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x).L,
+        "t",
+        (np.nan, np.inf),
+    ),
+    "c_operator_fd": (
+        lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x).C,
         "t",
         (np.nan, np.inf),
     ),
