@@ -95,12 +95,13 @@ class StepFunction:
         return cls(np.zeros(1), value, end)
 
     def __call__(self, t: float) -> np.ndarray:
-        if not t >= 0:
-            raise ValueError(f"step functions live on t >= 0, got t={t}")
         return self.at(np.array([t]))[0]
 
     def at(self, times: np.ndarray) -> np.ndarray:
         """Values at an array of times >= 0, one row of length dim_k per time."""
+        if not np.all(times >= 0):
+            bad = times[~(times >= 0)][0]
+            raise ValueError(f"step functions live on t >= 0, got t={bad}")
         out = self.values[np.searchsorted(self.breakpoints, times, side="right") - 1]
         out[times >= self.support_end] = 0.0
         return out

@@ -19,6 +19,7 @@ V_{r+t} = V_r sigma_r(V_t) on the lattice exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ class ToyLattice:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.n_steps > 2**53:
+            # Past 2**53 the slot times tau * j are no longer distinct doubles.
+            raise ValueError(f"n_steps={self.n_steps} is above 2**53, where slot times stop being distinct")
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
 
@@ -43,29 +47,51 @@ class ToyLattice:
     def tau(self) -> float:
         return self.horizon / self.n_steps
 
-    def left_endpoints(self) -> np.ndarray:
-        return self.tau * np.arange(self.n_steps)
-
     def runs(self, *fns: StepFunction) -> tuple[np.ndarray, list[np.ndarray]]:
         """Run lengths, and each fn's slot components (1, sqrt(tau) fn(s_j)) per run.
 
         A run of slots starts wherever the row of values of ``fns`` changes.
+        A value can change only at the first slot j with tau * j >= b for a
+        breakpoint or support end b, so each fn is evaluated once, at those
+        slots: O(pieces) work, and no array of all n_steps slot times.
         """
-        times = self.left_endpoints()
-        values = [fn.at(times) for fn in fns]
-        # Comparing whole columns avoids a slow numpy reduction along short rows.
-        changed = np.logical_or.reduce([col[1:] != col[:-1] for v in values for col in v.T])
+        jumps = {0.0}.union(*(fn.breakpoints.tolist() + [fn.support_end] for fn in fns))
+        slots = np.array(sorted({j for j in map(self._first_slot, jumps) if j < self.n_steps}))
+        values = [fn.at(self.tau * slots) for fn in fns]
+        # Equal neighbouring pieces stay one run: splitting it would change the power's rounding.
+        changed = np.logical_or.reduce([(v[1:] != v[:-1]).any(axis=1) for v in values])
         starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
         one, root = np.ones((starts.size, 1)), np.sqrt(self.tau)
-        return np.diff(starts, append=self.n_steps), [np.hstack([one, root * v[starts]]) for v in values]
+        counts = np.diff(slots[starts], append=self.n_steps)
+        return counts, [np.hstack([one, root * v[starts]]) for v in values]
+
+    def _first_slot(self, t: float) -> int:
+        """First slot j with tau * j >= t >= 0, or n_steps if there is none.
+
+        ceil(t / tau) can miss it by a slot either way in float arithmetic;
+        stepping until tau * (j - 1) < t <= tau * j holds, or j meets 0 or
+        n_steps, makes it exact.  tau underflows to 0 only for a tiny horizon.
+        """
+        tau, n = self.tau, self.n_steps
+        j = math.ceil(min(t / tau, n)) if tau else n * (t > 0)
+        while j > 0 and tau * (j - 1) >= t:
+            j -= 1
+        while j < n and tau * j < t:
+            j += 1
+        return j
 
 
 def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     """One-slot interaction matrix G_tau on h (x) (C + k)."""
     if not 0 < tau < np.inf:
         raise ValueError(f"step size tau must be finite and positive, got tau={tau}")
-    root = np.sqrt(tau)
-    return np.block([[np.eye(F.dim_h) + tau * F.K, root * F.M], [root * F.L, F.C]])
+    root, dh = np.sqrt(tau), F.dim_h
+    out = np.empty((F.total_dim, F.total_dim), dtype=np.complex128)
+    out[:dh, :dh] = np.eye(dh) + tau * F.K
+    out[:dh, dh:] = root * F.M
+    out[dh:, :dh] = root * F.L
+    out[dh:, dh:] = F.C
+    return out
 
 
 def _finite(value, t: float):

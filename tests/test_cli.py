@@ -345,6 +345,8 @@ class TestOtherCommands:
         (["oracle-norm", "STEP", "--t", "0", "--steps", "4"], "--t must be a finite horizon > 0"),
         (["tk", "--n-list", "100,10"], "--n-list must be a comma-separated, strictly increasing"),
         (["tk", "--n-list", "10,10"], "--n-list must be a comma-separated, strictly increasing"),
+        (["oracle-norm", "STEP", "--t", "1", "--steps", str(2**53 + 1)], f"n_steps={2**53 + 1}"),
+        (["oracle-norm", "STEP", "--t", "5e-324", "--steps", "4"], "tau must be finite and positive"),
     ])
     def test_bad_count_or_horizon_is_validation_error(self, tmp_path, capsys, flags, message):
         gen = scalar_hp_file(tmp_path)
@@ -367,6 +369,7 @@ class TestOtherCommands:
         (["tk", "--n-list", ","], "--n-list"),
         (["evolve", "STEP", "STEP", "--t", "1.0", "--oracle=-5"], "--oracle"),
         (["oracle-norm", "STEP", "--t", "inf", "--steps", "4"], "--t"),
+        (["oracle-norm", "STEP", "--t", "1", "--steps", "1e16"], "--steps"),
     ])
     def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, flags, flag):
         gen = scalar_hp_file(tmp_path)

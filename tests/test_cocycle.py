@@ -531,6 +531,7 @@ class TestFiniteDifferenceRecovery:
 STEP = StepFunction.constant([1.0], 1.0)
 GUARDED = {
     "step-call": (STEP, "t", (np.nan,)),
+    "step-at": (lambda x: STEP.at(np.array([0.5, x])), "t", (np.nan, -1.0)),
     "shifted": (STEP.shifted, "r", (np.nan,)),
     "reversed_on": (STEP.reversed_on, "t", (np.nan, np.inf)),
     "varpi_matrix": (lambda x: varpi_matrix(np.eye(2), x), "t", (np.nan, np.inf)),

@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qscocycle.cli import main
 
 from oracles import (
     aligned_step,
+    lattice_runs,
     lattice_state_norm,
     per_slot_chain,
     random_complex,
@@ -68,7 +70,12 @@ class TestLatticeAndStep:
             ToyLattice(n_steps=4, horizon=0.0)
         lat = ToyLattice(n_steps=4, horizon=2.0)
         assert lat.tau == 0.5
-        assert np.array_equal(lat.left_endpoints(), [0.0, 0.5, 1.0, 1.5])
+        # Slot j starts at tau * j: the first slot at or after each time.
+        assert [lat._first_slot(x) for x in (0.0, 0.5, 0.6, 1.5, 1.6, 9.0)] == [0, 1, 2, 3, 4, 4]
+        # Past 2**53 the slot times tau * j are no longer distinct doubles.
+        assert ToyLattice(n_steps=2**53, horizon=1.0).n_steps == 2**53
+        with pytest.raises(ValueError, match=f"n_steps={2**53 + 1}"):
+            ToyLattice(n_steps=2**53 + 1, horizon=1.0)
 
     def test_non_finite_horizon_or_result_is_named(self):
         with pytest.raises(ValueError, match="horizon must be finite"):
@@ -99,6 +106,116 @@ class TestLatticeAndStep:
     def test_positive_tau_required(self):
         with pytest.raises(ValueError, match="positive"):
             step_matrix(scalar_hp(), 0.0)
+
+    @pytest.mark.parametrize("dim_h, dim_k", [(2, 1), (3, 2), (2, 0)])
+    def test_step_matrix_matches_block_assembly(self, dim_h, dim_k):
+        rng = np.random.default_rng(40 + dim_k)
+        F = zero_generator(dim_h, dim_k, **{
+            X: random_complex(rng, shape) for X, shape in (
+                ("K", (dim_h, dim_h)), ("L", (dim_h * dim_k, dim_h)),
+                ("M", (dim_h, dim_h * dim_k)), ("C", (dim_h * dim_k, dim_h * dim_k)))
+        })
+        tau = 0.37
+        root = np.sqrt(tau)
+        block = np.block([[np.eye(dim_h) + tau * F.K, root * F.M], [root * F.L, F.C]])
+        got = step_matrix(F, tau)
+        assert got.dtype == block.dtype and got.shape == block.shape
+        assert got.tobytes() == block.tobytes()
+
+
+def bitwise_equal(got, want):
+    """Same counts and the same slot components, bit for bit."""
+    (got_counts, got_rows), (want_counts, want_rows) = got, want
+    return (
+        got_counts.dtype == want_counts.dtype
+        and np.array_equal(got_counts, want_counts)
+        and len(got_rows) == len(want_rows)
+        and all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got_rows, want_rows))
+    )
+
+
+def schedule_case(rng, lattice, dim_k):
+    """A step function whose jumps stress the lattice's slot boundaries.
+
+    The breakpoints lie on a 1/32 grid, are uniform, sit at slot times
+    tau * k or one ulp to either side, or are random, some of them past the
+    horizon; the support ends before, at or after the horizon; the values are
+    drawn from a few repeated ones (signed zeros among them), so that
+    neighbouring pieces are often equal.
+    """
+    t, tau, n = lattice.horizon, lattice.tau, lattice.n_steps
+    pieces = int(rng.integers(1, 8))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        jumps = np.round(rng.uniform(0.0, 1.5 * t, pieces) * 32) / 32
+    elif kind == 1:
+        jumps = np.arange(pieces) * (t / pieces)
+    elif kind == 2:
+        jumps = tau * rng.integers(1, n + 3, pieces)
+        jumps = np.nextafter(jumps, jumps + rng.integers(-1, 2, pieces))
+    else:
+        jumps = rng.uniform(0.0, 1.3 * t, pieces)
+    jumps = np.unique(np.concatenate(([0.0], jumps[jumps > 0])))
+    choices = np.array([0.0, -0.0, 1.0, 1.0 + 1.0j, complex(-0.0, -0.0), 0.5j])
+    values = rng.choice(choices, size=(jumps.size, dim_k))
+    end = (jumps[-1], t, 0.5 * t, jumps[-1] + rng.uniform(0.0, t), tau * rng.integers(0, n + 2))
+    return StepFunction(jumps, values, max(float(end[int(rng.integers(0, 5))]), jumps[-1]))
+
+
+class TestRuns:
+    @pytest.mark.parametrize("N", [1, 3, 7, 64, 4096, 65536])
+    def test_matches_all_slot_reference(self, N):
+        # Every seeded case must give the counts and slot components of the
+        # reference that evaluates the functions at all N slot times.
+        rng = np.random.default_rng(N)
+        for _ in range(200 if N < 65536 else 50):
+            lattice = ToyLattice(N, float(rng.choice([1.0, 0.3, 2.0 / 3.0, rng.uniform(0.01, 5.0)])))
+            dim_k = int(rng.integers(0, 3))
+            fns = [schedule_case(rng, lattice, dim_k) for _ in range(int(rng.integers(1, 3)))]
+            assert bitwise_equal(lattice.runs(*fns), lattice_runs(lattice, *fns))
+
+    def test_underflowed_step_matches_reference(self):
+        # tau = 5e-324 / 4 rounds to 0: every slot time is 0.
+        f = StepFunction([0.0, 0.25], [[1.0], [2.0]], 0.5)
+        lattice = ToyLattice(4, 5e-324)
+        assert lattice.tau == 0.0
+        assert bitwise_equal(lattice.runs(f, StepFunction.zero(1)), lattice_runs(lattice, f, StepFunction.zero(1)))
+
+    def test_equal_neighbours_share_a_run(self):
+        # f repeats its value across the breakpoint 0.25 and g has no jump
+        # there, so slots 0-3 are one run; -0.0 equals 0.0, so the zero pieces
+        # of f at 0.75 and past its support end stay one run too.
+        f = StepFunction([0.0, 0.25, 0.5, 0.75], [[1.0], [1.0], [2.0], [-0.0]], 0.875)
+        g = StepFunction.constant([0.5], 1.0)
+        lattice = ToyLattice(8, 1.0)
+        counts, (xi, eta) = lattice.runs(f, g)
+        assert counts.tolist() == [4, 2, 2]
+        assert xi[:, 1].tolist() == [np.sqrt(0.125), 2 * np.sqrt(0.125), -0.0]
+        assert bitwise_equal((counts, [xi, eta]), lattice_runs(lattice, f, g))
+
+    def test_runs_start_at_the_first_slot_past_each_jump(self):
+        # At N = 2**50 the all-slot reference cannot be built; each run must
+        # start at the first j with tau * j >= b, found here with exact
+        # rational arithmetic on the doubles tau * j.
+        N = 2**50
+        lattice = ToyLattice(N, 1.0)
+        tau = lattice.tau
+        jumps = [0.1, 0.3, 0.5, np.nextafter(0.5, 1.0), 0.7]
+        f = StepFunction([0.0, *jumps], np.arange(1.0, 7.0), 0.9)
+        counts, (xi,) = lattice.runs(f)
+        assert counts.sum() == N
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1])).tolist()
+
+        def first_slot(b):
+            j = int(Fraction(b) / Fraction(tau))
+            while j > 0 and tau * (j - 1) >= b:
+                j -= 1
+            while tau * j < b:
+                j += 1
+            return j
+
+        assert starts == [0] + [first_slot(b) for b in [*jumps, 0.9]]
+        assert xi[:, 1].tolist() == [np.sqrt(tau) * x for x in range(1, 7)] + [0.0]
 
 
 class TestOracleMatrixElement:
