@@ -191,34 +191,29 @@ def _family(source) -> SemigroupFamily:
     raise TypeError(f"expected a BlockGenerator or SemigroupFamily, got {type(source)}")
 
 
-def sliced_element(
-    source, f: StepFunction, g: StepFunction, t: float | np.ndarray, start: float = 0.0
-) -> np.ndarray:
-    """Ordered product of Q-semigroup factors over the joint refinement of [start, t).
+def sliced_element(source, f: StepFunction, g: StepFunction, t: float | np.ndarray) -> np.ndarray:
+    """Ordered product of Q-semigroup factors over the joint refinement of [0, t).
 
-    This h-operator is E^{eps(f|[start,t))} sigma_start(V_{t-start})
-    E_{eps(g|[start,t))} divided by |eps(f|[start,t))| |eps(g|[start,t))|:
-    the slice between normalized exponential vectors, a contraction for a
-    contractive generator; ``start = 0`` gives the normalized slice of V_t.
-    A nondecreasing array of times gives the (len(t), dim_h, dim_h) stack of
-    these products: one sweep over one refinement of [start, t[-1]] that
-    holds every time as a cut, read off at each time by the cocycle law.
+    This h-operator is E^{eps(f|[0,t))} V_t E_{eps(g|[0,t))} divided by
+    |eps(f|[0,t))| |eps(g|[0,t))|: the normalized slice of V_t between
+    exponential vectors, a contraction for a contractive generator.  A
+    nondecreasing array of times gives the (len(t), dim_h, dim_h) stack of
+    these products: one sweep over one refinement of [0, t[-1]] that holds
+    every time as a cut, read off at each time by the cocycle law.  The slice
+    of sigma_r(V_t) is that of V_t on the shifted step data ``f.shifted(r)``.
     """
     fam = _family(source)
     F = fam.source
     times = np.asarray(t, dtype=np.float64).reshape(-1)
-    first = times[0] if times.size else start
-    if not (0.0 <= start <= first and np.all(np.isfinite(times))):
-        raise ValueError(
-            f"times must be finite and nonnegative with start <= t, got start={start}, t={t}"
-        )
+    if not (np.all(times >= 0.0) and np.all(np.isfinite(times))):
+        raise ValueError(f"times must be finite and nonnegative, got t={t}")
     if not np.all(np.diff(times) >= 0):
         raise ValueError("times must be nondecreasing")
     if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
         raise ValueError(
             f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}"
         )
-    cuts, fv, gv = _refinement(f, g, start, times[-1] if times.size else start, times)
+    cuts, fv, gv = _refinement(f, g, 0.0, times[-1] if times.size else 0.0, times)
     # Rows rows[j]:rows[j+1] of the output are the times at cuts[j]; each gets
     # the product of the factors of the pieces before that cut.
     rows = np.searchsorted(np.searchsorted(cuts, times), np.arange(cuts.size + 1))

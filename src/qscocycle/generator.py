@@ -23,6 +23,10 @@ import numpy as np
 from .opcore import adjoint, as_cmatrix, max_herm_eig, op_norm
 
 DEFECT_TOL = 1e-10
+# from_hlc's relative Hermiticity tolerance for H, and yosida_approx's
+# relative tolerance for growth of K.
+HERMITIAN_TOL = 1e-10
+DISSIPATIVE_TOL = 1e-8
 
 
 def chi(c, d) -> complex:
@@ -101,7 +105,7 @@ class BlockGenerator:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def from_hlc(H, L, C, tol: float = 1e-10) -> BlockGenerator:
+def from_hlc(H, L, C) -> BlockGenerator:
     """Build the generator [iH - L*L/2, -L*C; L, C-I] from (H, L, C).
 
     With C unitary the result satisfies the contractivity inequality with
@@ -112,7 +116,7 @@ def from_hlc(H, L, C, tol: float = 1e-10) -> BlockGenerator:
         raise ValueError(f"H must be square, got shape {H.shape}")
     dh = H.shape[0]
     herm_defect = op_norm(H - adjoint(H))
-    if herm_defect > tol * max(1.0, op_norm(H)):
+    if herm_defect > HERMITIAN_TOL * max(1.0, op_norm(H)):
         raise ValueError(f"H is not Hermitian (defect {herm_defect:.3g})")
     L = as_cmatrix(L, "L")
     C = as_cmatrix(C, "C")
@@ -166,20 +170,20 @@ def form_defect(F: BlockGenerator, xi) -> float:
     return float(2.0 * np.vdot(xi, fxi).real + np.vdot(fxi[F.dim_h :], fxi[F.dim_h :]).real)
 
 
-def yosida_approx(F: BlockGenerator, n: int, tol: float = 1e-8) -> BlockGenerator:
+def yosida_approx(F: BlockGenerator, n: int) -> BlockGenerator:
     """Bounded regularization through the resolvent contraction J = (I - K/n)^-1.
 
     Blocks become J*KJ, LJ, J*M with C unchanged; contractivity is preserved
     (the defect matrix transforms by congruence) and the result converges to
     F entrywise at rate O(1/n).  K must be dissipative: the largest eigenvalue
-    of its Hermitian part may exceed 0 by at most tol * max(1, |K|), which
-    also keeps I - K/n invertible.
+    of its Hermitian part may exceed 0 by at most DISSIPATIVE_TOL * max(1, |K|),
+    which also keeps I - K/n invertible.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     dh = F.dim_h
     growth = max_herm_eig(F.K)
-    if growth > tol * max(1.0, op_norm(F.K)):
+    if growth > DISSIPATIVE_TOL * max(1.0, op_norm(F.K)):
         raise ValueError(
             f"K is not dissipative: its Hermitian part has eigenvalue {growth:.3g} > 0"
         )

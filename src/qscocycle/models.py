@@ -65,12 +65,8 @@ def inverse_oscillator(spec: OscillatorSpec) -> BlockGenerator:
     lam, mu = spec.lam, spec.mu
     lam_sq = (np.conj(lam) * lam).real
     K = np.diag(1j * mu - 0.5 * lam_sq[1:]).astype(np.complex128)
-    L = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(dim - 1):
-        L[n + 1, n] = -lam[n + 1]
-    M = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        M[n - 1, n] = np.conj(lam[n])
+    L = np.diag(-lam[1:dim], -1)
+    M = np.diag(np.conj(lam[1:dim]), 1)
     C = np.eye(dim, dtype=np.complex128)
     return BlockGenerator(dim_h=dim, dim_k=1, K=K, L=L, M=M, C=C)
 
@@ -92,12 +88,8 @@ def birth_death(dim: int, birth_rates, death_rates) -> BlockGenerator:
         )
     if not (np.all(birth >= 0) and np.all(death >= 0)):
         raise ValueError("rates must be nonnegative")
-    up = np.zeros((dim, dim), dtype=np.complex128)
-    down = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(dim - 1):
-        up[n + 1, n] = np.sqrt(birth[n])
-    for n in range(1, dim):
-        down[n - 1, n] = np.sqrt(death[n])
+    up = np.diag(np.sqrt(birth[:-1]), -1)
+    down = np.diag(np.sqrt(death[1:]), 1)
     L = np.vstack([up, down])
     H = np.zeros((dim, dim), dtype=np.complex128)
     C = np.eye(2 * dim, dtype=np.complex128)

@@ -16,6 +16,9 @@ import numpy as np
 # a silently inaccurate (or overflowed) result.
 EXP_NORM_LIMIT = 1.0e4
 
+# psd_inv_sqrt's relative Hermiticity tolerance and its smallest eigenvalue.
+PSD_TOL = 1e-12
+
 # Pade approximant data for the matrix exponential (diagonal [m/m] forms,
 # theta_m = max norm for which the backward error stays below unit roundoff).
 _PADE_THETA = (
@@ -149,11 +152,12 @@ def max_herm_eig(a) -> float:
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
-def psd_inv_sqrt(a, tol: float = 1e-12) -> np.ndarray:
+def psd_inv_sqrt(a) -> np.ndarray:
     """Inverse square root of a Hermitian positive-definite matrix.
 
     Returns Hermitian ``x`` with ``x @ a @ x = I``.  Raises if ``a`` is not
-    Hermitian within ``tol`` (relative) or has an eigenvalue <= ``tol``.
+    Hermitian within ``PSD_TOL`` (relative) or has an eigenvalue <= ``PSD_TOL``;
+    the Schur screen reports a probe whose weights fail here as skipped.
 
     One ``eigh`` of the Hermitian part serves both checks: its largest
     |eigenvalue| is the scale, and the defect |a - a*| is taken in the
@@ -163,13 +167,13 @@ def psd_inv_sqrt(a, tol: float = 1e-12) -> np.ndarray:
     w, u = np.linalg.eigh(0.5 * (a + adjoint(a)))
     scale = max(1.0, -w[0], w[-1]) if w.size else 1.0
     herm_defect = float(np.linalg.norm(a - adjoint(a)))
-    if herm_defect > tol * scale:
+    if herm_defect > PSD_TOL * scale:
         raise ValueError(
             f"psd_inv_sqrt input is not Hermitian (defect {herm_defect:.3g})"
         )
-    if w.size and w[0] <= tol:
+    if w.size and w[0] <= PSD_TOL:
         raise ValueError(
-            f"psd_inv_sqrt input has eigenvalue {w[0]:.3g} <= tol {tol:.3g}"
+            f"psd_inv_sqrt input has eigenvalue {w[0]:.3g} <= tol {PSD_TOL:.3g}"
         )
     x = (u * (w**-0.5)) @ adjoint(u)
     return 0.5 * (x + adjoint(x))

@@ -22,8 +22,6 @@ in this module.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .generator import BlockGenerator, adjoint, chi, component
@@ -38,15 +36,16 @@ def g_generator(F: BlockGenerator, c, d) -> np.ndarray:
 class SemigroupFamily:
     """Lazily cached map (c, d, t) -> exp(t G_{c,d}) for one generator.
 
-    Reads are lock-free; insertion holds a lock so at most one value per key
-    is retained.  Racing computations would insert identical matrices, so
-    sharing a family across threads is safe.
+    Reads and insertions take no lock: ``dict.setdefault`` is atomic (under
+    the GIL, and free-threaded CPython locks each dict), so the first value
+    inserted for a key is the one every caller gets back.  Racing
+    computations would insert identical matrices, so sharing a family across
+    threads is safe.
     """
 
     def __init__(self, source: BlockGenerator):
         self.source = source
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def _vec(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -61,8 +60,7 @@ class SemigroupFamily:
         if hit is None:
             hit = make()
             hit.flags.writeable = False
-            with self._lock:
-                hit = self._cache.setdefault(key, hit)
+            hit = self._cache.setdefault(key, hit)
         return hit
 
     def slice_generators(self, c, d) -> np.ndarray:
@@ -129,27 +127,20 @@ def coords_to_f(grid: np.ndarray) -> BlockGenerator:
     and reassembles the block generator (K, L, M, C) in the standard basis.
     """
     grid = np.asarray(grid, dtype=np.complex128)
-    if grid.ndim != 4 or grid.shape[0] != grid.shape[1] or grid.shape[2] != grid.shape[3]:
+    if grid.ndim != 4 or not 0 < grid.shape[0] == grid.shape[1] or grid.shape[2] != grid.shape[3]:
         raise ValueError(f"coordinate grid has inconsistent shape {grid.shape}")
     dk = grid.shape[0] - 1
     dh = grid.shape[2]
-    eye = np.eye(dh, dtype=np.complex128)
+    half = 0.5 * np.eye(dh, dtype=np.complex128)
     g00 = grid[0, 0]
-    K = g00.copy()
-    L = np.zeros((dh * dk, dh), dtype=np.complex128)
-    M = np.zeros((dh, dh * dk), dtype=np.complex128)
-    C = np.zeros((dh * dk, dh * dk), dtype=np.complex128)
-    for i in range(1, dk + 1):
-        L[(i - 1) * dh : i * dh] = grid[i, 0] - g00 + 0.5 * eye
-        M[:, (i - 1) * dh : i * dh] = grid[0, i] - g00 + 0.5 * eye
-    for i in range(1, dk + 1):
-        for j in range(1, dk + 1):
-            # F^i_j is the (i, j) block of C - I, so the delta in the affine
-            # formula cancels and C itself is the plain second difference.
-            C[(i - 1) * dh : i * dh, (j - 1) * dh : j * dh] = (
-                grid[i, j] - grid[i, 0] - grid[0, j] + g00
-            )
-    return BlockGenerator(dim_h=dh, dim_k=dk, K=K, L=L, M=M, C=C)
+    # Channel-major h (x) k layout, as in ``BlockGenerator.slice_basis``: row
+    # block i of L and column block j of M are channel i and j.  F^i_j is the
+    # (i, j) block of C - I, so the delta in the affine formula cancels and C
+    # itself is the plain second difference.
+    L = (grid[1:, 0] - g00 + half).reshape(dk * dh, dh)
+    M = (grid[0, 1:] - g00 + half).transpose(1, 0, 2).reshape(dh, dk * dh)
+    C = (grid[1:, 1:] - grid[1:, :1] - grid[:1, 1:] + g00).transpose(0, 2, 1, 3)
+    return BlockGenerator(dim_h=dh, dim_k=dk, K=g00, L=L, M=M, C=C.reshape(dk * dh, dk * dh))
 
 
 def generator_from_semigroups(q, dim_k: int, t: float) -> BlockGenerator:

@@ -87,6 +87,59 @@ def diagonal_flow_generator(F):
     return a
 
 
+def oscillator_loops(spec):
+    """Blocks (K, L, M, C) of ``inverse_oscillator``, the shifts filled entry by entry."""
+    dim, lam = spec.dim, spec.lam
+    K = np.diag(1j * spec.mu - 0.5 * (np.conj(lam) * lam).real[1:]).astype(np.complex128)
+    L = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(dim - 1):
+        L[n + 1, n] = -lam[n + 1]
+    M = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(1, dim):
+        M[n - 1, n] = np.conj(lam[n])
+    return K, L, M, np.eye(dim, dtype=np.complex128)
+
+
+def birth_death_loops(dim, birth, death):
+    """``birth_death`` through ``from_hlc``, its shifts filled entry by entry."""
+    up = np.zeros((dim, dim), dtype=np.complex128)
+    down = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(dim - 1):
+        up[n + 1, n] = np.sqrt(birth[n])
+    for n in range(1, dim):
+        down[n - 1, n] = np.sqrt(death[n])
+    L = np.vstack([up, down])
+    return from_hlc(np.zeros((dim, dim), dtype=np.complex128), L, np.eye(2 * dim))
+
+
+def coords_to_f_loops(grid):
+    """Blocks (K, L, M, C) of ``coords_to_f``, assembled slab by slab."""
+    grid = np.asarray(grid, dtype=np.complex128)
+    dk = grid.shape[0] - 1
+    dh = grid.shape[2]
+    eye = np.eye(dh, dtype=np.complex128)
+    g00 = grid[0, 0]
+    L = np.zeros((dh * dk, dh), dtype=np.complex128)
+    M = np.zeros((dh, dh * dk), dtype=np.complex128)
+    C = np.zeros((dh * dk, dh * dk), dtype=np.complex128)
+    for i in range(1, dk + 1):
+        L[(i - 1) * dh : i * dh] = grid[i, 0] - g00 + 0.5 * eye
+        M[:, (i - 1) * dh : i * dh] = grid[0, i] - g00 + 0.5 * eye
+    for i in range(1, dk + 1):
+        for j in range(1, dk + 1):
+            C[(i - 1) * dh : i * dh, (j - 1) * dh : j * dh] = (
+                grid[i, j] - grid[i, 0] - grid[0, j] + g00
+            )
+    return g00.copy(), L, M, C
+
+
+def assert_bitwise(got, want):
+    """Same dtype, shape and bytes: signed zeros and NaN payloads included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 

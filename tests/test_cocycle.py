@@ -194,7 +194,7 @@ class TestSlicedElement:
         with pytest.raises(ValueError, match="nonnegative"):
             sliced_element(scalar_hp(), z, z, -1.0)
 
-    @pytest.mark.parametrize("start", [0.0, 0.6])
+    @pytest.mark.parametrize("start", [0.0])
     def test_grid_matches_pointwise(self, start):
         fam = SemigroupFamily(random_contractive(3, 2, seed=22))
         rng = np.random.default_rng(23)
@@ -204,11 +204,10 @@ class TestSlicedElement:
         marks = [start, start, *f.breakpoints, *g.breakpoints, f.support_end, g.support_end,
                  end + 0.25, end + 0.5, end + 0.5]
         times = np.sort(np.concatenate((np.linspace(start, end, 21), marks)))
-        times = times[times >= start]
-        got = sliced_element(fam, f, g, times, start)
+        got = sliced_element(fam, f, g, times)
         assert got.shape == (times.size, 3, 3)
         for t, out in zip(times, got):
-            ref = sliced_element(fam, f, g, t, start)
+            ref = sliced_element(fam, f, g, t)
             assert op_norm(out - ref) <= 1e-12 * max(1.0, op_norm(ref))
 
     def test_grid_rejects_bad_times(self):
@@ -220,8 +219,6 @@ class TestSlicedElement:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 sliced_element(F, z, z, [0.1, bad])
-        with pytest.raises(ValueError, match="start <= t"):
-            sliced_element(F, z, z, [0.5, 0.7], 0.6)
 
     def test_markov_slice_matches_q_exactly(self):
         F = random_contractive(3, 2, seed=3)
@@ -386,18 +383,6 @@ class TestMatrixElements:
         assert abs(matrix_elements(F, [1.0], f, [1.0], g, [50.0])[0] / np.exp(450.0) - 1) < 1e-12
         with pytest.raises(OverflowError, match="overflowed at t=100"):
             matrix_elements(F, [1.0], f, [1.0], g, [1.0, 50.0, 100.0, 100.0])
-
-    def test_start_is_the_shifted_slice(self):
-        F = random_contractive(3, 2, seed=20)
-        rng = np.random.default_rng(21)
-        f = random_step(rng, 2, 5, 2.0)
-        g = random_step(rng, 2, 5, 2.0)
-        for start, t in ((0.0, 0.9), (0.4, 1.3), (1.1, 2.6), (0.7, 0.7), (2.5, 3.0)):
-            out = sliced_element(F, f, g, t, start)
-            ref = sliced_element(F, f.shifted(start), g.shifted(start), t - start)
-            assert op_norm(out - ref) <= 1e-12 * max(1.0, op_norm(ref))
-        with pytest.raises(ValueError, match="start <= t"):
-            sliced_element(F, f, g, 0.5, 0.6)
 
 
 class TestCocycleLaw:

@@ -16,7 +16,13 @@ from qscocycle import (
 )
 from qscocycle.generator import adjoint
 
-from oracles import classical_rate_matrix, diagonal_flow_generator
+from oracles import (
+    assert_bitwise,
+    birth_death_loops,
+    classical_rate_matrix,
+    diagonal_flow_generator,
+    oscillator_loops,
+)
 
 
 def operator_inequality_matrices(F):
@@ -94,6 +100,17 @@ class TestOscillator:
         assert classify(inverse_oscillator(spec)).is_contractive
 
 
+    def test_blocks_match_entry_loops_bitwise(self):
+        rng = np.random.default_rng(31)
+        for dim in range(2, 25):
+            lam = rng.standard_normal(dim + 1) + 1j * rng.standard_normal(dim + 1)
+            lam[::3] = 0.0  # vanishing couplings, whose negation is a signed zero
+            spec = OscillatorSpec(dim=dim, lam=lam, mu=rng.standard_normal(dim))
+            F = inverse_oscillator(spec)
+            for got, want in zip((F.K, F.L, F.M, F.C), oscillator_loops(spec)):
+                assert_bitwise(got, want)
+
+
 class TestBirthDeath:
     def test_validation(self):
         with pytest.raises(ValueError, match="dim >= 3"):
@@ -113,6 +130,15 @@ class TestBirthDeath:
         assert np.allclose(np.diag(F.K).real, [-0.5, -1.0, -1.0, -0.5])
         assert np.all(np.diag(F.K).real >= -1.0)
         assert np.all(np.diag(F.K).real <= -0.5)
+
+    def test_blocks_match_entry_loops_bitwise(self):
+        rng = np.random.default_rng(32)
+        for dim in range(3, 25):
+            birth, death = rng.uniform(0.0, 2.0, (2, dim))
+            birth[::4] = 0.0
+            F, ref = birth_death(dim, birth, death), birth_death_loops(dim, birth, death)
+            for X in "KLMC":
+                assert_bitwise(getattr(F, X), getattr(ref, X))
 
     def test_channel_blocks_are_weighted_shifts(self):
         birth = np.array([1.0, 4.0, 9.0, 0.0])

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -138,9 +140,9 @@ class TestScreening:
         F = random_contractive(2, 2, seed=17)
         a = screen_family(F, n_max=3, samples=40, seed=23)
         b = screen_family(F, n_max=3, samples=40, seed=23)
-        assert [r.csv_row() for r in a] == [r.csv_row() for r in b]
+        assert [astuple(r) for r in a] == [astuple(r) for r in b]
         c = screen_family(F, n_max=3, samples=40, seed=24)
-        assert [r.csv_row() for r in a] != [r.csv_row() for r in c]
+        assert [astuple(r) for r in a] != [astuple(r) for r in c]
 
     def test_reports_sorted_worst_first(self):
         F = random_contractive(2, 1, seed=19)
@@ -204,6 +206,21 @@ class TestTrotterKato:
     def test_non_increasing_n_list_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             trotter_kato_pipeline(scalar_hp(), [10, 10])
+
+    def test_coarser_later_regularization_is_not_monotone(self, monkeypatch):
+        from qscocycle import reconstruct
+
+        honest = trotter_kato_pipeline(scalar_hp(), [10, 100], T=1.0)
+        real = reconstruct.yosida_approx
+        # n = 10 gets the n = 100 regularization and n = 100 the coarser n = 10 one.
+        monkeypatch.setattr(reconstruct, "yosida_approx", lambda F, n: real(F, 110 - n))
+        report = trotter_kato_pipeline(scalar_hp(), [10, 100], T=1.0)
+        assert honest.monotone and not report.monotone
+        assert [(r.n, r.pair_index) for r in report.rows] == [
+            (n, p) for n in (10, 100) for p in range(3)
+        ]
+        for p in range(3):
+            assert report.errors_for_pair(p) == honest.errors_for_pair(p)[::-1]
 
     def test_errors_decrease_for_oscillator(self):
         from qscocycle import OscillatorSpec, inverse_oscillator

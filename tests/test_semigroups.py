@@ -19,8 +19,10 @@ from qscocycle import (
 )
 
 from oracles import (
+    assert_bitwise,
     block_gap,
     chi_loop,
+    coords_to_f_loops,
     kron_component,
     random_complex,
     scalar_hp,
@@ -198,6 +200,17 @@ class TestCoordinates:
                 )
                 assert err <= 1e-12
 
+    def test_matches_slab_loops_bitwise(self):
+        rng = np.random.default_rng(30)
+        for dim_k in range(4):
+            for dim_h in range(1, 5):
+                F = random_blocks(rng, dim_h, dim_k)
+                shape = (dim_k + 1, dim_k + 1, dim_h, dim_h)
+                for grid in (coords_from_f(F), random_complex(rng, shape)):
+                    back = coords_to_f(grid)
+                    for got, want in zip((back.K, back.L, back.M, back.C), coords_to_f_loops(grid)):
+                        assert_bitwise(got, want)
+
     def test_component_columns_bounded(self):
         # Semiregularity is trivial at finite dimensions; column norms finite.
         F = random_contractive(2, 3, seed=19)
@@ -207,6 +220,8 @@ class TestCoordinates:
     def test_bad_grid_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             coords_to_f(np.zeros((2, 3, 1, 1)))
+        with pytest.raises(ValueError, match="inconsistent shape"):
+            coords_to_f(np.zeros((0, 0, 1, 1)))
 
 
 class TestFamilyCache:
