@@ -11,7 +11,6 @@ from .cocycle import (
     cocycle_defect,
     exp_inner,
     full_matrix_element,
-    matrix_elements,
     sliced_element,
 )
 from .generator import (
@@ -84,7 +83,6 @@ __all__ = [
     "inverse_oscillator",
     "make_probe",
     "mat_exp",
-    "matrix_elements",
     "max_herm_eig",
     "op_norm",
     "oracle_matrix_element",

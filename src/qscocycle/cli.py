@@ -180,15 +180,12 @@ def cmd_tk(args) -> int:
     report = reconstruct.trotter_kato_pipeline(
         F, args.n_list, T=args.t_horizon, grid_points=args.grid
     )
-    rows = [
-        (r.pair_index, r.n, f"{report.horizon:.12g}", f"{r.sup_error:.17g}",
-         report.monotone)
-        for r in report.rows
-    ]
+    table = [(p, n, err) for n, errs in zip(report.n_list, report.errors) for p, err in enumerate(errs)]
     if args.out:
+        rows = [(p, n, f"{args.t_horizon:.12g}", f"{err:.17g}", report.monotone) for p, n, err in table]
         _write_csv(args.out, ("pair_index", "n", "horizon", "sup_error", "monotone"), rows)
-    for r in report.rows:
-        print(f"pair {r.pair_index}  n={r.n:<6d} sup error {r.sup_error:.6e}")
+    for p, n, err in table:
+        print(f"pair {p}  n={n:<6d} sup error {err:.6e}")
     print("monotone convergence" if report.monotone else "NON-MONOTONE convergence")
     return EXIT_OK if report.monotone else EXIT_VIOLATION
 

@@ -22,7 +22,8 @@ Q-product underflows is an exact 0 rather than 0 * inf.
 
 On a grid of times the cocycle law V_t = V_s sigma_s(V_{t-s}) extends the
 product up to one time s to the next time t by the factors of [s, t) alone,
-so ``matrix_elements`` evaluates a whole grid in one left-to-right sweep.
+so ``full_matrix_element`` evaluates a whole grid of times in one
+left-to-right sweep, and a single time as a grid of one.
 """
 
 from __future__ import annotations
@@ -233,16 +234,18 @@ def _log_norms(f: StepFunction, g: StepFunction, times: np.ndarray) -> np.ndarra
     return np.append(0.0, np.cumsum(pieces))[np.searchsorted(cuts, times)]
 
 
-def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np.ndarray:
-    """<u eps(f), V_t v eps(g)> at each of a nondecreasing sequence of times.
+def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t) -> complex | np.ndarray:
+    """<u eps(f), V_t v eps(g)> = <u, Q-product v> * exp(S(t)) * tail factor.
 
-    One sweep: by the cocycle law the Q-product up to each time is the
-    product up to the previous time times the factors in between, so one
-    ``sliced_element`` stack and one ``exp_inner`` array serve the whole grid.
-    The norms of the exponential vectors enter as one log scalar, exp(log <u,
-    Q-product v> + S(t)), so an underflowed Q-product gives an exact 0.
-    Raises ``OverflowError``, naming the first such time, when an element is
-    not finite because the unnormalized exponential-vector factors overflow.
+    A single time t gives a complex number and a nondecreasing sequence of
+    times gives an array, from one sweep: by the cocycle law the Q-product up
+    to each time is the product up to the previous time times the factors in
+    between, so one ``sliced_element`` stack and one ``exp_inner`` array serve
+    the whole grid.  The norms of the exponential vectors enter as one log
+    scalar, exp(log <u, Q-product v> + S(t)), so an underflowed Q-product
+    gives an exact 0.  Raises ``OverflowError``, naming the first such time,
+    when an element is not finite because the unnormalized exponential-vector
+    factors overflow.
     """
     fam = _family(source)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
@@ -251,7 +254,7 @@ def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np
         raise ValueError(
             f"state vectors have dimensions {u.size}, {v.size}; expected {fam.source.dim_h}"
         )
-    times = np.asarray(times, dtype=np.float64).reshape(-1)
+    times = np.asarray(t, dtype=np.float64).reshape(-1)
     finite = np.isfinite(times)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -266,17 +269,7 @@ def matrix_elements(source, u, f: StepFunction, v, g: StepFunction, times) -> np
             f"exponential-vector factors overflowed at t={times[np.argmin(finite)]:.6g}: the "
             "matrix element is not finite in double precision"
         )
-    return out
-
-
-def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t):
-    """<u eps(f), V_t v eps(g)> = <u, Q-product v> * exp(S(t)) * tail factor.
-
-    A single time t gives a complex number and a nondecreasing array of times
-    gives an array; both are one call to ``matrix_elements``.
-    """
-    values = matrix_elements(source, u, f, v, g, np.atleast_1d(t))
-    return values if np.ndim(t) else complex(values[0])
+    return out if np.ndim(t) else complex(out[0])
 
 
 def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float) -> float:

@@ -63,8 +63,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def _exp_norm_measure(a: np.ndarray) -> float:
     # Symmetric in a <-> a*, so mat_exp(a*) picks the same degree and scaling
     # as mat_exp(a) and the adjoint identity holds to roundoff.
-    if a.size == 0:
-        return 0.0
     n1 = float(np.linalg.norm(a, 1))
     ninf = float(np.linalg.norm(a, np.inf))
     return max(n1, ninf)

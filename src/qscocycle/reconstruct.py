@@ -192,21 +192,12 @@ def screen_family(
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
-    pair_index: int
-    n: int
-    sup_error: float
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
-    rows: tuple
-    horizon: float
-    monotone: bool
+    """``errors[k, p]`` is the sup error of probe pair p at n = ``n_list[k]``."""
 
-    def errors_for_pair(self, pair_index: int) -> list[float]:
-        ordered = [r for r in self.rows if r.pair_index == pair_index]
-        return [r.sup_error for r in sorted(ordered, key=lambda r: r.n)]
+    n_list: tuple
+    errors: np.ndarray
+    monotone: bool
 
 
 def trotter_kato_pipeline(
@@ -220,9 +211,9 @@ def trotter_kato_pipeline(
     ``MONOTONE_SLACK``.  The probe pairs are (0, 0) and, when dim_k >= 1,
     (e_1, e_1) and (e_1, 0).
     """
-    n_list = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
+    n_list = tuple(int(n) for n in n_list)
+    if not n_list or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
+        raise ValueError("n_list must be a nonempty, strictly increasing list")
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     if not 0.0 < T < np.inf:
@@ -239,15 +230,10 @@ def trotter_kato_pipeline(
         probe_pairs += [(e1, e1), (e1, zero)]
     base = SemigroupFamily(F)
     grid = np.linspace(0.0, T, grid_points)
-    # errors[k, p] is the sup error of pair p at n = n_list[k].
     errors = np.array([
         [max(op_norm(fam_n.q(c, d, t) - base.q(c, d, t)) for t in grid) for c, d in probe_pairs]
         for fam_n in (SemigroupFamily(yosida_approx(F, n)) for n in n_list)
     ])
-    rows = tuple(
-        ConvergenceRow(pair_index=p, n=n, sup_error=float(err))
-        for n, errs in zip(n_list, errors)
-        for p, err in enumerate(errs)
-    )
     monotone = bool(np.all(errors[1:] <= MONOTONE_SLACK * errors[:-1] + 1e-14))
-    return ConvergenceReport(rows=rows, horizon=float(T), monotone=monotone)
+    errors.flags.writeable = False
+    return ConvergenceReport(n_list=n_list, errors=errors, monotone=monotone)

@@ -20,6 +20,7 @@ V_{r+t} = V_r sigma_r(V_t) on the lattice exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,12 @@ class ToyLattice:
     horizon: float
 
     def __post_init__(self):
+        try:
+            if isinstance(self.n_steps, bool):
+                raise TypeError
+            object.__setattr__(self, "n_steps", operator.index(self.n_steps))
+        except TypeError:
+            raise ValueError(f"n_steps={self.n_steps!r} must be an integer") from None
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.n_steps > 2**53:

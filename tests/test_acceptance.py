@@ -165,14 +165,14 @@ def test_criterion_4_stochastic_trotter_kato():
     details = []
     for name, F in models.items():
         rep = trotter_kato_pipeline(F, [10, 100, 1000], T=1.0)
-        pair_count = len({r.pair_index for r in rep.rows})
+        pair_count = rep.errors.shape[1]
         for pair in range(pair_count):
-            errs = rep.errors_for_pair(pair)
+            errs = rep.errors[:, pair]
             if errs[0] <= 1e-13:
                 continue
             if not (rep.monotone and errs[2] <= errs[0] / 5.0):
                 ok = False
-        worst_pair = max(rep.errors_for_pair(p)[0] for p in range(pair_count))
+        worst_pair = max(rep.errors[0, p] for p in range(pair_count))
         details.append(f"{name}: err(10) max {worst_pair:.2e}, monotone {rep.monotone}")
     report(4, ok, "; ".join(details))
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qscocycle
-from qscocycle import jsonio, random_contractive
+from qscocycle import jsonio, random_contractive, trotter_kato_pipeline
 from qscocycle.cli import main
 
 from oracles import zero_generator
@@ -294,8 +295,15 @@ class TestOtherCommands:
     def test_tk(self, tmp_path):
         gen = scalar_hp_file(tmp_path)
         out = tmp_path / "tk.csv"
-        assert main(["tk", gen, "--n-list", "10,100", "--out", str(out)]) == 0
-        assert out.read_text().startswith("pair_index,n,horizon,sup_error,monotone")
+        assert main(["tk", gen, "--n-list", "10,100", "--T", "0.5", "--out", str(out)]) == 0
+        report = trotter_kato_pipeline(jsonio.load_generator(gen), [10, 100], T=0.5)
+        header, *rows = csv.reader(out.read_text().splitlines())
+        assert header == ["pair_index", "n", "horizon", "sup_error", "monotone"]
+        # One row per (n, pair), n-major, each error to full precision.
+        assert rows == [
+            [str(p), str(n), "0.5", f"{report.errors[k, p]:.17g}", str(report.monotone)]
+            for k, n in enumerate((10, 100)) for p in range(report.errors.shape[1])
+        ]
 
     def test_coords(self, tmp_path, capsys):
         gen = scalar_hp_file(tmp_path)

@@ -13,7 +13,6 @@ from qscocycle import (
     full_matrix_element,
     generator_from_semigroups,
     inverse_oscillator,
-    matrix_elements,
     op_norm,
     random_contractive,
     sliced_element,
@@ -245,7 +244,7 @@ class TestSlicedElement:
 
     def test_cauchy_schwarz_contraction_bound(self):
         # |<u eps(f), V_t v eps(g)>| <= |u| |v| |eps(f)| |eps(g)| for a
-        # contraction V_t, on the unnormalized scale that matrix_elements
+        # contraction V_t, on the unnormalized scale that full_matrix_element
         # restores from the normalized slice; u and v are the top singular
         # vectors of that slice.
         F = random_contractive(3, 2, seed=6)
@@ -351,25 +350,27 @@ class TestMatrixElements:
                  g.support_end, end + 0.25, end + 0.5, end + 0.5]
         times = np.sort(np.concatenate((uniform, uniform[::9], marks)))
         fam = SemigroupFamily(F)
-        got = matrix_elements(fam, u, f, v, g, times)
+        got = full_matrix_element(fam, u, f, v, g, times)
         ref = np.array([pointwise_element(F, u, f, v, g, t) for t in times])
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
-        assert np.array_equal(full_matrix_element(fam, u, f, v, g, times), got)
-        assert abs(full_matrix_element(fam, u, f, v, g, times[-1]) - ref[-1]) <= 1e-12 * abs(ref[-1])
+        assert np.array_equal(full_matrix_element(fam, u, f, v, g, list(times)), got)
+        # A single time is a grid of one, returned as a complex number.
+        last = full_matrix_element(fam, u, f, v, g, times[-1])
+        assert type(last) is complex and abs(last - ref[-1]) <= 1e-12 * abs(ref[-1])
 
     def test_times_must_be_nondecreasing_and_finite(self):
         F = random_contractive(2, 1, seed=19)
         z = StepFunction.zero(1)
         u = [1.0, 0.0]
         with pytest.raises(ValueError, match="nondecreasing"):
-            matrix_elements(F, u, z, u, z, [0.0, 0.5, 0.2])
+            full_matrix_element(F, u, z, u, z, [0.0, 0.5, 0.2])
         with pytest.raises(ValueError, match=r"times\[1\] is nan"):
-            matrix_elements(F, u, z, u, z, [0.1, np.nan])
+            full_matrix_element(F, u, z, u, z, [0.1, np.nan])
         with pytest.raises(ValueError, match=r"times\[0\] is inf"):
-            matrix_elements(F, u, z, u, z, [np.inf])
+            full_matrix_element(F, u, z, u, z, [np.inf])
         with pytest.raises(ValueError, match="nonnegative"):
-            matrix_elements(F, u, z, u, z, [-0.5, 0.5])
-        assert matrix_elements(F, u, z, u, z, []).shape == (0,)
+            full_matrix_element(F, u, z, u, z, [-0.5, 0.5])
+        assert full_matrix_element(F, u, z, u, z, []).shape == (0,)
 
     def test_overflow_names_first_non_finite_time(self):
         # C swaps the two channels, so for f = 3 e_1 and g = 3 e_2 the slice
@@ -380,9 +381,9 @@ class TestMatrixElements:
                            M=np.zeros((1, 2)), C=swap)
         f = StepFunction.constant([3.0, 0.0], 100.0)
         g = StepFunction.constant([0.0, 3.0], 100.0)
-        assert abs(matrix_elements(F, [1.0], f, [1.0], g, [50.0])[0] / np.exp(450.0) - 1) < 1e-12
+        assert abs(full_matrix_element(F, [1.0], f, [1.0], g, [50.0])[0] / np.exp(450.0) - 1) < 1e-12
         with pytest.raises(OverflowError, match="overflowed at t=100"):
-            matrix_elements(F, [1.0], f, [1.0], g, [1.0, 50.0, 100.0, 100.0])
+            full_matrix_element(F, [1.0], f, [1.0], g, [1.0, 50.0, 100.0, 100.0])
 
 
 class TestCocycleLaw:

@@ -7,6 +7,7 @@ module exponentiates."""
 import ast
 import importlib
 import runpy
+import types
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,17 @@ def mentions(source: str, name: str) -> bool:
 
 def test_public_names_resolve():
     assert [name for name in qscocycle.__all__ if not hasattr(qscocycle, name)] == []
+
+
+def test_all_lists_every_public_name():
+    # The converse of test_public_names_resolve: a name dropped from
+    # ``__all__`` but still imported by the package, or imported and never
+    # listed, fails here.  Imported submodules are attributes, not exports.
+    public = [
+        name for name, value in vars(qscocycle).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(qscocycle.__all__) == sorted(public)
 
 
 def test_traced_names_resolve():

@@ -187,14 +187,14 @@ class TestTrotterKato:
         )
         F = zero_generator(2, 1, C=gauge)
         report = trotter_kato_pipeline(F, [2, 8, 32], T=1.0)
-        assert all(r.sup_error == 0.0 for r in report.rows)
+        assert report.errors.shape == (3, 3) and np.all(report.errors == 0.0)
         assert report.monotone
 
     def test_scalar_hp_first_order_trend(self):
         report = trotter_kato_pipeline(scalar_hp(), [10, 100, 1000], T=1.0)
         assert report.monotone
         for pair_index in range(3):
-            errs = report.errors_for_pair(pair_index)
+            errs = report.errors[:, pair_index]
             if errs[0] > 1e-12:
                 assert errs[1] <= 0.2 * errs[0]
                 assert errs[2] <= errs[0] / 5.0
@@ -206,6 +206,8 @@ class TestTrotterKato:
     def test_non_increasing_n_list_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             trotter_kato_pipeline(scalar_hp(), [10, 10])
+        with pytest.raises(ValueError, match="increasing"):
+            trotter_kato_pipeline(scalar_hp(), [])
 
     def test_coarser_later_regularization_is_not_monotone(self, monkeypatch):
         from qscocycle import reconstruct
@@ -216,11 +218,8 @@ class TestTrotterKato:
         monkeypatch.setattr(reconstruct, "yosida_approx", lambda F, n: real(F, 110 - n))
         report = trotter_kato_pipeline(scalar_hp(), [10, 100], T=1.0)
         assert honest.monotone and not report.monotone
-        assert [(r.n, r.pair_index) for r in report.rows] == [
-            (n, p) for n in (10, 100) for p in range(3)
-        ]
-        for p in range(3):
-            assert report.errors_for_pair(p) == honest.errors_for_pair(p)[::-1]
+        assert report.n_list == (10, 100) and report.errors.shape == (2, 3)
+        assert np.array_equal(report.errors, honest.errors[::-1])
 
     def test_errors_decrease_for_oscillator(self):
         from qscocycle import OscillatorSpec, inverse_oscillator
@@ -228,5 +227,5 @@ class TestTrotterKato:
         F = inverse_oscillator(OscillatorSpec(dim=4, lam=np.ones(5), mu=np.arange(4.0)))
         report = trotter_kato_pipeline(F, [10, 100], T=1.0)
         assert report.monotone
-        errs = report.errors_for_pair(0)
+        errs = report.errors[:, 0]
         assert errs[1] < errs[0]

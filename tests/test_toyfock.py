@@ -76,6 +76,16 @@ class TestLatticeAndStep:
         assert ToyLattice(n_steps=2**53, horizon=1.0).n_steps == 2**53
         with pytest.raises(ValueError, match=f"n_steps={2**53 + 1}"):
             ToyLattice(n_steps=2**53 + 1, horizon=1.0)
+        # Slot counts are integers: no float, however whole, and no bool.
+        for bad in (3.5, 4.0, np.float64(4.0), True, "4"):
+            with pytest.raises(ValueError, match="n_steps="):
+                ToyLattice(n_steps=bad, horizon=1.0)
+        assert ToyLattice(n_steps=np.int64(4), horizon=2.0).tau == 0.5
+        F, g = random_contractive(2, 1, seed=4), StepFunction.constant([0.5], 1.0)
+        with pytest.raises(ValueError, match="n_steps=3.5"):
+            oracle_matrix_element(F, [1.0, 0.0], g, [1.0, 0.0], g, 1.0, 3.5)
+        with pytest.raises(ValueError, match="n_steps=3.5"):
+            oracle_state_norm(F, [1.0, 0.0], g, 1.0, 3.5)
 
     def test_non_finite_horizon_or_result_is_named(self):
         with pytest.raises(ValueError, match="horizon must be finite"):
