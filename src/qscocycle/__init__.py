@@ -40,7 +40,6 @@ from .semigroups import (
     SemigroupFamily,
     coords_from_f,
     coords_to_f,
-    dual_family,
     dual_generator,
     g_generator,
     generator_from_semigroups,
@@ -72,7 +71,6 @@ __all__ = [
     "contractivity_defect",
     "coords_from_f",
     "coords_to_f",
-    "dual_family",
     "dual_generator",
     "exp_inner",
     "form_defect",

@@ -251,9 +251,3 @@ def classify(F: BlockGenerator, tol: float = DEFECT_TOL) -> Classification:
         gauge_equality_defect=gauge_defect,
         equality_case=equality,
     )
-
-
-def random_state(F: BlockGenerator, rng: np.random.Generator) -> np.ndarray:
-    """Random unit vector on h + (h (x) k); test helper shared across modules."""
-    xi = rng.standard_normal(F.total_dim) + 1j * rng.standard_normal(F.total_dim)
-    return xi / np.linalg.norm(xi)

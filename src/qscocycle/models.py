@@ -45,11 +45,6 @@ class OscillatorSpec:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
 
-    @property
-    def interior(self) -> slice:
-        """Levels on which the equality-case identities hold exactly."""
-        return slice(0, self.dim - 1)
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def inverse_oscillator(spec: OscillatorSpec) -> BlockGenerator:

@@ -15,6 +15,7 @@ the criterion's quantifiers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +212,13 @@ def trotter_kato_pipeline(
     ``MONOTONE_SLACK``.  The probe pairs are (0, 0) and, when dim_k >= 1,
     (e_1, e_1) and (e_1, 0).
     """
-    n_list = tuple(int(n) for n in n_list)
+    try:
+        n_list = tuple(n_list)
+        if any(isinstance(n, bool) for n in n_list):
+            raise TypeError
+        n_list = tuple(operator.index(n) for n in n_list)
+    except TypeError:
+        raise ValueError(f"n_list={n_list!r} must be a list of integers") from None
     if not n_list or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ValueError("n_list must be a nonempty, strictly increasing list")
     if grid_points < 1:

@@ -95,11 +95,6 @@ def dual_generator(F: BlockGenerator) -> BlockGenerator:
     )
 
 
-def dual_family(F: BlockGenerator) -> SemigroupFamily:
-    """Semigroups of the dual cocycle; satisfies Q~^{c,d}_t = (Q^{d,c}_t)*."""
-    return SemigroupFamily(dual_generator(F))
-
-
 def _coordinate_grid(cell, dim_k: int) -> np.ndarray:
     """[cell(c, d)] over c, d in {0, e_1, ..., e_dim_k}, stacked to 4 axes."""
     # Row 0 is zero and rows 1..dk are the rows of the identity.

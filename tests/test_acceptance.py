@@ -16,7 +16,7 @@ from qscocycle import (
     cocycle_defect,
     coords_from_f,
     coords_to_f,
-    dual_family,
+    dual_generator,
     exp_inner,
     form_defect,
     full_matrix_element,
@@ -185,7 +185,7 @@ def test_criterion_5_duality():
             int(rng.integers(1, 4)), int(rng.integers(1, 3)), seed=seed,
             mode="unitary_C" if seed % 2 else "strict_C",
         )
-        fam, dfam = SemigroupFamily(F), dual_family(F)
+        fam, dfam = SemigroupFamily(F), SemigroupFamily(dual_generator(F))
         for _ in range(25):
             c = random_complex(rng, F.dim_k)
             d = random_complex(rng, F.dim_k)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qscocycle
-from qscocycle import jsonio, random_contractive, trotter_kato_pipeline
+from qscocycle import cli, dual_generator, jsonio, random_contractive, trotter_kato_pipeline
 from qscocycle.cli import main
 
 from oracles import zero_generator
@@ -172,9 +173,13 @@ class TestCheck:
         gen = scalar_hp_file(tmp_path)
         out = tmp_path / "check.csv"
         assert main(["check", gen, "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "quantity,value,pass"
-        assert any(line.startswith("contractivity_defect") for line in lines)
+        assert out.read_text().splitlines() == [
+            "quantity,value,pass",
+            "contractivity_defect,0.0,True",
+            "c_norm,1.0,True",
+            "drift_equality_defect,0.0,True",
+            "gauge_equality_defect,0.0,True",
+        ]
 
 
 class TestEvolve:
@@ -321,6 +326,29 @@ class TestOtherCommands:
         original = jsonio.load_generator(gen)
         assert np.array_equal(dual.full_matrix(), original.full_matrix().conj().T)
 
+    def test_dual_violation_exit_code(self, tmp_path, capsys, monkeypatch):
+        # C is not Hermitian here, so a dual that keeps C instead of C* breaks
+        # Q~^{c,d}_t = (Q^{d,c}_t)* on the coordinate cells.
+        F = random_contractive(3, 2, seed=0)
+        assert np.abs(F.C - F.C.conj().T).max() > 1e-3
+        gen = tmp_path / "gen.json"
+        jsonio.save_generator(F, gen)
+        monkeypatch.setattr(
+            cli, "dual_generator", lambda G: dataclasses.replace(dual_generator(G), C=G.C)
+        )
+        assert main(["dual", str(gen), "--out", str(tmp_path / "dual.json")]) == 4
+        message, value = capsys.readouterr().out.rsplit(": ", 1)
+        assert message.endswith("max dual-relation defect over the 9 coordinate cells at t = 0.1, 0.5, 1")
+        assert float(value) > 1e-3
+
+    @pytest.mark.parametrize("command", ["check", "dual"])
+    @pytest.mark.parametrize("flag", ["--samples=5", "--seed=1"])
+    def test_exact_commands_take_no_sampling_flags(self, tmp_path, command, flag):
+        out = tmp_path / "out.json"
+        code, err = run_cli([command, scalar_hp_file(tmp_path), "--out", str(out), flag])
+        assert code == 2 and f"unrecognized arguments: {flag}" in err
+        assert not out.exists()
+
     def test_oracle_norm(self, tmp_path, capsys):
         gen = scalar_hp_file(tmp_path)
         step = zero_step_file(tmp_path)
@@ -345,8 +373,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("flags, message", [
         (["evolve", "STEP", "STEP", "--t", "1.0", "--grid=-1"], "--grid must be >= 0"),
-        (["check", "--samples=-2"], "--samples must be >= 0"),
-        (["dual", "--out", "OUT", "--samples=-1"], "--samples must be >= 0"),
+        (["schur", "--samples", "0"], "--samples must be >= 1"),
+        (["schur", "--samples", "1.5"], "--samples must be >= 1"),
         (["tk", "--grid", "0"], "--grid must be >= 1"),
         (["tk", "--T", "nan"], "T must be a finite horizon > 0"),
         (["tk", "--T=-1"], "T must be a finite horizon > 0"),
@@ -368,7 +396,7 @@ class TestOtherCommands:
         (["check", "--tol", "nan"], "--tol"),
         (["check", "--tol=-1"], "--tol"),
         (["check", "--tol", "abc"], "--tol"),
-        (["check", "--seed=-1"], "--seed"),
+        (["schur", "--seed", "1.5"], "--seed"),
         (["schur", "--tol", "nan"], "--tol"),
         (["schur", "--seed=-1"], "--seed"),
         (["dual", "--out", "OUT", "--tol", "nan"], "--tol"),
@@ -619,11 +647,13 @@ _bad_value = st.one_of(
 )
 
 # Every subcommand with every numeric flag it takes and a valid value for
-# each; GEN, STEP, SPEC and OUT are file placeholders.  Counts stay within
-# --samples <= 20, --steps <= 10, --n-max <= 4 and --grid/--oracle <= 64.
+# each; GEN, STEP, SPEC and OUT are file placeholders.  Only schur draws
+# random numbers, so only it takes --samples and --seed; check and dual
+# decide exactly and take --tol alone.  Counts stay within --samples <= 20,
+# --steps <= 10, --n-max <= 4 and --grid/--oracle <= 64.
 _SUBCOMMANDS = {
     "build": (["SPEC", "--out", "OUT"], {"--tol": _tol}),
-    "check": (["GEN"], {"--tol": _tol, "--samples": _count(0, 20), "--seed": _count(0, 64)}),
+    "check": (["GEN"], {"--tol": _tol}),
     "evolve": (["GEN", "STEP", "STEP"],
                {"--t": _time, "--grid": _count(0, 64), "--oracle": _count(0, 64)}),
     "schur": (["GEN"], {"--samples": _count(1, 20), "--n-max": _count(1, 4),
@@ -632,8 +662,7 @@ _SUBCOMMANDS = {
         st.integers(1, 2000), min_size=1, max_size=3, unique=True).map(
             lambda ns: ",".join(map(str, sorted(ns))))}),
     "coords": (["GEN"], {"--tol": _tol}),
-    "dual": (["GEN", "--out", "OUT"],
-             {"--samples": _count(0, 20), "--seed": _count(0, 64), "--tol": _tol}),
+    "dual": (["GEN", "--out", "OUT"], {"--tol": _tol}),
     "oracle-norm": (["GEN", "STEP"],
                     {"--t": _time, "--steps": _count(1, 10)}),
 }
@@ -681,7 +710,7 @@ class TestBoundaryFuzz:
     def test_generator_payloads(self, payload):
         with tempfile.TemporaryDirectory() as tmp:
             path = write_json(Path(tmp) / "gen.json", payload)
-            assert_clean_exit(*run_cli(["check", path, "--samples", "4"]))
+            assert_clean_exit(*run_cli(["check", path]))
 
     @_FUZZ
     @given(spec=_model_specs())
@@ -708,7 +737,6 @@ class TestBoundaryFuzz:
     @example(argv=["tk", "GEN", "--n-list=,"])
     @example(argv=["oracle-norm", "GEN", "STEP", "--t=inf", "--steps=4"])
     @example(argv=["oracle-norm", "GEN", "STEP", "--t=1e308", "--steps=4"])
-    @example(argv=["check", "GEN", "--seed=-1"])
     @example(argv=["schur", "GEN", "--samples=5", "--seed=-1"])
     @example(argv=["evolve", "GEN", "STEP", "STEP", "--t=1", "--oracle=-5"])
     # STEP30 equals 30 on [0, 1): |eps(g)| = e^450 is finite, though its square

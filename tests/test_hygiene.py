@@ -1,8 +1,9 @@
 """Package hygiene: every public name and every name the benchmark tracer
 wraps resolves, no module imports a name it never uses, no function assigns a
 local it never reads, no guard lets NaN through a comparison with 0, and no
-module reads another package module's private names, and only the semigroup
-module exponentiates."""
+module reads another package module's private names, only the semigroup
+module exponentiates, and only the random models and the Schur screen draw
+random numbers."""
 
 import ast
 import importlib
@@ -202,6 +203,13 @@ def test_only_semigroups_exponentiate():
     # SemigroupFamily forms exp(t G_{c,d}) with it, and __init__ re-exports it.
     found = sorted(p.stem for p in PACKAGE.glob("*.py") if mentions(p.read_text(), "mat_exp"))
     assert found == ["__init__", "opcore", "semigroups"]
+
+
+def test_only_random_models_and_the_schur_screen_draw():
+    # Every other verdict is exact: models seeds random_contractive, and
+    # reconstruct draws the Schur screen's probes.
+    found = sorted(p.stem for p in PACKAGE.glob("*.py") if mentions(p.read_text(), "default_rng"))
+    assert found == ["models", "reconstruct"]
 
 
 @pytest.mark.parametrize(

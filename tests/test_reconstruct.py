@@ -209,6 +209,17 @@ class TestTrotterKato:
         with pytest.raises(ValueError, match="increasing"):
             trotter_kato_pipeline(scalar_hp(), [])
 
+    @pytest.mark.parametrize("n_list", [[10.9, 100], [True, 2]])
+    def test_non_integer_n_list_rejected(self, n_list):
+        # int() would run n = 10 and n = 1 here without a word.
+        with pytest.raises(ValueError, match="n_list="):
+            trotter_kato_pipeline(scalar_hp(), n_list)
+
+    def test_numpy_integer_n_list_accepted(self):
+        report = trotter_kato_pipeline(scalar_hp(), [np.int64(10), 100], T=1.0)
+        assert report.n_list == (10, 100)
+        assert np.array_equal(report.errors, trotter_kato_pipeline(scalar_hp(), [10, 100]).errors)
+
     def test_coarser_later_regularization_is_not_monotone(self, monkeypatch):
         from qscocycle import reconstruct
 
