@@ -29,13 +29,23 @@ HERMITIAN_TOL = 1e-10
 DISSIPATIVE_TOL = 1e-8
 
 
-def chi(c, d) -> complex:
-    """chi(c, d) = (|c|^2 + |d|^2)/2 - <c, d>, conjugate-linear in c."""
-    c = np.asarray(c, dtype=np.complex128).reshape(-1)
-    d = np.asarray(d, dtype=np.complex128).reshape(-1)
-    if c.shape != d.shape:
-        raise ValueError(f"chi arguments have dimensions {c.size} and {d.size}")
-    return complex(0.5 * (np.vdot(c, c).real + np.vdot(d, d).real) - np.vdot(c, d))
+def _slice_vectors(v) -> np.ndarray:
+    """A slice vector (any input of ndim <= 1) or a stack of them (..., dim_k)."""
+    v = np.asarray(v, dtype=np.complex128)
+    return v.reshape(-1) if v.ndim <= 1 else v
+
+
+def chi(c, d):
+    """chi(c, d) = (|c|^2 + |d|^2)/2 - <c, d>, conjugate-linear in c.
+
+    A complex number for two vectors; an array for stacks (..., dim_k),
+    which broadcast against each other.
+    """
+    c, d = _slice_vectors(c), _slice_vectors(d)
+    if c.shape[-1] != d.shape[-1]:
+        raise ValueError(f"chi arguments have dimensions {c.shape[-1]} and {d.shape[-1]}")
+    out = 0.5 * (np.vecdot(c, c).real + np.vecdot(d, d).real) - np.vecdot(c, d)
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -132,20 +142,28 @@ def component(F: BlockGenerator, c, d) -> np.ndarray:
     """The h-operator slice E^c-hat F E_d-hat.
 
     Equals K + E^c L + M E_d + E^c C E_d - <c,d> I; conjugate-affine in c
-    and affine in d.
+    and affine in d.  Stacks of slice vectors (..., dim_k) broadcast against
+    each other and give a stack of slices from one product with
+    ``slice_basis``.
     """
-    c = np.asarray(c, dtype=np.complex128).reshape(-1)
-    d = np.asarray(d, dtype=np.complex128).reshape(-1)
-    if c.size != F.dim_k or d.size != F.dim_k:
+    c, d = _slice_vectors(c), _slice_vectors(d)
+    if c.shape[-1] != F.dim_k or d.shape[-1] != F.dim_k:
         raise ValueError(
-            f"slice vectors have dimensions {c.size}, {d.size}; expected {F.dim_k}"
+            f"slice vectors have dimensions {c.shape[-1]}, {d.shape[-1]}; expected {F.dim_k}"
         )
-    dh = F.dim_h
+    if c.shape != d.shape:
+        c, d = np.broadcast_arrays(c, d)
+    dh, dk, lead = F.dim_h, F.dim_k, c.shape[:-1]
     cc = c.conj()
-    coef = np.concatenate(((1.0,), cc, d, np.outer(cc, d).ravel()))
-    out = (coef @ F.slice_basis).reshape(dh, dh)
-    out.flat[:: dh + 1] -= np.vdot(c, d)
-    return out
+    coef = np.concatenate((
+        np.ones((*lead, 1), dtype=np.complex128), cc, d,
+        (cc[..., :, None] * d[..., None, :]).reshape(*lead, dk * dk),
+    ), axis=-1)
+    # One row vector per slice, so each slice is the same vector-matrix
+    # product whether it comes alone or in a stack.
+    flat = coef[..., None, :] @ F.slice_basis
+    flat[..., 0, :: dh + 1] -= np.vecdot(c, d)[..., None]
+    return flat.reshape(*lead, dh, dh)
 
 
 @np.errstate(over="ignore", invalid="ignore")

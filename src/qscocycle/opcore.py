@@ -49,15 +49,26 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _as_square(a, name: str) -> np.ndarray:
-    out = as_cmatrix(a, name)
-    if out.shape[0] != out.shape[1]:
+def _as_cstack(a, name: str) -> np.ndarray:
+    """Coerce to a finite complex128 array of ndim >= 2: a stack of matrices."""
+    out = np.asarray(a, dtype=np.complex128)
+    if out.ndim < 2:
+        raise ValueError(f"{name} must be at least 2-dimensional, got ndim={out.ndim}")
+    if out.size and not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return out
+
+
+def _as_square(a, name: str, stack: bool = False) -> np.ndarray:
+    out = _as_cstack(a, name) if stack else as_cmatrix(a, name)
+    if out.shape[-2] != out.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {out.shape}")
     return out
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(a.mT)
 
 
 def _exp_norm_measure(a: np.ndarray) -> float:
@@ -68,8 +79,20 @@ def _exp_norm_measure(a: np.ndarray) -> float:
     return max(n1, ninf)
 
 
+def _norm_overflow(mu: float) -> OverflowError:
+    return OverflowError(
+        f"mat_exp input norm {mu:.4g} exceeds the supported limit {EXP_NORM_LIMIT:.0e}"
+    )
+
+
+def _scaling(mu: float) -> int:
+    """Squarings s that bring mu under theta_13."""
+    return max(0, int(math.ceil(math.log2(mu / _PADE_THETA[-1][1]))))
+
+
 def _pade_approx(a: np.ndarray, m: int) -> np.ndarray:
-    n = a.shape[0]
+    """[m/m] Pade approximant of exp at a matrix or at each matrix of a stack."""
+    n = a.shape[-1]
     c = _PADE_COEFFS[m]
     eye = np.eye(n, dtype=np.complex128)
     if m < 13:
@@ -117,28 +140,70 @@ def mat_exp(a) -> np.ndarray:
         return a.copy()
     mu = _exp_norm_measure(a)
     if mu > EXP_NORM_LIMIT:
-        raise OverflowError(
-            f"mat_exp input norm {mu:.4g} exceeds the supported limit {EXP_NORM_LIMIT:.0e}"
-        )
+        raise _norm_overflow(mu)
     if mu == 0.0:
         return np.eye(a.shape[0], dtype=np.complex128)
     for m, theta in _PADE_THETA:
         if mu <= theta:
             return _pade_approx(a, m)
-    theta13 = _PADE_THETA[-1][1]
-    s = max(0, int(math.ceil(math.log2(mu / theta13))))
+    s = _scaling(mu)
     f = _pade_approx(a / (2.0**s), 13)
     for _ in range(s):
         f = f @ f
     return f
 
 
+def mat_exp_stack(a) -> np.ndarray:
+    """``mat_exp`` of each matrix of an (..., n, n) stack, one numpy call per step.
+
+    Each matrix gets its own Pade degree m and scaling exponent s from
+    ``_PADE_THETA``, as in ``mat_exp`` (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31 (2009)): the matrices of one degree are approximated together,
+    and squaring step k squares only the matrices with s > k.  The same
+    finiteness check and ``EXP_NORM_LIMIT`` apply to every matrix.
+    """
+    a = _as_square(a, "mat_exp input", stack=True)
+    flat = a.reshape(-1, *a.shape[-2:])
+    if flat.size == 0:
+        return a.copy()
+    # The measure of _exp_norm_measure, one value per matrix.
+    axes = (-2, -1)
+    mu = np.maximum(np.linalg.norm(flat, 1, axis=axes), np.linalg.norm(flat, np.inf, axis=axes))
+    if mu.max() > EXP_NORM_LIMIT:
+        raise _norm_overflow(mu.max())
+    thetas = [theta for _, theta in _PADE_THETA]
+    # The first degree whose theta bounds mu; len(thetas) means scaled m = 13.
+    slot = np.searchsorted(thetas, mu)
+    s = np.zeros(len(flat), dtype=int)
+    scaled = np.flatnonzero(slot == len(thetas))
+    s[scaled] = [_scaling(x) for x in mu[scaled]]
+    slot[scaled] = len(thetas) - 1
+    out = np.empty_like(flat)
+    out[mu == 0.0] = np.eye(a.shape[-1])
+    for k, (m, _) in enumerate(_PADE_THETA):
+        pick = np.flatnonzero((slot == k) & (mu > 0.0))
+        if pick.size:
+            out[pick] = _pade_approx(flat[pick] / (2.0 ** s[pick])[:, None, None], m)
+    for k in range(s.max()):
+        pick = np.flatnonzero(s > k)
+        out[pick] = out[pick] @ out[pick]
+    return out.reshape(a.shape)
+
+
 def op_norm(a) -> float:
     """Operator (largest singular value) norm; works for rectangular input."""
-    a = as_cmatrix(a, "op_norm input")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_largest_sv(as_cmatrix(a, "op_norm input")))
+
+
+def op_norm_stack(a) -> np.ndarray:
+    """``op_norm`` of each matrix of an (..., m, n) stack, as one ``svd`` call."""
+    return _largest_sv(_as_cstack(a, "op_norm input"))
+
+
+def _largest_sv(a: np.ndarray) -> np.ndarray:
+    if a.shape[-1] == 0 or a.shape[-2] == 0:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
 def max_herm_eig(a) -> float:
@@ -150,31 +215,57 @@ def max_herm_eig(a) -> float:
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
+def _psd_parts(a: np.ndarray):
+    """Roots, Hermiticity defects and verdicts, and smallest eigenvalues of a stack.
+
+    One ``eigh`` of the Hermitian parts serves both tests: the largest
+    |eigenvalue| is the scale, and the defect |a - a*| is taken in the
+    Frobenius norm, which bounds the operator norm from above.  A matrix that
+    fails either test gets a zero root.
+    """
+    w, u = np.linalg.eigh(0.5 * (a + adjoint(a)))
+    if a.shape[-1]:
+        low = w[..., 0]
+        scale = np.maximum(1.0, np.maximum(-low, w[..., -1]))
+    else:
+        low = np.full(a.shape[:-2], np.inf)
+        scale = np.ones(a.shape[:-2])
+    herm_defect = np.linalg.norm(a - adjoint(a), axis=(-2, -1))
+    herm_ok = herm_defect <= PSD_TOL * scale
+    ok = herm_ok & (low > PSD_TOL)
+    x = (u * (np.where(ok[..., None], w, 1.0) ** -0.5)[..., None, :]) @ adjoint(u)
+    x = 0.5 * (x + adjoint(x))
+    x[~ok] = 0.0
+    return x, ok, herm_ok, herm_defect, low
+
+
 def psd_inv_sqrt(a) -> np.ndarray:
     """Inverse square root of a Hermitian positive-definite matrix.
 
     Returns Hermitian ``x`` with ``x @ a @ x = I``.  Raises if ``a`` is not
     Hermitian within ``PSD_TOL`` (relative) or has an eigenvalue <= ``PSD_TOL``;
     the Schur screen reports a probe whose weights fail here as skipped.
-
-    One ``eigh`` of the Hermitian part serves both checks: its largest
-    |eigenvalue| is the scale, and the defect |a - a*| is taken in the
-    Frobenius norm, which bounds the operator norm from above.
     """
-    a = _as_square(a, "psd_inv_sqrt input")
-    w, u = np.linalg.eigh(0.5 * (a + adjoint(a)))
-    scale = max(1.0, -w[0], w[-1]) if w.size else 1.0
-    herm_defect = float(np.linalg.norm(a - adjoint(a)))
-    if herm_defect > PSD_TOL * scale:
+    x, ok, herm_ok, herm_defect, low = _psd_parts(_as_square(a, "psd_inv_sqrt input"))
+    if not herm_ok:
         raise ValueError(
             f"psd_inv_sqrt input is not Hermitian (defect {herm_defect:.3g})"
         )
-    if w.size and w[0] <= PSD_TOL:
+    if not ok:
         raise ValueError(
-            f"psd_inv_sqrt input has eigenvalue {w[0]:.3g} <= tol {PSD_TOL:.3g}"
+            f"psd_inv_sqrt input has eigenvalue {low:.3g} <= tol {PSD_TOL:.3g}"
         )
-    x = (u * (w**-0.5)) @ adjoint(u)
-    return 0.5 * (x + adjoint(x))
+    return x
+
+
+def psd_inv_sqrt_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """``psd_inv_sqrt`` of each matrix of an (..., n, n) stack, without raising.
+
+    Returns ``(roots, ok)``: ``ok`` is False exactly where ``psd_inv_sqrt``
+    would raise, and the root there is zero.
+    """
+    x, ok, _, _, _ = _psd_parts(_as_square(a, "psd_inv_sqrt input", stack=True))
+    return x, ok
 
 
 def schur_product(a, b) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import BlockGenerator, contractivity_defect, yosida_approx
-from .opcore import op_norm, psd_inv_sqrt, schur_product
-from .semigroups import SemigroupFamily
+from .opcore import op_norm, op_norm_stack, psd_inv_sqrt, psd_inv_sqrt_stack, schur_product
+from .semigroups import SemigroupFamily, q_stack
 
 PASS_TOL = 1e-9
 # The Yosida pipeline's contractivity tolerance, and the factor by which one
@@ -42,14 +42,35 @@ def varpi_matrix(c_tuple, t: float) -> np.ndarray:
     c = np.asarray(c_tuple, dtype=np.complex128)
     if c.ndim != 2:
         c = c.reshape(len(c), -1)
-    gram = c.conj() @ c.T
-    sq = gram.diagonal().real
-    return np.exp(-t * (0.5 * (sq[:, None] + sq[None, :]) - gram))
+    return _varpi(c, t)
+
+
+def _varpi(c: np.ndarray, t) -> np.ndarray:
+    """``varpi_matrix`` of an n-tuple (n, dim_k), or of a stack of them with one t each."""
+    gram = c.conj() @ c.mT
+    sq = gram.diagonal(axis1=-2, axis2=-1).real
+    t = np.asarray(t)[..., None, None]
+    return np.exp(-t * (0.5 * (sq[..., :, None] + sq[..., None, :]) - gram))
 
 
 def _ampliate(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(s (x) I_h) y for a block column y with n row blocks, as one reshaped product."""
-    return (s @ y.reshape(s.shape[1], -1)).reshape(y.shape)
+    """(s (x) I_h) y for a block column y with n row blocks, as one reshaped
+    product; a stack of s against a stack of y alike."""
+    n = s.shape[-1]
+    return (s @ y.reshape(*y.shape[:-2], n, y.shape[-2] // n * y.shape[-1])).reshape(y.shape)
+
+
+def _criterion(sa: np.ndarray, q: np.ndarray, y: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """The criterion matrix (A o w)^{-1/2} (Q o Y) (B o w)^{-1/2}, for one probe or a stack.
+
+    ``sa`` and ``sb`` are the inverse roots of the weighted Gram matrices and
+    ``q`` holds the blocks Q^{c_i,c_j}_t on axes (i, j, p, q).  The Schur
+    product applies each operator block to its column of y, read as
+    (n, dim_h, n), in one contraction.
+    """
+    n = y.shape[-1]
+    qy = np.einsum("...ijpq,...iqj->...ipj", q, y.reshape(*y.shape[:-2], n, q.shape[-1], n))
+    return _ampliate(sa, qy.reshape(y.shape)) @ sb
 
 
 @dataclass(frozen=True)
@@ -72,6 +93,15 @@ class ProbeReport:
     skipped: bool
 
 
+def _report(probe: Probe, defect: float, tol: float) -> ProbeReport:
+    """A NaN defect marks a probe whose weighted Gram matrices are degenerate."""
+    skipped = bool(np.isnan(defect))
+    return ProbeReport(
+        probe_id=probe.probe_id, n=probe.c_tuple.shape[0], t=probe.t, defect=float(defect),
+        passed=not skipped and defect <= tol, skipped=skipped,
+    )
+
+
 def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     """Validate shapes and rescale Y so the criterion precondition holds.
 
@@ -89,17 +119,6 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     return Probe(c_tuple=c_arr, t=float(t), a=a, b=b, y=y, probe_id=probe_id)
 
 
-def _schur_apply(family: SemigroupFamily, c_tuple: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
-    """Blockwise product [Q^{c_i,c_j}_t y_ij]: operator blocks against columns.
-
-    The n^2 blocks are stacked to an (n, n, dim_h, dim_h) tensor and applied to
-    y, read as (n, dim_h, n), in one contraction.
-    """
-    n = c_tuple.shape[0]
-    q = np.array([[family.q(ci, cj, t) for cj in c_tuple] for ci in c_tuple])
-    return np.einsum("ijpq,iqj->ipj", q, y.reshape(n, -1, n)).reshape(y.shape)
-
-
 def schur_criterion_check(
     family: SemigroupFamily, probe: Probe, tol: float = PASS_TOL
 ) -> ProbeReport:
@@ -108,25 +127,34 @@ def schur_criterion_check(
     Probes whose weighted Gram matrices fall below the degeneracy tolerance
     are reported as skipped, never silently passed.
     """
-    n = probe.c_tuple.shape[0]
     w = varpi_matrix(probe.c_tuple, probe.t)
-    aw = schur_product(probe.a, w)
-    bw = schur_product(probe.b, w)
     try:
-        sa = psd_inv_sqrt(aw)
-        sb = psd_inv_sqrt(bw)
+        sa = psd_inv_sqrt(schur_product(probe.a, w))
+        sb = psd_inv_sqrt(schur_product(probe.b, w))
     except ValueError:
-        return ProbeReport(
-            probe_id=probe.probe_id, n=n, t=probe.t, defect=np.nan,
-            passed=False, skipped=True,
-        )
-    qy = _schur_apply(family, probe.c_tuple, probe.t, probe.y)
-    crit = _ampliate(sa, qy) @ sb
-    defect = op_norm(crit) - 1.0
-    return ProbeReport(
-        probe_id=probe.probe_id, n=n, t=probe.t, defect=float(defect),
-        passed=defect <= tol, skipped=False,
-    )
+        return _report(probe, np.nan, tol)
+    q = np.array([[family.q(ci, cj, probe.t) for cj in probe.c_tuple] for ci in probe.c_tuple])
+    return _report(probe, op_norm(_criterion(sa, q, probe.y, sb)) - 1.0, tol)
+
+
+def _check_group(F: BlockGenerator, probes: list[Probe], tol: float) -> list[ProbeReport]:
+    """``schur_criterion_check`` of probes that share n, as one stacked pass.
+
+    Q comes from ``q_stack`` for the live probes only, so a skipped probe
+    never reaches the exponential.
+    """
+    c = np.array([p.c_tuple for p in probes])
+    t = np.array([p.t for p in probes])
+    w = _varpi(c, t)
+    sa, ok_a = psd_inv_sqrt_stack(np.array([p.a for p in probes]) * w)
+    sb, ok_b = psd_inv_sqrt_stack(np.array([p.b for p in probes]) * w)
+    live = np.flatnonzero(ok_a & ok_b)
+    cl = c[live]
+    q = q_stack(F, cl[:, :, None, :], cl[:, None, :, :], t[live, None, None])
+    y = np.array([p.y for p in probes])[live]
+    defects = np.full(len(probes), np.nan)
+    defects[live] = op_norm_stack(_criterion(sa[live], q, y, sb[live])) - 1.0
+    return [_report(p, d, tol) for p, d in zip(probes, defects)]
 
 
 def deterministic_core_probes(F: BlockGenerator) -> list[Probe]:
@@ -146,6 +174,57 @@ def deterministic_core_probes(F: BlockGenerator) -> list[Probe]:
     return probes
 
 
+def _inv_roots(weights: np.ndarray) -> np.ndarray:
+    """Inverse roots of a stack of weights drawn positive definite."""
+    roots, ok = psd_inv_sqrt_stack(weights)
+    if not ok.all():
+        psd_inv_sqrt(weights[~ok][0])  # raises the reason
+    return roots
+
+
+def _random_probes(
+    F: BlockGenerator, n_max: int, samples: int, seed: int, first_id: int
+) -> dict[int, list[Probe]]:
+    """The seeded random probes of ``screen_probes``, grouped by n.
+
+    Each sample draws n, its slice vectors, t, and then the real and
+    imaginary parts of X_A, X_B and Y in one call, which consumes the
+    generator exactly as one call per part does.  The weights
+    A = X_A X_A* / n + I/4 and B, and the rescaling of Y to the precondition
+    (as in ``make_probe``), are then formed one group at a time.
+    """
+    if n_max < 1 or samples < 1:
+        raise ValueError("n_max and samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    dh, dk = F.dim_h, F.dim_k
+    draws: dict[int, list] = {}
+    for probe_id in range(first_id, first_id + samples):
+        n = int(rng.integers(1, n_max + 1))
+        c = rng.standard_normal((2, n - 1, dk)) if n > 1 and dk else None
+        t = float(rng.uniform(0.0, 2.0))
+        draws.setdefault(n, []).append((probe_id, c, t, rng.standard_normal(2 * n * n * (2 + dh))))
+    groups = {}
+    for n, group in sorted(draws.items()):
+        ids, cs, ts, z = zip(*group)
+        z = np.array(z)
+        x = z[:, : 4 * n * n].reshape(-1, 2, 2, n, n)
+        x = x[:, :, 0] + 1j * x[:, :, 1]
+        y = z[:, 4 * n * n :].reshape(-1, 2, n * dh, n)
+        y = y[:, 0] + 1j * y[:, 1]
+        c = np.zeros((len(ids), n, dk), dtype=np.complex128)
+        if n > 1 and dk:
+            raw = np.array(cs)
+            c[:, 1:] = (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2.0 * dk)
+        a, b = (w @ np.conj(w.mT) / n + 0.25 * np.eye(n) for w in (x[:, 0], x[:, 1]))
+        bound = op_norm_stack(_ampliate(_inv_roots(a), y) @ _inv_roots(b))
+        y = y / np.maximum(bound, 1.0)[:, None, None]
+        groups[n] = [
+            Probe(c_tuple=c[k], t=ts[k], a=a[k], b=b[k], y=y[k], probe_id=ids[k])
+            for k in range(len(ids))
+        ]
+    return groups
+
+
 def screen_probes(F: BlockGenerator, n_max: int, samples: int, seed: int) -> list[Probe]:
     """Deterministic-core probes followed by ``samples`` seeded random ones.
 
@@ -153,28 +232,9 @@ def screen_probes(F: BlockGenerator, n_max: int, samples: int, seed: int) -> lis
     positive definite, Y random and rescaled to the precondition.  Output is
     a pure function of (F, n_max, samples, seed).
     """
-    if n_max < 1 or samples < 1:
-        raise ValueError("n_max and samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    dh, dk = F.dim_h, F.dim_k
-    probes = deterministic_core_probes(F)
-
-    def cplx(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    for _ in range(samples):
-        n = int(rng.integers(1, n_max + 1))
-        c_tuple = np.zeros((n, dk), dtype=np.complex128)
-        if n > 1 and dk:
-            c_tuple[1:] = cplx((n - 1, dk)) / np.sqrt(2.0 * dk)
-        t = float(rng.uniform(0.0, 2.0))
-        xa = cplx((n, n))
-        xb = cplx((n, n))
-        a = xa @ np.conj(xa.T) / n + 0.25 * np.eye(n)
-        b = xb @ np.conj(xb.T) / n + 0.25 * np.eye(n)
-        y = cplx((n * dh, n))
-        probes.append(make_probe(c_tuple, t, a, b, y, dim_h=dh, probe_id=len(probes)))
-    return probes
+    core = deterministic_core_probes(F)
+    groups = _random_probes(F, n_max, samples, seed, first_id=len(core))
+    return core + sorted((p for g in groups.values() for p in g), key=lambda p: p.probe_id)
 
 
 def screen_family(
@@ -184,10 +244,17 @@ def screen_family(
     seed: int,
     tol: float = PASS_TOL,
 ) -> list[ProbeReport]:
-    """The ``screen_probes`` screen, evaluated and sorted worst first."""
-    probes = screen_probes(F, n_max, samples, seed)
+    """The ``screen_probes`` screen, evaluated and sorted worst first.
+
+    The core probes are checked one by one on a ``SemigroupFamily``; the
+    random probes one group per n, by stacked exponentials and factorizations.
+    """
+    core = deterministic_core_probes(F)
+    groups = _random_probes(F, n_max, samples, seed, first_id=len(core))
     family = SemigroupFamily(F)
-    reports = [schur_criterion_check(family, p, tol=tol) for p in probes]
+    reports = [schur_criterion_check(family, p, tol=tol) for p in core]
+    for group in groups.values():
+        reports += _check_group(F, group, tol)
     reports.sort(key=lambda r: (-(r.defect if np.isfinite(r.defect) else -np.inf), r.probe_id))
     return reports
 

@@ -8,7 +8,8 @@ on h has the generator
 and for a contractive F each Q^{c,d}_t is a contraction.  ``SemigroupFamily``
 memoizes G_{c,d} per slice and exp(t G_{c,d}) keyed on the exact bit
 patterns of (c, d) and the value of t; reproducibility is preferred over cache
-hit rate, so no rounding is applied to keys.
+hit rate, so no rounding is applied to keys.  ``q_stack`` evaluates whole
+stacks of exp(t G_{c,d}) at once, uncached, for probes that share nothing.
 
 The coordinates of F are the slice generators G_{c,d} over c, d in
 {0, e_1, ..., e_dk}; ``coords_to_f`` inverts them exactly, and
@@ -25,12 +26,28 @@ from __future__ import annotations
 import numpy as np
 
 from .generator import BlockGenerator, adjoint, chi, component
-from .opcore import mat_exp
+from .opcore import mat_exp, mat_exp_stack
 
 
 def g_generator(F: BlockGenerator, c, d) -> np.ndarray:
-    """The generator G_{c,d} of the contraction semigroup Q^{c,d}."""
-    return component(F, c, d) - chi(c, d) * np.eye(F.dim_h, dtype=np.complex128)
+    """The generator G_{c,d} of the contraction semigroup Q^{c,d}.
+
+    Stacks of slice vectors (..., dim_k) give a stack of generators.
+    """
+    return component(F, c, d) - np.multiply.outer(chi(c, d), np.eye(F.dim_h, dtype=np.complex128))
+
+
+def q_stack(F: BlockGenerator, c, d, t) -> np.ndarray:
+    """Q^{c,d}_t = exp(t G_{c,d}) over stacks, by one stacked exponential.
+
+    The slice vectors c, d (..., dim_k) and the times t (...) broadcast
+    against each other; nothing is cached.
+    """
+    t = np.asarray(t, dtype=float)
+    bad = t[~((0 <= t) & (t < np.inf))]
+    if bad.size:
+        raise ValueError(f"semigroup time t must be finite and nonnegative, got t={bad[0]}")
+    return mat_exp_stack(t[..., None, None] * g_generator(F, c, d))
 
 
 class SemigroupFamily:

@@ -15,6 +15,7 @@ from qscocycle import (
 )
 
 from oracles import (
+    assert_bitwise,
     compress_map,
     delta_projector,
     hat_vector,
@@ -122,6 +123,24 @@ def test_component_matches_kron_form(dh, dk):
     for _ in range(5):
         c, d = random_complex(rng, dk), random_complex(rng, dk)
         assert op_norm(component(F, c, d) - kron_component(F, c, d)) <= 1e-13
+
+
+@pytest.mark.parametrize("dh,dk", [(1, 0), (2, 1), (3, 2), (2, 3)])
+def test_stacked_component_and_chi_equal_per_slice_bitwise(dh, dk):
+    # A (4, 1) stack of c against a (1, 3) stack of d broadcasts to 4 x 3 slices.
+    rng = np.random.default_rng(20 + 10 * dh + dk)
+    F = BlockGenerator(
+        dim_h=dh, dim_k=dk,
+        K=random_complex(rng, (dh, dh)), L=random_complex(rng, (dh * dk, dh)),
+        M=random_complex(rng, (dh, dh * dk)), C=random_complex(rng, (dh * dk, dh * dk)),
+    )
+    cs, ds = random_complex(rng, (4, 1, dk)), random_complex(rng, (1, 3, dk))
+    slices, chis = component(F, cs, ds), chi(cs, ds)
+    assert slices.shape == (4, 3, dh, dh) and chis.shape == (4, 3)
+    for i in range(4):
+        for j in range(3):
+            assert_bitwise(slices[i, j], component(F, cs[i, 0], ds[0, j]))
+            assert chis[i, j] == chi(cs[i, 0], ds[0, j])
 
 
 def test_contractivity_defect_examples():

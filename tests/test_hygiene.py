@@ -199,10 +199,14 @@ def test_mention_is_found():
 
 
 def test_only_semigroups_exponentiate():
-    # Q is the only semigroup in the package: opcore defines mat_exp,
-    # SemigroupFamily forms exp(t G_{c,d}) with it, and __init__ re-exports it.
-    found = sorted(p.stem for p in PACKAGE.glob("*.py") if mentions(p.read_text(), "mat_exp"))
-    assert found == ["__init__", "opcore", "semigroups"]
+    # Q is the only semigroup in the package: opcore defines mat_exp and its
+    # stacked form, SemigroupFamily and q_stack form exp(t G_{c,d}) with
+    # them, and __init__ re-exports mat_exp.
+    found = {
+        name: sorted(p.stem for p in PACKAGE.glob("*.py") if mentions(p.read_text(), name))
+        for name in ("mat_exp", "mat_exp_stack")
+    }
+    assert found == {"mat_exp": ["__init__", "opcore", "semigroups"], "mat_exp_stack": ["opcore", "semigroups"]}
 
 
 def test_only_random_models_and_the_schur_screen_draw():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qscocycle import mat_exp, max_herm_eig, op_norm, psd_inv_sqrt, schur_product
+from qscocycle.opcore import PSD_TOL, mat_exp_stack, op_norm_stack, psd_inv_sqrt_stack
 
-from oracles import random_complex, schur_loop, scipy_expm
+from oracles import assert_bitwise, random_complex, schur_loop, scipy_expm
 
 
 class TestMatExp:
@@ -148,3 +149,72 @@ class TestSchurProduct:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             schur_product(np.ones((2, 2)), np.ones((3, 2)))
+
+
+def _with_norm(rng, n, mu):
+    """A random n x n matrix with max(|a|_1, |a|_inf) = mu."""
+    a = random_complex(rng, (n, n))
+    return a * (mu / max(np.linalg.norm(a, 1), np.linalg.norm(a, np.inf)))
+
+
+class TestStacks:
+    def test_exp_stack_matches_mat_exp_per_matrix(self):
+        # Every Pade degree (norms just under each theta), unscaled m = 13,
+        # scaling exponents 1, 3 and 7, and a zero matrix, shuffled in one stack.
+        rng = np.random.default_rng(41)
+        norms = [0.0, 0.01, 0.2, 0.9, 2.0, 5.0, 6.0, 30.0, 400.0]
+        stack = np.array([_with_norm(rng, 3, mu) for mu in norms])[rng.permutation(len(norms))]
+        got = mat_exp_stack(stack)
+        for k, a in enumerate(stack):
+            assert_bitwise(got[k], mat_exp(a))
+
+    def test_exp_stack_of_one_and_leading_axes(self):
+        rng = np.random.default_rng(43)
+        a = _with_norm(rng, 4, 12.0)
+        assert_bitwise(mat_exp_stack(a[None])[0], mat_exp(a))
+        grid = np.array([[_with_norm(rng, 2, mu) for mu in (0.1, 3.0, 50.0)] for _ in range(2)])
+        got = mat_exp_stack(grid)
+        assert got.shape == grid.shape
+        assert_bitwise(got[1, 2], mat_exp(grid[1, 2]))
+        assert mat_exp_stack(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+    def test_exp_stack_rejects_what_mat_exp_rejects(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            mat_exp_stack(stack)
+        stack[1, 0, 0] = 2e4
+        with pytest.raises(OverflowError, match="norm"):
+            mat_exp_stack(stack)
+        with pytest.raises(ValueError, match="square"):
+            mat_exp_stack(np.zeros((2, 2, 3)))
+
+    def test_inv_sqrt_stack_ok_agrees_with_raising(self):
+        rng = np.random.default_rng(47)
+        x = random_complex(rng, (2, 2))
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        stack = np.array([
+            x @ np.conj(x.T) + 0.5 * np.eye(2),
+            [[1.0, 1.0], [0.0, 1.0]],  # not Hermitian
+            np.eye(2) + 0.5 * 1.01 * PSD_TOL * skew,  # just outside the Hermiticity test
+            np.diag([1.0, 1e-15]),  # eigenvalue below PSD_TOL
+            np.diag([1.0, PSD_TOL]),  # eigenvalue equal to PSD_TOL
+            np.diag([2.0, 3.0]),
+        ])
+        roots, ok = psd_inv_sqrt_stack(stack)
+        assert ok.tolist() == [True, False, False, False, False, True]
+        for k, a in enumerate(stack):
+            if ok[k]:
+                assert_bitwise(roots[k], psd_inv_sqrt(a))
+            else:
+                with pytest.raises(ValueError, match="Hermitian|eigenvalue"):
+                    psd_inv_sqrt(a)
+                assert np.array_equal(roots[k], np.zeros((2, 2)))
+
+    def test_op_norm_stack_matches_op_norm(self):
+        rng = np.random.default_rng(53)
+        stack = random_complex(rng, (2, 5, 3, 4))
+        got = op_norm_stack(stack)
+        assert got.shape == (2, 5)
+        assert all(got[i, j] == op_norm(stack[i, j]) for i in range(2) for j in range(5))
+        assert np.array_equal(op_norm_stack(np.zeros((3, 0, 2))), np.zeros(3))

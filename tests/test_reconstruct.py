@@ -13,9 +13,9 @@ from qscocycle import (
     trotter_kato_pipeline,
     varpi_matrix,
 )
-from qscocycle.reconstruct import Probe, deterministic_core_probes, screen_probes
+from qscocycle.reconstruct import Probe, _check_group, deterministic_core_probes, screen_probes
 
-from oracles import random_complex, reference_criterion, scalar_hp, zero_generator
+from oracles import assert_bitwise, random_complex, reference_criterion, scalar_hp, zero_generator
 
 
 def planted_violation(scale=1.5):
@@ -174,6 +174,96 @@ class TestScreening:
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="n_max"):
             screen_family(scalar_hp(), n_max=0, samples=1, seed=0)
+
+
+def per_sample_probes(F, n_max, samples, seed):
+    """The random probes drawn and rescaled one sample at a time by make_probe."""
+    rng = np.random.default_rng(seed)
+    dh, dk = F.dim_h, F.dim_k
+    first = len(deterministic_core_probes(F))
+    probes = []
+    for probe_id in range(first, first + samples):
+        n = int(rng.integers(1, n_max + 1))
+        c_tuple = np.zeros((n, dk), dtype=complex)
+        if n > 1 and dk:
+            c_tuple[1:] = random_complex(rng, (n - 1, dk)) / np.sqrt(2.0 * dk)
+        t = float(rng.uniform(0.0, 2.0))
+        xa, xb = random_complex(rng, (n, n)), random_complex(rng, (n, n))
+        a = xa @ np.conj(xa.T) / n + 0.25 * np.eye(n)
+        b = xb @ np.conj(xb.T) / n + 0.25 * np.eye(n)
+        y = random_complex(rng, (n * dh, n))
+        probes.append(make_probe(c_tuple, t, a, b, y, dim_h=dh, probe_id=probe_id))
+    return probes
+
+
+def screened_models():
+    return {
+        "unitary_C": random_contractive(2, 2, seed=31, mode="unitary_C"),
+        "strict_C": random_contractive(3, 1, seed=41, mode="strict_C"),
+        "planted": planted_violation(),
+    }
+
+
+class TestGroups:
+    @pytest.mark.parametrize("name", ["unitary_C", "strict_C", "planted"])
+    def test_random_probes_are_the_per_sample_draws(self, name):
+        F = screened_models()[name]
+        core = len(deterministic_core_probes(F))
+        got = screen_probes(F, n_max=3, samples=50, seed=43)[core:]
+        want = per_sample_probes(F, n_max=3, samples=50, seed=43)
+        assert [p.probe_id for p in got] == [p.probe_id for p in want]
+        for p, q in zip(got, want):
+            assert p.t == q.t
+            for field in ("c_tuple", "a", "b", "y"):
+                assert_bitwise(getattr(p, field), getattr(q, field))
+
+    @pytest.mark.parametrize("name", ["unitary_C", "strict_C", "planted"])
+    def test_screen_matches_per_probe_checks(self, name):
+        F = screened_models()[name]
+        family = SemigroupFamily(F)
+        want = {
+            p.probe_id: schur_criterion_check(family, p)
+            for p in screen_probes(F, n_max=3, samples=80, seed=47)
+        }
+        got = screen_family(F, n_max=3, samples=80, seed=47)
+        assert sorted(r.probe_id for r in got) == sorted(want)
+        for r in got:
+            ref = want[r.probe_id]
+            assert (r.n, r.t, r.passed, r.skipped) == (ref.n, ref.t, ref.passed, ref.skipped)
+            if not r.skipped:
+                assert abs(r.defect - ref.defect) <= 1e-12
+
+    def test_group_skips_only_the_degenerate_probe(self):
+        F = scalar_hp()
+        rng = np.random.default_rng(53)
+        probes = []
+        for probe_id in range(4):
+            x = random_complex(rng, (2, 2))
+            c_tuple = np.array([[0.0], [0.6 - 0.3j]])
+            probes.append(make_probe(
+                c_tuple, 0.2 + 0.4 * probe_id, x @ x.conj().T + 0.3 * np.eye(2), np.eye(2),
+                random_complex(rng, (2, 2)), dim_h=1, probe_id=probe_id,
+            ))
+        degenerate = Probe(
+            c_tuple=np.zeros((2, 1), dtype=complex),
+            t=0.5,
+            a=np.diag([1.0, 1e-14]).astype(complex),
+            b=np.eye(2, dtype=complex),
+            y=np.zeros((2, 2), dtype=complex),
+            probe_id=99,
+        )
+        probes.insert(2, degenerate)
+        reports = _check_group(F, probes, tol=1e-9)
+        assert [r.skipped for r in reports] == [False, False, True, False, False]
+        assert np.isnan(reports[2].defect) and not reports[2].passed
+        # A group with no live probe exponentiates nothing.
+        assert [r.skipped for r in _check_group(F, [degenerate] * 2, tol=1e-9)] == [True, True]
+        family = SemigroupFamily(F)
+        for probe, report in zip(probes, reports):
+            ref = schur_criterion_check(family, probe)
+            assert (report.passed, report.skipped) == (ref.passed, ref.skipped)
+            if not ref.skipped:
+                assert abs(report.defect - ref.defect) <= 1e-12
 
 
 class TestTrotterKato:

@@ -16,6 +16,7 @@ from qscocycle import (
     op_norm,
     random_contractive,
 )
+from qscocycle.semigroups import q_stack
 
 from oracles import (
     assert_bitwise,
@@ -67,6 +68,34 @@ class TestSliceGenerators:
         g = SemigroupFamily(F).slice_generators(c, d)
         assert np.array_equal(g, g_generator(F, c, d))
         assert op_norm(g - kron_component(F, c, d) + chi_loop(c, d) * np.eye(2)) <= 1e-12
+
+
+class TestStacks:
+    def test_stacked_g_generator_equals_per_slice_bitwise(self):
+        rng = np.random.default_rng(61)
+        F = random_blocks(rng, 3, 2)
+        cs, ds = random_complex(rng, (5, 2)), random_complex(rng, (5, 2))
+        stack = g_generator(F, cs, ds)
+        assert stack.shape == (5, 3, 3)
+        for k in range(5):
+            assert_bitwise(stack[k], g_generator(F, cs[k], ds[k]))
+
+    def test_q_stack_matches_family(self):
+        F = random_contractive(2, 2, seed=67)
+        rng = np.random.default_rng(67)
+        cs, ds = random_complex(rng, (6, 2)), random_complex(rng, (6, 2))
+        ts = np.array([0.0, 0.1, 0.5, 1.0, 3.0, 20.0])
+        stack = q_stack(F, cs, ds, ts)
+        fam = SemigroupFamily(F)
+        for k in range(6):
+            ref = fam.q(cs[k], ds[k], ts[k])
+            assert op_norm(stack[k] - ref) <= 1e-14 * max(1.0, op_norm(ref))
+
+    @pytest.mark.parametrize("t", [-0.1, np.inf, np.nan])
+    def test_q_stack_rejects_bad_times(self, t):
+        F = scalar_hp()
+        with pytest.raises(ValueError, match="nonnegative"):
+            q_stack(F, np.zeros((2, 1)), np.zeros((2, 1)), [0.5, t])
 
 
 class TestSemigroupValues:
