@@ -71,12 +71,12 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(a.mT)
 
 
-def _exp_norm_measure(a: np.ndarray) -> float:
-    # Symmetric in a <-> a*, so mat_exp(a*) picks the same degree and scaling
-    # as mat_exp(a) and the adjoint identity holds to roundoff.
-    n1 = float(np.linalg.norm(a, 1))
-    ninf = float(np.linalg.norm(a, np.inf))
-    return max(n1, ninf)
+def _exp_norm_measure(a: np.ndarray) -> np.ndarray:
+    # max(|a|_1, |a|_inf), per matrix of a stack.  Symmetric in a <-> a*, so
+    # mat_exp(a*) picks the same degree and scaling as mat_exp(a) and the
+    # adjoint identity holds to roundoff.
+    axes = (-2, -1)
+    return np.maximum(np.linalg.norm(a, 1, axis=axes), np.linalg.norm(a, np.inf, axis=axes))
 
 
 def _norm_overflow(mu: float) -> OverflowError:
@@ -166,9 +166,7 @@ def mat_exp_stack(a) -> np.ndarray:
     flat = a.reshape(-1, *a.shape[-2:])
     if flat.size == 0:
         return a.copy()
-    # The measure of _exp_norm_measure, one value per matrix.
-    axes = (-2, -1)
-    mu = np.maximum(np.linalg.norm(flat, 1, axis=axes), np.linalg.norm(flat, np.inf, axis=axes))
+    mu = _exp_norm_measure(flat)
     if mu.max() > EXP_NORM_LIMIT:
         raise _norm_overflow(mu.max())
     thetas = [theta for _, theta in _PADE_THETA]

@@ -21,14 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import BlockGenerator, contractivity_defect, yosida_approx
-from .opcore import op_norm, op_norm_stack, psd_inv_sqrt, psd_inv_sqrt_stack, schur_product
-from .semigroups import SemigroupFamily, q_stack
+from .opcore import op_norm, op_norm_stack, psd_inv_sqrt, psd_inv_sqrt_stack
+from .semigroups import SemigroupFamily, coordinate_cells, q_stack
 
 PASS_TOL = 1e-9
 # The Yosida pipeline's contractivity tolerance, and the factor by which one
 # sup error may exceed the previous one in a report still called monotone.
 CONTRACTIVITY_TOL = 1e-8
 MONOTONE_SLACK = 1.1
+# The times of the deterministic core probes, and of the dual relation's check.
+CORE_TIMES = (0.1, 0.5, 1.0)
+
+
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``, bools refused; a ValueError names the argument."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    return operator.index(value)
 
 
 def varpi_matrix(c_tuple, t: float) -> np.ndarray:
@@ -37,8 +46,6 @@ def varpi_matrix(c_tuple, t: float) -> np.ndarray:
     chi(c_i, c_j) = (|c_i|^2 + |c_j|^2)/2 - <c_i, c_j> is read off the one
     Gram matrix [<c_i, c_j>].
     """
-    if not 0 <= t < np.inf:
-        raise ValueError(f"time t must be finite and nonnegative, got t={t}")
     c = np.asarray(c_tuple, dtype=np.complex128)
     if c.ndim != 2:
         c = c.reshape(len(c), -1)
@@ -47,9 +54,13 @@ def varpi_matrix(c_tuple, t: float) -> np.ndarray:
 
 def _varpi(c: np.ndarray, t) -> np.ndarray:
     """``varpi_matrix`` of an n-tuple (n, dim_k), or of a stack of them with one t each."""
+    t = np.asarray(t, dtype=float)
+    bad = t[~((0 <= t) & (t < np.inf))]
+    if bad.size:
+        raise ValueError(f"time t must be finite and nonnegative, got t={bad[0]}")
     gram = c.conj() @ c.mT
     sq = gram.diagonal(axis1=-2, axis2=-1).real
-    t = np.asarray(t)[..., None, None]
+    t = t[..., None, None]
     return np.exp(-t * (0.5 * (sq[..., :, None] + sq[..., None, :]) - gram))
 
 
@@ -93,15 +104,6 @@ class ProbeReport:
     skipped: bool
 
 
-def _report(probe: Probe, defect: float, tol: float) -> ProbeReport:
-    """A NaN defect marks a probe whose weighted Gram matrices are degenerate."""
-    skipped = bool(np.isnan(defect))
-    return ProbeReport(
-        probe_id=probe.probe_id, n=probe.c_tuple.shape[0], t=probe.t, defect=float(defect),
-        passed=not skipped and defect <= tol, skipped=skipped,
-    )
-
-
 def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     """Validate shapes and rescale Y so the criterion precondition holds.
 
@@ -119,29 +121,11 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     return Probe(c_tuple=c_arr, t=float(t), a=a, b=b, y=y, probe_id=probe_id)
 
 
-def schur_criterion_check(
-    family: SemigroupFamily, probe: Probe, tol: float = PASS_TOL
-) -> ProbeReport:
-    """Evaluate one probe; defect is the criterion norm minus one.
+def _check_group(probes: list[Probe], q_blocks, tol: float) -> list[ProbeReport]:
+    """Evaluate probes that share n in one stacked pass; defect is the criterion norm minus one.
 
-    Probes whose weighted Gram matrices fall below the degeneracy tolerance
-    are reported as skipped, never silently passed.
-    """
-    w = varpi_matrix(probe.c_tuple, probe.t)
-    try:
-        sa = psd_inv_sqrt(schur_product(probe.a, w))
-        sb = psd_inv_sqrt(schur_product(probe.b, w))
-    except ValueError:
-        return _report(probe, np.nan, tol)
-    q = np.array([[family.q(ci, cj, probe.t) for cj in probe.c_tuple] for ci in probe.c_tuple])
-    return _report(probe, op_norm(_criterion(sa, q, probe.y, sb)) - 1.0, tol)
-
-
-def _check_group(F: BlockGenerator, probes: list[Probe], tol: float) -> list[ProbeReport]:
-    """``schur_criterion_check`` of probes that share n, as one stacked pass.
-
-    Q comes from ``q_stack`` for the live probes only, so a skipped probe
-    never reaches the exponential.
+    ``q_blocks(c, t)`` gives the blocks Q^{c_i,c_j}_t (probes, n, n, dim_h, dim_h) of the
+    live probes only: one with degenerate weighted Gram matrices is reported as skipped.
     """
     c = np.array([p.c_tuple for p in probes])
     t = np.array([p.t for p in probes])
@@ -149,28 +133,40 @@ def _check_group(F: BlockGenerator, probes: list[Probe], tol: float) -> list[Pro
     sa, ok_a = psd_inv_sqrt_stack(np.array([p.a for p in probes]) * w)
     sb, ok_b = psd_inv_sqrt_stack(np.array([p.b for p in probes]) * w)
     live = np.flatnonzero(ok_a & ok_b)
-    cl = c[live]
-    q = q_stack(F, cl[:, :, None, :], cl[:, None, :, :], t[live, None, None])
-    y = np.array([p.y for p in probes])[live]
+    # NaN marks a skipped probe; it compares false with tol, so it never passes.
     defects = np.full(len(probes), np.nan)
-    defects[live] = op_norm_stack(_criterion(sa[live], q, y, sb[live])) - 1.0
-    return [_report(p, d, tol) for p, d in zip(probes, defects)]
+    if live.size:
+        y = np.array([p.y for p in probes])[live]
+        q = q_blocks(c[live], t[live])
+        defects[live] = op_norm_stack(_criterion(sa[live], q, y, sb[live])) - 1.0
+    return [
+        ProbeReport(probe_id=p.probe_id, n=p.c_tuple.shape[0], t=p.t, defect=float(d),
+                    passed=bool(d <= tol), skipped=bool(np.isnan(d)))
+        for p, d in zip(probes, defects)
+    ]
+
+
+def schur_criterion_check(
+    family: SemigroupFamily, probe: Probe, tol: float = PASS_TOL
+) -> ProbeReport:
+    """Evaluate one probe, defect the criterion norm minus one or NaN if skipped,
+    as the stack of one of ``_check_group`` whose blocks are ``family.q`` lookups."""
+
+    def lookups(c, t):
+        return np.array([[[family.q(ci, cj, s) for cj in ct] for ci in ct] for ct, s in zip(c, t)])
+
+    return _check_group([probe], lookups, tol)[0]
 
 
 def deterministic_core_probes(F: BlockGenerator) -> list[Probe]:
-    """n = 1 probes over c in {0, standard basis}, Y over the h basis,
-    t in {0.1, 0.5, 1}; catches any Q^{c,c} contraction failure reproducibly."""
-    dh, dk = F.dim_h, F.dim_k
-    # Row 0 is zero and rows 1..dk are the rows of the identity.
-    cs = np.eye(dk + 1, dk, k=-1, dtype=np.complex128)
+    """n = 1 probes over c in the coordinate cells, Y over the h basis,
+    t in ``CORE_TIMES``; catches any Q^{c,c} contraction failure reproducibly."""
     probes = []
     one = np.ones((1, 1))
-    for c in cs:
-        for y in np.eye(dh, dtype=np.complex128)[:, :, None]:
-            for t in (0.1, 0.5, 1.0):
-                probes.append(
-                    make_probe([c], t, one, one, y, dim_h=dh, probe_id=len(probes))
-                )
+    for c in coordinate_cells(F.dim_k):
+        for y in np.eye(F.dim_h, dtype=np.complex128)[:, :, None]:
+            for t in CORE_TIMES:
+                probes.append(make_probe([c], t, one, one, y, dim_h=F.dim_h, probe_id=len(probes)))
     return probes
 
 
@@ -193,6 +189,8 @@ def _random_probes(
     A = X_A X_A* / n + I/4 and B, and the rescaling of Y to the precondition
     (as in ``make_probe``), are then formed one group at a time.
     """
+    n_max, samples = _integer("n_max", n_max), _integer("samples", samples)
+    seed = _integer("seed", seed)
     if n_max < 1 or samples < 1:
         raise ValueError("n_max and samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -253,8 +251,12 @@ def screen_family(
     groups = _random_probes(F, n_max, samples, seed, first_id=len(core))
     family = SemigroupFamily(F)
     reports = [schur_criterion_check(family, p, tol=tol) for p in core]
+
+    def stacked(c, t):
+        return q_stack(F, c[:, :, None], c[:, None], t[:, None, None])
+
     for group in groups.values():
-        reports += _check_group(F, group, tol)
+        reports += _check_group(group, stacked, tol)
     reports.sort(key=lambda r: (-(r.defect if np.isfinite(r.defect) else -np.inf), r.probe_id))
     return reports
 
@@ -288,6 +290,7 @@ def trotter_kato_pipeline(
         raise ValueError(f"n_list={n_list!r} must be a list of integers") from None
     if not n_list or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ValueError("n_list must be a nonempty, strictly increasing list")
+    grid_points = _integer("grid_points", grid_points)
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     if not 0.0 < T < np.inf:
@@ -297,16 +300,14 @@ def trotter_kato_pipeline(
         raise ValueError(
             f"pipeline needs a contractive generator; defect {defect:.3g}"
         )
-    zero = np.zeros(F.dim_k, dtype=np.complex128)
-    probe_pairs = [(zero, zero)]
-    if F.dim_k:
-        e1 = np.eye(F.dim_k, dtype=np.complex128)[0]
-        probe_pairs += [(e1, e1), (e1, zero)]
-    base = SemigroupFamily(F)
+    # The probe pairs over the grid: Q^{c,d}_t on axes (pair, t).
+    cells = coordinate_cells(F.dim_k)[:, None]
+    pairs = 3 if F.dim_k else 1
+    c, d = cells[[0, 1, 1][:pairs]], cells[[0, 1, 0][:pairs]]
     grid = np.linspace(0.0, T, grid_points)
+    base = q_stack(F, c, d, grid)
     errors = np.array([
-        [max(op_norm(fam_n.q(c, d, t) - base.q(c, d, t)) for t in grid) for c, d in probe_pairs]
-        for fam_n in (SemigroupFamily(yosida_approx(F, n)) for n in n_list)
+        op_norm_stack(q_stack(yosida_approx(F, n), c, d, grid) - base).max(axis=-1) for n in n_list
     ])
     monotone = bool(np.all(errors[1:] <= MONOTONE_SLACK * errors[:-1] + 1e-14))
     errors.flags.writeable = False

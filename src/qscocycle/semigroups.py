@@ -11,8 +11,8 @@ patterns of (c, d) and the value of t; reproducibility is preferred over cache
 hit rate, so no rounding is applied to keys.  ``q_stack`` evaluates whole
 stacks of exp(t G_{c,d}) at once, uncached, for probes that share nothing.
 
-The coordinates of F are the slice generators G_{c,d} over c, d in
-{0, e_1, ..., e_dk}; ``coords_to_f`` inverts them exactly, and
+The coordinates of F are the slice generators G_{c,d} over the coordinate
+cells c, d in {0, e_1, ..., e_dk}; ``coords_to_f`` inverts them exactly, and
 ``generator_from_semigroups`` reads F back from any semigroup callable by
 passing the slopes of Q^{c,d}_t at a small step t to it.
 
@@ -112,20 +112,19 @@ def dual_generator(F: BlockGenerator) -> BlockGenerator:
     )
 
 
-def _coordinate_grid(cell, dim_k: int) -> np.ndarray:
-    """[cell(c, d)] over c, d in {0, e_1, ..., e_dim_k}, stacked to 4 axes."""
-    # Row 0 is zero and rows 1..dk are the rows of the identity.
-    basis = np.eye(dim_k + 1, dim_k, k=-1, dtype=np.complex128)
-    return np.array([[cell(c, d) for d in basis] for c in basis])
+def coordinate_cells(dim_k: int) -> np.ndarray:
+    """The coordinate cells {0, e_1, ..., e_dim_k} as the rows of one array."""
+    return np.eye(dim_k + 1, dim_k, k=-1, dtype=np.complex128)
 
 
 def coords_from_f(F: BlockGenerator) -> np.ndarray:
-    """Grid [G^alpha_beta] of slice generators over the standard basis.
+    """Grid [G^alpha_beta] of slice generators over the coordinate cells.
 
     Index 0 is the zero vector, indices 1..dim_k the standard basis of k;
     the result has shape (dim_k+1, dim_k+1, dim_h, dim_h).
     """
-    return _coordinate_grid(lambda c, d: g_generator(F, c, d), F.dim_k)
+    cells = coordinate_cells(F.dim_k)
+    return g_generator(F, cells[:, None], cells[None, :])
 
 
 def coords_to_f(grid: np.ndarray) -> BlockGenerator:
@@ -165,7 +164,8 @@ def generator_from_semigroups(q, dim_k: int, t: float) -> BlockGenerator:
     """
     if not 0 < t < np.inf:
         raise ValueError(f"recovery step t must be finite and positive, got t={t}")
-    grid = _coordinate_grid(lambda c, d: q(c, d, t), dim_k)
+    cells = coordinate_cells(dim_k)
+    grid = np.array([[q(c, d, t) for d in cells] for c in cells])
     half = 0.5 * (np.arange(dim_k + 1) > 0)
     n = (half[:, None] + half[None, :])[:, :, None, None]
     eye = np.eye(grid.shape[-1])

@@ -6,13 +6,26 @@ Schur product reference is an explicit loop, generator slices (those of the
 per-time matrix-element reference included), Schur criterion ampliations
 and the oracle's per-slot factors are built from explicit ``np.kron`` lift
 maps, and the classical birth-death generator is assembled directly from
-the jump rates.
+the jump rates.  The ``*_loops`` references are instead the loop forms of
+stacked package code, one package call per cell, pair or time, so that the
+stacked forms can be checked against them bitwise.
 """
 
 import numpy as np
 import scipy.linalg
 
-from qscocycle import BlockGenerator, StepFunction, from_hlc, step_matrix
+from qscocycle import (
+    BlockGenerator,
+    SemigroupFamily,
+    StepFunction,
+    dual_generator,
+    from_hlc,
+    g_generator,
+    op_norm,
+    random_contractive,
+    step_matrix,
+    yosida_approx,
+)
 
 
 def scalar_hp():
@@ -131,6 +144,60 @@ def coords_to_f_loops(grid):
                 grid[i, j] - grid[i, 0] - grid[0, j] + g00
             )
     return g00.copy(), L, M, C
+
+
+def contractive_cases(mode):
+    """Contractive generators for dim_h 1-4 and dim_k 0-3 in one C mode.
+
+    dim_k = 0 keeps the drift K of the dim_k = 1 model, which is contractive
+    on its own since K + K* <= -L* L.
+    """
+    for dim_h in range(1, 5):
+        for dim_k in range(4):
+            F = random_contractive(dim_h, max(dim_k, 1), seed=10 * dim_h + dim_k, mode=mode)
+            if not dim_k:
+                F = zero_generator(dim_h, 0, K=F.K)
+            yield F
+
+
+def _cells_loop(dim_k):
+    """0, e_1, ..., e_dim_k, one vector at a time."""
+    cells = [np.zeros(dim_k, dtype=np.complex128)]
+    for i in range(dim_k):
+        cells.append(np.zeros(dim_k, dtype=np.complex128))
+        cells[-1][i] = 1.0
+    return cells
+
+
+def coords_from_f_loops(F):
+    """``coords_from_f``, one ``g_generator`` call per coordinate cell."""
+    cells = _cells_loop(F.dim_k)
+    return np.array([[g_generator(F, c, d) for d in cells] for c in cells])
+
+
+def trotter_kato_loops(F, n_list, T, grid_points):
+    """``trotter_kato_pipeline``'s error table from two cached families, one
+    ``op_norm`` per pair and grid time."""
+    cells = _cells_loop(F.dim_k)
+    pairs = [(cells[0], cells[0])]
+    if F.dim_k:
+        pairs += [(cells[1], cells[1]), (cells[1], cells[0])]
+    base = SemigroupFamily(F)
+    grid = np.linspace(0.0, T, grid_points)
+    return np.array([
+        [max(op_norm(fam_n.q(c, d, t) - base.q(c, d, t)) for t in grid) for c, d in pairs]
+        for fam_n in (SemigroupFamily(yosida_approx(F, n)) for n in n_list)
+    ])
+
+
+def dual_defect_loops(F):
+    """The ``dual`` command's worst defect, one ``op_norm`` per cell pair and time."""
+    fam, dual_fam = SemigroupFamily(F), SemigroupFamily(dual_generator(F))
+    cells = _cells_loop(F.dim_k)
+    return max(
+        op_norm(dual_fam.q(c, d, t) - np.conj(fam.q(d, c, t)).T)
+        for c in cells for d in cells for t in (0.1, 0.5, 1.0)
+    )
 
 
 def assert_bitwise(got, want):

@@ -18,7 +18,7 @@ import qscocycle
 from qscocycle import cli, dual_generator, jsonio, random_contractive, trotter_kato_pipeline
 from qscocycle.cli import main
 
-from oracles import zero_generator
+from oracles import assert_bitwise, contractive_cases, dual_defect_loops, zero_generator
 
 
 def write_json(path, payload):
@@ -325,6 +325,11 @@ class TestOtherCommands:
         dual = jsonio.load_generator(out)
         original = jsonio.load_generator(gen)
         assert np.array_equal(dual.full_matrix(), original.full_matrix().conj().T)
+
+    @pytest.mark.parametrize("mode", ["unitary_C", "strict_C"])
+    def test_dual_defect_matches_family_loops_bitwise(self, mode):
+        for F in contractive_cases(mode):
+            assert_bitwise(cli._dual_defect(F, dual_generator(F)), dual_defect_loops(F))
 
     def test_dual_violation_exit_code(self, tmp_path, capsys, monkeypatch):
         # C is not Hermitian here, so a dual that keeps C instead of C* breaks

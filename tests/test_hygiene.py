@@ -2,8 +2,9 @@
 wraps resolves, no module imports a name it never uses, no function assigns a
 local it never reads, no guard lets NaN through a comparison with 0, and no
 module reads another package module's private names, only the semigroup
-module exponentiates, and only the random models and the Schur screen draw
-random numbers."""
+module exponentiates or builds the coordinate cells, only the modules that
+cache semigroups name ``SemigroupFamily``, and only the random models and
+the Schur screen draw random numbers."""
 
 import ast
 import importlib
@@ -116,6 +117,23 @@ def mentions(source: str, name: str) -> bool:
     )
 
 
+def shifted_eyes(source: str) -> list[int]:
+    """Lines of each ``eye`` call with diagonal offset k = -1, given by keyword
+    or as the third argument: the rows 0, e_1, ..., e_n of the coordinate cells."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "func", None)
+        if "eye" not in (getattr(name, "attr", None), getattr(name, "id", None)):
+            continue
+        for k in [kw.value for kw in node.keywords if kw.arg == "k"] + node.args[2:3]:
+            try:
+                if ast.literal_eval(k) == -1:
+                    found.append(node.lineno)
+            except ValueError:
+                pass
+    return found
+
+
 def test_public_names_resolve():
     assert [name for name in qscocycle.__all__ if not hasattr(qscocycle, name)] == []
 
@@ -196,6 +214,33 @@ def test_mention_is_found():
         "'uses no mat_exp'\nexpm(a)\n",
     )
     assert [mentions(s, "mat_exp") for s in sources] == [True, True, True, False]
+
+
+def test_shifted_eye_is_found():
+    source = (
+        "np.eye(3, 2, k=-1)\n"
+        "np.eye(3, 2, -1, dtype=complex)\n"
+        "eye(n + 1, n, k=-1)\n"
+        "np.eye(3, k=1)\n"
+        "np.eye(3, 2, k=shift)\n"
+        "np.eye(3)\n"
+    )
+    assert shifted_eyes(source) == [1, 2, 3]
+
+
+def test_only_semigroups_build_the_coordinate_cells():
+    # semigroups.coordinate_cells is the one place {0, e_1, ..., e_dk} is built.
+    found = sorted(p.stem for p in PACKAGE.glob("*.py") if shifted_eyes(p.read_text()))
+    assert found == ["semigroups"]
+
+
+def test_only_semigroup_caches_name_the_family():
+    # The cocycle product and the single-probe Schur check read cached Q;
+    # tk, dual, coords and the Schur groups read stacks through q_stack.
+    found = sorted(
+        p.stem for p in PACKAGE.glob("*.py") if mentions(p.read_text(), "SemigroupFamily")
+    )
+    assert found == ["__init__", "cocycle", "reconstruct", "semigroups"]
 
 
 def test_only_semigroups_exponentiate():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -14,8 +15,17 @@ from qscocycle import (
     varpi_matrix,
 )
 from qscocycle.reconstruct import Probe, _check_group, deterministic_core_probes, screen_probes
+from qscocycle.semigroups import q_stack
 
-from oracles import assert_bitwise, random_complex, reference_criterion, scalar_hp, zero_generator
+from oracles import (
+    assert_bitwise,
+    contractive_cases,
+    random_complex,
+    reference_criterion,
+    scalar_hp,
+    trotter_kato_loops,
+    zero_generator,
+)
 
 
 def planted_violation(scale=1.5):
@@ -108,6 +118,14 @@ class TestProbes:
         assert report.skipped
         assert not report.passed
 
+    @pytest.mark.parametrize("t", [np.nan, -0.5, np.inf])
+    def test_bad_probe_time_rejected(self, t):
+        # varpi_matrix's message, not one from the inverse roots or q_stack.
+        probe = make_probe([[0.3]], t, np.ones((1, 1)), np.ones((1, 1)), [[1.0]], dim_h=1)
+        message = f"^time t must be finite and nonnegative, got t={re.escape(str(t))}$"
+        with pytest.raises(ValueError, match=message):
+            schur_criterion_check(SemigroupFamily(scalar_hp()), probe)
+
 
 class TestScreening:
     def test_contractive_family_clean(self):
@@ -171,9 +189,30 @@ class TestScreening:
         if name == "planted":
             assert any(not r.passed and not r.skipped for r in reports.values())
 
+    def test_verdicts_are_python_bools(self):
+        # Core and group probes alike, skipped ones included.
+        reports = screen_family(planted_violation(), n_max=3, samples=40, seed=5)
+        assert {(type(r.passed), type(r.skipped)) for r in reports} == {(bool, bool)}
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="n_max"):
             screen_family(scalar_hp(), n_max=0, samples=1, seed=0)
+
+    @pytest.mark.parametrize("screen", [screen_family, screen_probes])
+    @pytest.mark.parametrize("name, value", [
+        ("n_max", 2.5), ("n_max", True), ("n_max", np.nan), ("samples", True),
+        ("samples", 2.0), ("seed", True), ("seed", 1.5),
+    ])
+    def test_non_integer_count_rejected(self, screen, name, value):
+        # Refused by name: never rounded, read as 1, or left to numpy's TypeError.
+        counts = {"n_max": 3, "samples": 5, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"^{name}="):
+            screen(scalar_hp(), **counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        F = random_contractive(2, 1, seed=19)
+        got = screen_family(F, n_max=np.int64(2), samples=np.int32(10), seed=np.uint8(29))
+        assert [astuple(r) for r in got] == [astuple(r) for r in screen_family(F, 2, 10, 29)]
 
 
 def per_sample_probes(F, n_max, samples, seed):
@@ -253,11 +292,16 @@ class TestGroups:
             probe_id=99,
         )
         probes.insert(2, degenerate)
-        reports = _check_group(F, probes, tol=1e-9)
+
+        def stacked(c, t):
+            return q_stack(F, c[:, :, None], c[:, None], t[:, None, None])
+
+        reports = _check_group(probes, stacked, tol=1e-9)
         assert [r.skipped for r in reports] == [False, False, True, False, False]
         assert np.isnan(reports[2].defect) and not reports[2].passed
         # A group with no live probe exponentiates nothing.
-        assert [r.skipped for r in _check_group(F, [degenerate] * 2, tol=1e-9)] == [True, True]
+        none_live = _check_group([degenerate] * 2, stacked, tol=1e-9)
+        assert [r.skipped for r in none_live] == [True, True]
         family = SemigroupFamily(F)
         for probe, report in zip(probes, reports):
             ref = schur_criterion_check(family, probe)
@@ -304,6 +348,19 @@ class TestTrotterKato:
         # int() would run n = 10 and n = 1 here without a word.
         with pytest.raises(ValueError, match="n_list="):
             trotter_kato_pipeline(scalar_hp(), n_list)
+
+    @pytest.mark.parametrize("grid_points", [2.0, np.nan, True])
+    def test_non_integer_grid_points_rejected(self, grid_points):
+        # Refused by name: linspace alone raises a bare TypeError for a float
+        # and runs a one-point grid for True.
+        with pytest.raises(ValueError, match="^grid_points="):
+            trotter_kato_pipeline(scalar_hp(), [10, 100], grid_points=grid_points)
+
+    @pytest.mark.parametrize("mode", ["unitary_C", "strict_C"])
+    def test_errors_match_family_loops_bitwise(self, mode):
+        for F in contractive_cases(mode):
+            report = trotter_kato_pipeline(F, [10, 100], T=1.5, grid_points=np.int64(5))
+            assert_bitwise(report.errors, trotter_kato_loops(F, [10, 100], 1.5, 5))
 
     def test_numpy_integer_n_list_accepted(self):
         report = trotter_kato_pipeline(scalar_hp(), [np.int64(10), 100], T=1.0)

@@ -16,12 +16,14 @@ from qscocycle import (
     op_norm,
     random_contractive,
 )
-from qscocycle.semigroups import q_stack
+from qscocycle.semigroups import coordinate_cells, q_stack
 
 from oracles import (
     assert_bitwise,
     block_gap,
     chi_loop,
+    contractive_cases,
+    coords_from_f_loops,
     coords_to_f_loops,
     kron_component,
     random_complex,
@@ -238,6 +240,17 @@ class TestCoordinates:
                     back = coords_to_f(grid)
                     for got, want in zip((back.K, back.L, back.M, back.C), coords_to_f_loops(grid)):
                         assert_bitwise(got, want)
+
+    def test_coordinate_cells(self):
+        assert coordinate_cells(0).shape == (1, 0)
+        cells = coordinate_cells(3)
+        assert cells.dtype == np.complex128
+        assert np.array_equal(cells, np.vstack([np.zeros(3), np.eye(3)]))
+
+    @pytest.mark.parametrize("mode", ["unitary_C", "strict_C"])
+    def test_coords_from_f_matches_cell_loop_bitwise(self, mode):
+        for F in contractive_cases(mode):
+            assert_bitwise(coords_from_f(F), coords_from_f_loops(F))
 
     def test_component_columns_bounded(self):
         # Semiregularity is trivial at finite dimensions; column norms finite.
