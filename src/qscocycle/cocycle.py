@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import BlockGenerator
-from .opcore import op_norm
+from .opcore import check_count, check_times, op_norm
 from .semigroups import SemigroupFamily
 
 
@@ -88,7 +88,7 @@ class StepFunction:
 
     @classmethod
     def zero(cls, dim_k: int) -> "StepFunction":
-        return cls(np.zeros(1), np.zeros((1, dim_k)), 0.0)
+        return cls(np.zeros(1), np.zeros((1, check_count(dim_k, "dim_k"))), 0.0)
 
     @classmethod
     def constant(cls, value, end: float) -> "StepFunction":
@@ -100,17 +100,14 @@ class StepFunction:
 
     def at(self, times: np.ndarray) -> np.ndarray:
         """Values at an array of times >= 0, one row of length dim_k per time."""
-        if not np.all(times >= 0):
-            bad = times[~(times >= 0)][0]
-            raise ValueError(f"step functions live on t >= 0, got t={bad}")
+        times = check_times(times, "t")
         out = self.values[np.searchsorted(self.breakpoints, times, side="right") - 1]
         out[times >= self.support_end] = 0.0
         return out
 
     def shifted(self, r: float) -> "StepFunction":
         """The time-shifted restriction s -> f(r + s)."""
-        if not r >= 0:
-            raise ValueError(f"shift r must be nonnegative, got r={r}")
+        check_times(r, "r")
         if r >= self.support_end:
             return StepFunction.zero(self.dim_k)
         cuts, vals, _ = _refinement(self, self, r, self.support_end)
@@ -123,8 +120,7 @@ class StepFunction:
         dual cocycle; values at the isolated reflection points follow the
         right-continuous convention.
         """
-        if not 0 <= t < np.inf:
-            raise ValueError(f"reversal horizon t must be finite and nonnegative, got t={t}")
+        check_times(t, "t")
         if t == 0:
             return self
         cuts, vals, _ = _refinement(self, self, 0.0, t)
@@ -162,9 +158,7 @@ def exp_inner(
     """
     if f.dim_k != g.dim_k:
         raise ValueError(f"dimension mismatch: {f.dim_k} vs {g.dim_k}")
-    starts = np.asarray(a, dtype=np.float64).reshape(-1)
-    if not (starts >= 0).all():
-        raise ValueError(f"step functions live on t >= 0, got a={a}")
+    starts = np.reshape(check_times(a, "a"), -1)
     if (starts[1:] < starts[:-1]).any():
         raise ValueError("times must be nondecreasing")
     end = max(f.support_end, g.support_end)
@@ -205,9 +199,7 @@ def sliced_element(source, f: StepFunction, g: StepFunction, t: float | np.ndarr
     """
     fam = _family(source)
     F = fam.source
-    times = np.asarray(t, dtype=np.float64).reshape(-1)
-    if not (np.all(times >= 0.0) and np.all(np.isfinite(times))):
-        raise ValueError(f"times must be finite and nonnegative, got t={t}")
+    times = np.reshape(check_times(t, "t"), -1)
     if not np.all(np.diff(times) >= 0):
         raise ValueError("times must be nondecreasing")
     if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
@@ -255,10 +247,6 @@ def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t) -> co
             f"state vectors have dimensions {u.size}, {v.size}; expected {fam.source.dim_h}"
         )
     times = np.asarray(t, dtype=np.float64).reshape(-1)
-    finite = np.isfinite(times)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"times must be finite; times[{i}] is {times[i]}")
     slices = sliced_element(fam, f, g, times)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         logs = np.log(u.conj() @ slices @ v) + _log_norms(f, g, times)
@@ -281,8 +269,8 @@ def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float)
     the normalized slices, where the exponential-vector norms of [0, r) and
     [r, r+t) multiply to those of [0, r+t).
     """
-    if not (0 <= r < np.inf and 0 <= t < np.inf):
-        raise ValueError(f"times must be finite and nonnegative, got r={r}, t={t}")
+    check_times(r, "r")
+    check_times(t, "t")
     fam = _family(source)
     first, whole = sliced_element(fam, f, g, [r, r + t])
     second = sliced_element(fam, f.shifted(r), g.shifted(r), t)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .opcore import adjoint, as_cmatrix, max_herm_eig, op_norm
+from .opcore import adjoint, as_cmatrix, check_count, max_herm_eig, op_norm
 
 DEFECT_TOL = 1e-10
 # from_hlc's relative Hermiticity tolerance for H, and yosida_approx's
@@ -58,10 +58,10 @@ class BlockGenerator:
     C: np.ndarray
 
     def __post_init__(self):
-        if self.dim_h < 1:
-            raise ValueError("dim_h must be >= 1")
-        if not self.dim_k >= 0:
-            raise ValueError("dim_k must be >= 0")
+        for name, low in (("dim_h", 1), ("dim_k", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}")
         dh, dk = self.dim_h, self.dim_k
         shapes = {
             "K": (dh, dh),
@@ -133,6 +133,10 @@ def from_hlc(H, L, C) -> BlockGenerator:
     if L.shape[1] != dh or L.shape[0] % dh != 0:
         raise ValueError(f"L shape {L.shape} incompatible with dim_h={dh}")
     dk = L.shape[0] // dh
+    if C.shape != (dh * dk,) * 2:
+        raise ValueError(
+            f"C shape {C.shape} incompatible with dim_h={dh}, dim_k={dk}; expected {(dh * dk,) * 2}"
+        )
     K = 1j * H - 0.5 * (adjoint(L) @ L)
     M = -(adjoint(L) @ C)
     return BlockGenerator(dim_h=dh, dim_k=dk, K=K, L=L, M=M, C=C)
@@ -197,7 +201,8 @@ def yosida_approx(F: BlockGenerator, n: int) -> BlockGenerator:
     of its Hermitian part may exceed 0 by at most DISSIPATIVE_TOL * max(1, |K|),
     which also keeps I - K/n invertible.
     """
-    if n < 1:
+    n = check_count(n, "n")
+    if not n >= 1:
         raise ValueError("n must be a positive integer")
     dh = F.dim_h
     growth = max_herm_eig(F.K)

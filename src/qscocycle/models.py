@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import BlockGenerator, from_hlc
-from .opcore import op_norm
+from .opcore import check_count, op_norm
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,8 @@ class OscillatorSpec:
     mu: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 2:
+        object.__setattr__(self, "dim", check_count(self.dim, "dim"))
+        if not self.dim >= 2:
             raise ValueError("oscillator truncation needs dim >= 2")
         lam = np.asarray(self.lam, dtype=np.complex128).reshape(-1)
         mu = np.asarray(self.mu, dtype=np.float64).reshape(-1)
@@ -73,7 +74,8 @@ def birth_death(dim: int, birth_rates, death_rates) -> BlockGenerator:
     down-shift (channel-major), C = I, H = 0, so K = -L*L/2 is the diagonal
     of half total jump rates (with the boundary jumps cut by truncation).
     """
-    if dim < 3:
+    dim = check_count(dim, "dim")
+    if not dim >= 3:
         raise ValueError("birth-death truncation needs dim >= 3")
     birth = np.asarray(birth_rates, dtype=np.float64).reshape(-1)
     death = np.asarray(death_rates, dtype=np.float64).reshape(-1)
@@ -104,7 +106,9 @@ def random_contractive(
     -I/10 to the drift, making the operator-inequality defect strictly
     negative.
     """
-    if dim_h < 1 or dim_k < 1:
+    dim_h, dim_k = check_count(dim_h, "dim_h"), check_count(dim_k, "dim_k")
+    seed = check_count(seed, "seed")
+    if not (dim_h >= 1 and dim_k >= 1):
         raise ValueError("random_contractive needs dim_h >= 1 and dim_k >= 1")
     if mode not in RANDOM_MODES:
         raise ValueError(f"mode must be {' or '.join(RANDOM_MODES)}, got {mode!r}")

@@ -3,12 +3,14 @@
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``; a
 "CMatrix" in the rest of the package is exactly that.  Every routine here
 validates finiteness on entry and guarantees finite output, so callers can
-chain operations without re-checking.
+chain operations without re-checking.  ``check_times`` and ``check_count``
+are the package's one check of a time and of a count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -39,6 +41,30 @@ _PADE_COEFFS = {
 }
 
 
+def check_times(t, name: str, positive: bool = False):
+    """``t`` as a float, or a float array for array input, if every time is
+    finite and >= 0 (> 0 if ``positive``); a ValueError names the argument and
+    its first bad value.  A Python or numpy float makes no numpy call, since
+    ``SemigroupFamily`` checks the time of every lookup.
+    """
+    scalar = isinstance(t, (int, float))
+    x = float(t) if scalar else np.asarray(t, dtype=np.float64)
+    ok = ((x > 0.0) if positive else (x >= 0.0)) & (x < math.inf)
+    if ok if scalar else ok.all():
+        return x
+    bad = x if scalar else x[~ok][0]
+    raise ValueError(
+        f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {name}={bad}"
+    )
+
+
+def check_count(value, name: str) -> int:
+    """``operator.index(value)``, bools refused; a ValueError names the argument."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    return operator.index(value)
+
+
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d complex128 array, raising on anything else."""
     out = np.asarray(a, dtype=np.complex128)
@@ -52,7 +78,7 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
 def _as_cstack(a, name: str) -> np.ndarray:
     """Coerce to a finite complex128 array of ndim >= 2: a stack of matrices."""
     out = np.asarray(a, dtype=np.complex128)
-    if out.ndim < 2:
+    if not out.ndim >= 2:
         raise ValueError(f"{name} must be at least 2-dimensional, got ndim={out.ndim}")
     if out.size and not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")

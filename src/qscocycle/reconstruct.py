@@ -15,13 +15,12 @@ the criterion's quantifiers.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .generator import BlockGenerator, contractivity_defect, yosida_approx
-from .opcore import op_norm, op_norm_stack, psd_inv_sqrt, psd_inv_sqrt_stack
+from .opcore import check_count, check_times, op_norm, op_norm_stack, psd_inv_sqrt, psd_inv_sqrt_stack
 from .semigroups import SemigroupFamily, coordinate_cells, q_stack
 
 PASS_TOL = 1e-9
@@ -33,34 +32,19 @@ MONOTONE_SLACK = 1.1
 CORE_TIMES = (0.1, 0.5, 1.0)
 
 
-def _integer(name: str, value) -> int:
-    """``operator.index(value)``, bools refused; a ValueError names the argument."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{name}={value!r} must be an integer")
-    return operator.index(value)
-
-
-def varpi_matrix(c_tuple, t: float) -> np.ndarray:
+def varpi_matrix(c_tuple, t) -> np.ndarray:
     """Gram matrix [exp(-t chi(c_i, c_j))]; Hermitian PSD with unit diagonal.
 
     chi(c_i, c_j) = (|c_i|^2 + |c_j|^2)/2 - <c_i, c_j> is read off the one
-    Gram matrix [<c_i, c_j>].
+    Gram matrix [<c_i, c_j>].  A stack of n-tuples (..., n, dim_k) with one t
+    each gives the stack of Gram matrices.
     """
     c = np.asarray(c_tuple, dtype=np.complex128)
-    if c.ndim != 2:
-        c = c.reshape(len(c), -1)
-    return _varpi(c, t)
-
-
-def _varpi(c: np.ndarray, t) -> np.ndarray:
-    """``varpi_matrix`` of an n-tuple (n, dim_k), or of a stack of them with one t each."""
-    t = np.asarray(t, dtype=float)
-    bad = t[~((0 <= t) & (t < np.inf))]
-    if bad.size:
-        raise ValueError(f"time t must be finite and nonnegative, got t={bad[0]}")
+    if c.ndim == 1:
+        c = c[:, None]
+    t = np.asarray(check_times(t, "t"))[..., None, None]
     gram = c.conj() @ c.mT
     sq = gram.diagonal(axis1=-2, axis2=-1).real
-    t = t[..., None, None]
     return np.exp(-t * (0.5 * (sq[..., :, None] + sq[..., None, :]) - gram))
 
 
@@ -114,7 +98,7 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     n = c_arr.shape[0]
     a = np.asarray(a, dtype=np.complex128).reshape(n, n)
     b = np.asarray(b, dtype=np.complex128).reshape(n, n)
-    y = np.asarray(y, dtype=np.complex128).reshape(n * dim_h, n)
+    y = np.asarray(y, dtype=np.complex128).reshape(n * check_count(dim_h, "dim_h"), n)
     bound = op_norm(_ampliate(psd_inv_sqrt(a), y) @ psd_inv_sqrt(b))
     if bound > 1.0:
         y = y / bound
@@ -129,7 +113,7 @@ def _check_group(probes: list[Probe], q_blocks, tol: float) -> list[ProbeReport]
     """
     c = np.array([p.c_tuple for p in probes])
     t = np.array([p.t for p in probes])
-    w = _varpi(c, t)
+    w = varpi_matrix(c, t)
     sa, ok_a = psd_inv_sqrt_stack(np.array([p.a for p in probes]) * w)
     sb, ok_b = psd_inv_sqrt_stack(np.array([p.b for p in probes]) * w)
     live = np.flatnonzero(ok_a & ok_b)
@@ -189,9 +173,9 @@ def _random_probes(
     A = X_A X_A* / n + I/4 and B, and the rescaling of Y to the precondition
     (as in ``make_probe``), are then formed one group at a time.
     """
-    n_max, samples = _integer("n_max", n_max), _integer("samples", samples)
-    seed = _integer("seed", seed)
-    if n_max < 1 or samples < 1:
+    n_max, samples = check_count(n_max, "n_max"), check_count(samples, "samples")
+    seed = check_count(seed, "seed")
+    if not (n_max >= 1 and samples >= 1):
         raise ValueError("n_max and samples must be >= 1")
     rng = np.random.default_rng(seed)
     dh, dk = F.dim_h, F.dim_k
@@ -283,18 +267,15 @@ def trotter_kato_pipeline(
     """
     try:
         n_list = tuple(n_list)
-        if any(isinstance(n, bool) for n in n_list):
-            raise TypeError
-        n_list = tuple(operator.index(n) for n in n_list)
     except TypeError:
         raise ValueError(f"n_list={n_list!r} must be a list of integers") from None
+    n_list = tuple(check_count(n, f"n_list[{k}]") for k, n in enumerate(n_list))
     if not n_list or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ValueError("n_list must be a nonempty, strictly increasing list")
-    grid_points = _integer("grid_points", grid_points)
-    if grid_points < 1:
+    grid_points = check_count(grid_points, "grid_points")
+    if not grid_points >= 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"T must be a finite horizon > 0, got {T}")
+    check_times(T, "T", positive=True)
     defect = contractivity_defect(F)
     if defect > CONTRACTIVITY_TOL:
         raise ValueError(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .generator import BlockGenerator, adjoint, chi, component
-from .opcore import mat_exp, mat_exp_stack
+from .opcore import check_count, check_times, mat_exp, mat_exp_stack
 
 
 def g_generator(F: BlockGenerator, c, d) -> np.ndarray:
@@ -43,10 +43,7 @@ def q_stack(F: BlockGenerator, c, d, t) -> np.ndarray:
     The slice vectors c, d (..., dim_k) and the times t (...) broadcast
     against each other; nothing is cached.
     """
-    t = np.asarray(t, dtype=float)
-    bad = t[~((0 <= t) & (t < np.inf))]
-    if bad.size:
-        raise ValueError(f"semigroup time t must be finite and nonnegative, got t={bad[0]}")
+    t = np.asarray(check_times(t, "t"))
     return mat_exp_stack(t[..., None, None] * g_generator(F, c, d))
 
 
@@ -88,8 +85,7 @@ class SemigroupFamily:
         )
 
     def _exp(self, c, d, t: float) -> np.ndarray:
-        if not 0 <= t < np.inf:
-            raise ValueError(f"semigroup time t must be finite and nonnegative, got t={t}")
+        check_times(t, "t")
         c, d = self._vec(c), self._vec(d)
         return self._lookup(
             (c.tobytes(), d.tobytes(), float(t)), lambda: mat_exp(t * self.slice_generators(c, d))
@@ -162,11 +158,10 @@ def generator_from_semigroups(q, dim_k: int, t: float) -> BlockGenerator:
     is the slope (e^{t n} Q^{c,d}_t - I)/t - n I of G_{c,d}, and
     ``coords_to_f`` inverts the grid; the error is O(t) as t -> 0.
     """
-    if not 0 < t < np.inf:
-        raise ValueError(f"recovery step t must be finite and positive, got t={t}")
-    cells = coordinate_cells(dim_k)
+    check_times(t, "t", positive=True)
+    cells = coordinate_cells(check_count(dim_k, "dim_k"))
     grid = np.array([[q(c, d, t) for d in cells] for c in cells])
-    half = 0.5 * (np.arange(dim_k + 1) > 0)
+    half = 0.5 * (np.arange(len(cells)) > 0)
     n = (half[:, None] + half[None, :])[:, :, None, None]
     eye = np.eye(grid.shape[-1])
     return coords_to_f((np.exp(t * n) * grid - eye) / t - n * eye)

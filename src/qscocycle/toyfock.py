@@ -8,7 +8,8 @@ C + k.  One slot carries the first-order Euler step
 
 (quantum Ito scaling: time block tau, creation/annihilation sqrt(tau), gauge
 untouched).  Deliberately no matrix exponential anywhere in this module: the
-oracle must not share numerical kernels with the semigroup engine it checks.
+oracle must not share numerical kernels with the semigroup engine it checks,
+and takes only the argument checks from ``opcore``.
 
 Discrete exponential vectors use the unnormalized slot components
 (1, sqrt(tau) f(s_j)) sampled at left endpoints s_j, matching the
@@ -20,7 +21,6 @@ V_{r+t} = V_r sigma_r(V_t) on the lattice exactly.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,7 @@ import numpy as np
 from . import _kernels
 from .cocycle import StepFunction, exp_inner
 from .generator import BlockGenerator
+from .opcore import check_count, check_times
 
 
 @dataclass(frozen=True)
@@ -36,19 +37,13 @@ class ToyLattice:
     horizon: float
 
     def __post_init__(self):
-        try:
-            if isinstance(self.n_steps, bool):
-                raise TypeError
-            object.__setattr__(self, "n_steps", operator.index(self.n_steps))
-        except TypeError:
-            raise ValueError(f"n_steps={self.n_steps!r} must be an integer") from None
-        if self.n_steps < 1:
+        object.__setattr__(self, "n_steps", check_count(self.n_steps, "n_steps"))
+        if not self.n_steps >= 1:
             raise ValueError("n_steps must be >= 1")
         if self.n_steps > 2**53:
             # Past 2**53 the slot times tau * j are no longer distinct doubles.
             raise ValueError(f"n_steps={self.n_steps} is above 2**53, where slot times stop being distinct")
-        if not 0 < self.horizon < np.inf:
-            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
+        check_times(self.horizon, "horizon", positive=True)
 
     @property
     def tau(self) -> float:
@@ -90,8 +85,7 @@ class ToyLattice:
 
 def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     """One-slot interaction matrix G_tau on h (x) (C + k)."""
-    if not 0 < tau < np.inf:
-        raise ValueError(f"step size tau must be finite and positive, got tau={tau}")
+    check_times(tau, "tau", positive=True)
     root, dh = np.sqrt(tau), F.dim_h
     out = np.empty((F.total_dim, F.total_dim), dtype=np.complex128)
     out[:dh, :dh] = np.eye(dh) + tau * F.K

@@ -114,6 +114,13 @@ class TestBuild:
         })
         assert main(["build", spec, "--out", str(tmp_path / "x.json")]) == 3
 
+    def test_hlc_c_of_the_wrong_shape_is_validation_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "hlc.json", hlc_spec(np.zeros((2, 2)), np.eye(2), [[1.0]]))
+        assert main(["build", spec, "--out", str(tmp_path / "x.json")]) == 3
+        assert capsys.readouterr().err == (
+            "error: C shape (1, 1) incompatible with dim_h=2, dim_k=1; expected (2, 2)\n"
+        )
+
     @pytest.mark.parametrize("spec, field", [
         ({"model": "zero", "dim_h": -2, "dim_k": 1}, "dim_h"),
         ({"model": "random", "dim_h": 2, "dim_k": 1, "seed": -1}, "seed"),

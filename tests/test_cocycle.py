@@ -6,6 +6,7 @@ from qscocycle import (
     OscillatorSpec,
     SemigroupFamily,
     StepFunction,
+    ToyLattice,
     birth_death,
     cocycle_defect,
     exp_inner,
@@ -13,13 +14,17 @@ from qscocycle import (
     full_matrix_element,
     generator_from_semigroups,
     inverse_oscillator,
+    make_probe,
     op_norm,
     random_contractive,
+    screen_family,
     sliced_element,
     step_matrix,
+    trotter_kato_pipeline,
     varpi_matrix,
+    yosida_approx,
 )
-from qscocycle.semigroups import dual_generator
+from qscocycle.semigroups import dual_generator, q_stack
 
 from oracles import (
     lift_map,
@@ -60,7 +65,7 @@ class TestStepFunction:
         assert f(2.999)[0] == 2.0
         assert f(3.0)[0] == 0.0
         assert f(10.0)[0] == 0.0
-        with pytest.raises(ValueError, match="t >= 0"):
+        with pytest.raises(ValueError, match=r"^t must be finite and nonnegative, got t=-0\.1$"):
             f(-0.1)
         grid = np.array([0.0, 0.999, 1.0, 2.999, 3.0, 10.0])
         assert f.at(grid)[:, 0].tolist() == [1.0, 1.0, 2.0, 2.0, 0.0, 0.0]
@@ -133,7 +138,7 @@ class TestExpInner:
             exp_inner(z, z, 0.0, float("nan"))
         with pytest.raises(ValueError, match="mismatch"):
             exp_inner(z, StepFunction.zero(2), 0.0, 1.0)
-        with pytest.raises(ValueError, match="t >= 0"):
+        with pytest.raises(ValueError, match=r"^a must be finite and nonnegative, got a=-1\.0$"):
             exp_inner(StepFunction.constant([1.0], 2.0), z, -1.0, 1.0)
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
@@ -158,7 +163,7 @@ class TestExpInner:
         f = StepFunction.constant([1.0], 2.0)
         assert exp_inner(f, f, np.array([]), None).shape == (0,)
         assert isinstance(exp_inner(f, f, 0.5, None), complex)
-        with pytest.raises(ValueError, match="t >= 0"):
+        with pytest.raises(ValueError, match=r"^a must be finite and nonnegative, got a=-0\.5$"):
             exp_inner(f, f, [-0.5, 0.5], None)
         with pytest.raises(ValueError, match="order"):
             exp_inner(f, f, [0.2, 1.5], 1.0)
@@ -364,9 +369,9 @@ class TestMatrixElements:
         u = [1.0, 0.0]
         with pytest.raises(ValueError, match="nondecreasing"):
             full_matrix_element(F, u, z, u, z, [0.0, 0.5, 0.2])
-        with pytest.raises(ValueError, match=r"times\[1\] is nan"):
+        with pytest.raises(ValueError, match=r"^t must be finite and nonnegative, got t=nan$"):
             full_matrix_element(F, u, z, u, z, [0.1, np.nan])
-        with pytest.raises(ValueError, match=r"times\[0\] is inf"):
+        with pytest.raises(ValueError, match=r"^t must be finite and nonnegative, got t=inf$"):
             full_matrix_element(F, u, z, u, z, [np.inf])
         with pytest.raises(ValueError, match="nonnegative"):
             full_matrix_element(F, u, z, u, z, [-0.5, 0.5])
@@ -515,26 +520,69 @@ class TestFiniteDifferenceRecovery:
 
 
 STEP = StepFunction.constant([1.0], 1.0)
+ZERO = StepFunction.zero(1)
+TIMES = (np.nan, np.inf)
+COUNTS = (2.5, np.nan, True)
+
+
+def drift_only(dim_h=1, dim_k=0):
+    return BlockGenerator(dim_h=dim_h, dim_k=dim_k, K=np.zeros((1, 1)), L=np.zeros((0, 1)),
+                          M=np.zeros((1, 0)), C=np.zeros((0, 0)))
+
+
+# Every public entry point that takes a time or a count, with the argument
+# its ValueError names and the bad values it must refuse.
 GUARDED = {
-    "step-call": (STEP, "t", (np.nan,)),
-    "step-at": (lambda x: STEP.at(np.array([0.5, x])), "t", (np.nan, -1.0)),
-    "shifted": (STEP.shifted, "r", (np.nan,)),
-    "reversed_on": (STEP.reversed_on, "t", (np.nan, np.inf)),
-    "varpi_matrix": (lambda x: varpi_matrix(np.eye(2), x), "t", (np.nan, np.inf)),
-    "step_matrix": (lambda x: step_matrix(scalar_hp(), x), "tau", (np.nan, np.inf)),
-    "q": (lambda x: SemigroupFamily(scalar_hp()).q([0.0], [0.0], x), "t", (np.nan, np.inf)),
+    "step-zero": (StepFunction.zero, "dim_k", COUNTS),
+    "step-call": (STEP, "t", TIMES),
+    "step-at": (lambda x: STEP.at(np.array([0.5, x])), "t", (*TIMES, -1.0)),
+    "shifted": (STEP.shifted, "r", TIMES),
+    "reversed_on": (STEP.reversed_on, "t", TIMES),
+    "exp_inner": (lambda x: exp_inner(STEP, STEP, [0.5, x]), "a", TIMES),
+    "sliced_element": (lambda x: sliced_element(scalar_hp(), ZERO, ZERO, x), "t", TIMES),
+    "full_matrix_element": (
+        lambda x: full_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, [0.5, x]), "t", TIMES
+    ),
+    "cocycle_defect-r": (lambda x: cocycle_defect(scalar_hp(), ZERO, ZERO, x, 1.0), "r", TIMES),
+    "cocycle_defect-t": (lambda x: cocycle_defect(scalar_hp(), ZERO, ZERO, 1.0, x), "t", TIMES),
+    "varpi_matrix": (lambda x: varpi_matrix(np.eye(2), x), "t", TIMES),
+    "step_matrix": (lambda x: step_matrix(scalar_hp(), x), "tau", TIMES),
+    "q": (lambda x: SemigroupFamily(scalar_hp()).q([0.0], [0.0], x), "t", TIMES),
+    "q_stack": (lambda x: q_stack(scalar_hp(), [0.0], [0.0], [0.5, x]), "t", TIMES),
+    "tk-T": (lambda x: trotter_kato_pipeline(scalar_hp(), [10], T=x), "T", TIMES),
+    "tk-grid_points": (
+        lambda x: trotter_kato_pipeline(scalar_hp(), [10], grid_points=x), "grid_points", COUNTS
+    ),
+    "tk-n_list": (lambda x: trotter_kato_pipeline(scalar_hp(), [x, 10]), r"n_list\[0\]", COUNTS),
+    "lattice-n_steps": (lambda x: ToyLattice(n_steps=x, horizon=1.0), "n_steps", COUNTS),
+    "lattice-horizon": (lambda x: ToyLattice(n_steps=4, horizon=x), "horizon", TIMES),
+    "BlockGenerator-dim_h": (lambda x: drift_only(dim_h=x), "dim_h", COUNTS),
+    "BlockGenerator-dim_k": (lambda x: drift_only(dim_k=x), "dim_k", COUNTS),
+    "yosida_approx": (lambda x: yosida_approx(scalar_hp(), x), "n", COUNTS),
+    "random-dim_h": (lambda x: random_contractive(x, 1, seed=0), "dim_h", COUNTS),
+    "random-dim_k": (lambda x: random_contractive(1, x, seed=0), "dim_k", COUNTS),
+    "random-seed": (lambda x: random_contractive(1, 1, seed=x), "seed", COUNTS),
+    "OscillatorSpec": (lambda x: OscillatorSpec(dim=x, lam=np.ones(4), mu=np.zeros(3)), "dim", COUNTS),
+    "birth_death": (lambda x: birth_death(x, np.ones(3), np.ones(3)), "dim", COUNTS),
+    "make_probe": (lambda x: make_probe([[0.0]], 0.5, [[1.0]], [[1.0]], [[1.0]], dim_h=x), "dim_h", COUNTS),
+    "screen-n_max": (lambda x: screen_family(scalar_hp(), n_max=x, samples=1, seed=0), "n_max", COUNTS),
+    "screen-samples": (
+        lambda x: screen_family(scalar_hp(), n_max=1, samples=x, seed=0), "samples", COUNTS
+    ),
+    "screen-seed": (lambda x: screen_family(scalar_hp(), n_max=1, samples=1, seed=x), "seed", COUNTS),
     # The finite-difference read-backs of T = L + C E_d and of C, both taken
     # from generator_from_semigroups.
     "t_operator_fd": (
         lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x).L,
         "t",
-        (np.nan, np.inf),
+        TIMES,
     ),
     "c_operator_fd": (
         lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x).C,
         "t",
-        (np.nan, np.inf),
+        TIMES,
     ),
+    "fd-dim_k": (lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, x, 0.1), "dim_k", COUNTS),
 }
 
 
@@ -543,7 +591,8 @@ GUARDED = {
 )
 def test_nan_guards_name_the_argument(site, bad):
     # A guard written ``if x < 0: raise`` lets NaN through; each of these
-    # rejects it, and an infinite value where one is invalid, by name.
+    # rejects it by name, an infinite time too, and a count that is a float
+    # or a bool.
     call, name, _ = GUARDED[site]
     with pytest.raises(ValueError, match=rf"\b{name}={bad}"):
         call(bad)

@@ -58,6 +58,12 @@ def test_from_hlc_rejects_non_hermitian():
         from_hlc([[1j]], np.ones((1, 1)), np.ones((1, 1)))
 
 
+def test_from_hlc_checks_the_shape_of_c():
+    # Checked before L*C, whose matmul error would name no field.
+    with pytest.raises(ValueError, match=r"^C shape \(1, 1\) incompatible with dim_h=2, dim_k=1; expected \(2, 2\)$"):
+        from_hlc(np.zeros((2, 2)), np.eye(2), np.eye(1))
+
+
 def test_chi_values():
     rng = np.random.default_rng(0)
     c = random_complex(rng, 3)

@@ -1,10 +1,11 @@
 """Package hygiene: every public name and every name the benchmark tracer
 wraps resolves, no module imports a name it never uses, no function assigns a
-local it never reads, no guard lets NaN through a comparison with 0, and no
-module reads another package module's private names, only the semigroup
-module exponentiates or builds the coordinate cells, only the modules that
-cache semigroups name ``SemigroupFamily``, and only the random models and
-the Schur screen draw random numbers."""
+local it never reads, no guard lets NaN through a comparison with a number,
+and no module reads another package module's private names, only the
+semigroup module exponentiates or builds the coordinate cells, only the
+modules that cache semigroups name ``SemigroupFamily``, only the random
+models and the Schur screen draw random numbers, and only ``opcore`` checks
+counts (it alone imports ``operator``, for ``check_count``)."""
 
 import ast
 import importlib
@@ -66,22 +67,23 @@ def dead_locals(source: str) -> list[str]:
     return found
 
 
-def _is_zero(node) -> bool:
-    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+def _is_number(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
 
 def nan_blind_guards(source: str) -> list[int]:
-    """Lines of each ``if`` that raises and tests ``x < 0`` or ``x <= 0``.
+    """Lines of each ``if`` that raises and tests ``x < k`` or ``x <= k`` for
+    a numeric literal k.
 
     Every comparison with NaN is false, so such a guard lets NaN through;
-    ``not x >= 0`` (or ``not 0 <= x < inf``) rejects it.
+    ``not x >= k`` (or ``not 0 <= x < inf``) rejects it.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)):
             continue
         if any(
-            isinstance(op, (ast.Lt, ast.LtE)) and _is_zero(right)
+            isinstance(op, (ast.Lt, ast.LtE)) and _is_number(right)
             for cmp in ast.walk(node.test) if isinstance(cmp, ast.Compare)
             for op, right in zip(cmp.ops, cmp.comparators)
         ):
@@ -115,6 +117,18 @@ def mentions(source: str, name: str) -> bool:
         name in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
         for node in ast.walk(ast.parse(source))
     )
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports absolutely,
+    by ``import m`` or ``from m import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
 
 
 def shifted_eyes(source: str) -> list[int]:
@@ -194,11 +208,13 @@ def test_nan_blind_guard_is_found():
         "        raise ValueError(t)\n"
         "    if not n >= 0:\n"
         "        raise ValueError(n)\n"
+        "    if n < 1:\n"
+        "        raise ValueError(n)\n"
         "    if t < 0:\n"
         "        t = 0\n"
         "    return t\n"
     )
-    assert nan_blind_guards(source) == [2, 4]
+    assert nan_blind_guards(source) == [2, 4, 10]
 
 
 def test_private_read_is_found():
@@ -214,6 +230,11 @@ def test_mention_is_found():
         "'uses no mat_exp'\nexpm(a)\n",
     )
     assert [mentions(s, "mat_exp") for s in sources] == [True, True, True, False]
+
+
+def test_imported_module_is_found():
+    source = "import os.path, operator as op\nfrom math import inf\nfrom . import opcore\nfrom .a import b\n"
+    assert imported_modules(source) == {"os", "operator", "math"}
 
 
 def test_shifted_eye_is_found():
@@ -232,6 +253,14 @@ def test_only_semigroups_build_the_coordinate_cells():
     # semigroups.coordinate_cells is the one place {0, e_1, ..., e_dk} is built.
     found = sorted(p.stem for p in PACKAGE.glob("*.py") if shifted_eyes(p.read_text()))
     assert found == ["semigroups"]
+
+
+def test_only_opcore_checks_counts():
+    # opcore.check_count is the one place a count goes through operator.index.
+    found = sorted(
+        p.stem for p in PACKAGE.glob("*.py") if "operator" in imported_modules(p.read_text())
+    )
+    assert found == ["opcore"]
 
 
 def test_only_semigroup_caches_name_the_family():

@@ -120,9 +120,9 @@ class TestProbes:
 
     @pytest.mark.parametrize("t", [np.nan, -0.5, np.inf])
     def test_bad_probe_time_rejected(self, t):
-        # varpi_matrix's message, not one from the inverse roots or q_stack.
+        # varpi_matrix's check, not one from the inverse roots or q_stack.
         probe = make_probe([[0.3]], t, np.ones((1, 1)), np.ones((1, 1)), [[1.0]], dim_h=1)
-        message = f"^time t must be finite and nonnegative, got t={re.escape(str(t))}$"
+        message = f"^t must be finite and nonnegative, got t={re.escape(str(t))}$"
         with pytest.raises(ValueError, match=message):
             schur_criterion_check(SemigroupFamily(scalar_hp()), probe)
 
@@ -346,7 +346,7 @@ class TestTrotterKato:
     @pytest.mark.parametrize("n_list", [[10.9, 100], [True, 2]])
     def test_non_integer_n_list_rejected(self, n_list):
         # int() would run n = 10 and n = 1 here without a word.
-        with pytest.raises(ValueError, match="n_list="):
+        with pytest.raises(ValueError, match=r"^n_list\[0\]="):
             trotter_kato_pipeline(scalar_hp(), n_list)
 
     @pytest.mark.parametrize("grid_points", [2.0, np.nan, True])
