@@ -25,7 +25,7 @@ from .generator import (
     yosida_approx,
 )
 from .models import OscillatorSpec, birth_death, inverse_oscillator, random_contractive
-from .opcore import mat_exp, max_herm_eig, op_norm, psd_inv_sqrt, schur_product
+from .opcore import mat_exp, max_herm_eig, op_norm, psd_inv_sqrt
 from .reconstruct import (
     ConvergenceReport,
     Probe,
@@ -88,7 +88,6 @@ __all__ = [
     "psd_inv_sqrt",
     "random_contractive",
     "schur_criterion_check",
-    "schur_product",
     "screen_family",
     "sliced_element",
     "step_matrix",

@@ -178,15 +178,9 @@ def exp_inner(
     return out if np.ndim(a) else complex(out[0])
 
 
-def _family(source) -> SemigroupFamily:
-    if isinstance(source, SemigroupFamily):
-        return source
-    if isinstance(source, BlockGenerator):
-        return SemigroupFamily(source)
-    raise TypeError(f"expected a BlockGenerator or SemigroupFamily, got {type(source)}")
-
-
-def sliced_element(source, f: StepFunction, g: StepFunction, t: float | np.ndarray) -> np.ndarray:
+def sliced_element(
+    F: BlockGenerator, f: StepFunction, g: StepFunction, t: float | np.ndarray
+) -> np.ndarray:
     """Ordered product of Q-semigroup factors over the joint refinement of [0, t).
 
     This h-operator is E^{eps(f|[0,t))} V_t E_{eps(g|[0,t))} divided by
@@ -196,9 +190,9 @@ def sliced_element(source, f: StepFunction, g: StepFunction, t: float | np.ndarr
     these products: one sweep over one refinement of [0, t[-1]] that holds
     every time as a cut, read off at each time by the cocycle law.  The slice
     of sigma_r(V_t) is that of V_t on the shifted step data ``f.shifted(r)``.
+    The call's one ``SemigroupFamily`` caches Q for this sweep alone.
     """
-    fam = _family(source)
-    F = fam.source
+    fam = SemigroupFamily(F)
     times = np.reshape(check_times(t, "t"), -1)
     if not np.all(np.diff(times) >= 0):
         raise ValueError("times must be nondecreasing")
@@ -226,7 +220,9 @@ def _log_norms(f: StepFunction, g: StepFunction, times: np.ndarray) -> np.ndarra
     return np.append(0.0, np.cumsum(pieces))[np.searchsorted(cuts, times)]
 
 
-def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t) -> complex | np.ndarray:
+def full_matrix_element(
+    F: BlockGenerator, u, f: StepFunction, v, g: StepFunction, t
+) -> complex | np.ndarray:
     """<u eps(f), V_t v eps(g)> = <u, Q-product v> * exp(S(t)) * tail factor.
 
     A single time t gives a complex number and a nondecreasing sequence of
@@ -239,15 +235,12 @@ def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t) -> co
     when an element is not finite because the unnormalized exponential-vector
     factors overflow.
     """
-    fam = _family(source)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if u.size != fam.source.dim_h or v.size != fam.source.dim_h:
-        raise ValueError(
-            f"state vectors have dimensions {u.size}, {v.size}; expected {fam.source.dim_h}"
-        )
+    if u.size != F.dim_h or v.size != F.dim_h:
+        raise ValueError(f"state vectors have dimensions {u.size}, {v.size}; expected {F.dim_h}")
     times = np.asarray(t, dtype=np.float64).reshape(-1)
-    slices = sliced_element(fam, f, g, times)
+    slices = sliced_element(F, f, g, times)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         logs = np.log(u.conj() @ slices @ v) + _log_norms(f, g, times)
         out = np.exp(logs) * exp_inner(f, g, times, None)
@@ -260,7 +253,9 @@ def full_matrix_element(source, u, f: StepFunction, v, g: StepFunction, t) -> co
     return out if np.ndim(t) else complex(out[0])
 
 
-def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float) -> float:
+def cocycle_defect(
+    F: BlockGenerator, f: StepFunction, g: StepFunction, r: float, t: float
+) -> float:
     """Operator-norm defect of V_{r+t} = V_r sigma_r(V_t) on the (f, g) slice.
 
     The split side evaluates sigma_r on step data (shift and restrict), so
@@ -271,7 +266,6 @@ def cocycle_defect(source, f: StepFunction, g: StepFunction, r: float, t: float)
     """
     check_times(r, "r")
     check_times(t, "t")
-    fam = _family(source)
-    first, whole = sliced_element(fam, f, g, [r, r + t])
-    second = sliced_element(fam, f.shifted(r), g.shifted(r), t)
+    first, whole = sliced_element(F, f, g, [r, r + t])
+    second = sliced_element(F, f.shifted(r), g.shifted(r), t)
     return float(op_norm(whole - first @ second))

@@ -290,14 +290,3 @@ def psd_inv_sqrt_stack(a) -> tuple[np.ndarray, np.ndarray]:
     """
     x, ok, _, _, _ = _psd_parts(_as_square(a, "psd_inv_sqrt input", stack=True))
     return x, ok
-
-
-def schur_product(a, b) -> np.ndarray:
-    """Entrywise (Schur) product of two matrices of the same shape."""
-    a = as_cmatrix(a, "schur_product left factor")
-    b = as_cmatrix(b, "schur_product right factor")
-    if a.shape != b.shape:
-        raise ValueError(
-            f"schur_product shapes {a.shape} and {b.shape} are not compatible"
-        )
-    return a * b

@@ -95,6 +95,20 @@ def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     return out
 
 
+def _lattice(F: BlockGenerator, t: float, N: int, *fns: StepFunction):
+    """The oracles' shared preamble: ``t`` and ``N`` checked by name, then the
+    run counts and slot components of ``fns`` on the N-slot lattice of [0, t),
+    and the step matrix as a (m, dh, m, dh) tensor with m = 1 + dim_k."""
+    check_times(t, "t", positive=True)
+    lattice = ToyLattice(n_steps=check_count(N, "N"), horizon=t)
+    if any(fn.dim_k != F.dim_k for fn in fns):
+        dims = ", ".join(str(fn.dim_k) for fn in fns)
+        raise ValueError(f"step functions have dim_k {dims}; generator has {F.dim_k}")
+    counts, slots = lattice.runs(*fns)
+    m, dh = 1 + F.dim_k, F.dim_h
+    return counts, slots, step_matrix(F, lattice.tau).reshape(m, dh, m, dh)
+
+
 def _finite(value, t: float):
     """``value``, or an ``OverflowError`` naming ``t`` when it is not finite."""
     if not np.isfinite(value):
@@ -119,16 +133,11 @@ def oracle_matrix_element(
     result converges to the engine value with O(1/N) error.  Consecutive slots
     with equal (f, g) values share one slot matrix, raised to the run length.
     """
-    lattice = ToyLattice(n_steps=N, horizon=t)
+    counts, (xi, eta), g4 = _lattice(F, t, N, f, g)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if u.size != F.dim_h or v.size != F.dim_h:
         raise ValueError(f"state vectors have dimensions {u.size}, {v.size}; expected {F.dim_h}")
-    if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
-        raise ValueError(f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}")
-    counts, (xi, eta) = lattice.runs(f, g)
-    m, dh = 1 + F.dim_k, F.dim_h
-    g4 = step_matrix(F, lattice.tau).reshape(m, dh, m, dh)
     acc = _kernels.element_chain(np.einsum("ra,rb,apbq->rpq", xi.conj(), eta, g4), counts)
     return _finite(complex(np.vdot(u, acc @ v) * exp_inner(f, g, t, None)), t)
 
@@ -145,14 +154,9 @@ def oracle_state_norm(F: BlockGenerator, v, g: StepFunction, t: float, N: int) -
     For equality-case generators (unitary C) the value converges to
     |v| * |eps(g)| from the isometric limit.
     """
-    lattice = ToyLattice(n_steps=N, horizon=t)
+    counts, (etas,), g4 = _lattice(F, t, N, g)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size != F.dim_h:
         raise ValueError(f"state vector has dimension {v.size}, expected {F.dim_h}")
-    if g.dim_k != F.dim_k:
-        raise ValueError(f"step function has dim_k {g.dim_k}, generator has {F.dim_k}")
-    counts, (etas,) = lattice.runs(g)
-    m, dh = 1 + F.dim_k, F.dim_h
-    g4 = step_matrix(F, lattice.tau).reshape(m, dh, m, dh)
     rho = _kernels.slot_apply(np.outer(v, v.conj()), g4, etas, counts)
     return _finite(float(np.sqrt(abs(np.trace(rho).real))), t)

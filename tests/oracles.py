@@ -1,9 +1,9 @@
 """Independent oracles and instance generators shared by the test suite.
 
 Everything here deliberately avoids the package's own code paths where the
-point is cross-validation: the matrix exponential reference is scipy, the
-Schur product reference is an explicit loop, generator slices (those of the
-per-time matrix-element reference included), Schur criterion ampliations
+point is cross-validation: the matrix exponential reference is scipy,
+generator slices (those of the per-time matrix-element reference included),
+Schur criterion ampliations
 and the oracle's per-slot factors are built from explicit ``np.kron`` lift
 maps, and the classical birth-death generator is assembled directly from
 the jump rates.  The ``*_loops`` references are instead the loop forms of
@@ -52,16 +52,6 @@ def block_gap(A, B):
 
 def scipy_expm(a):
     return scipy.linalg.expm(np.asarray(a, dtype=np.complex128))
-
-
-def schur_loop(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = np.zeros_like(a)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = a[i, j] * b[i, j]
-    return out
 
 
 def classical_rate_matrix(birth, death):

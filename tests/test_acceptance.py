@@ -67,9 +67,8 @@ def test_criterion_1_cocycle_functional_equation():
         f = random_step(rng, dim_k, 5, 2.0)
         g = random_step(rng, dim_k, 5, 2.0)
         r, t = rng.uniform(0.0, 2.0, size=2)
-        fam = SemigroupFamily(F)
-        defect = cocycle_defect(fam, f, g, r, t)
-        scale = op_norm(sliced_element(fam, f, g, r + t)) * abs(
+        defect = cocycle_defect(F, f, g, r, t)
+        scale = op_norm(sliced_element(F, f, g, r + t)) * abs(
             exp_inner(f, g, r + t, None)
         )
         worst = max(worst, defect / max(scale, 1e-12))

@@ -16,6 +16,8 @@ from qscocycle import (
     inverse_oscillator,
     make_probe,
     op_norm,
+    oracle_matrix_element,
+    oracle_state_norm,
     random_contractive,
     screen_family,
     sliced_element,
@@ -200,7 +202,7 @@ class TestSlicedElement:
 
     @pytest.mark.parametrize("start", [0.0])
     def test_grid_matches_pointwise(self, start):
-        fam = SemigroupFamily(random_contractive(3, 2, seed=22))
+        F = random_contractive(3, 2, seed=22)
         rng = np.random.default_rng(23)
         f = random_step(rng, 2, 5, 2.0)
         g = random_step(rng, 2, 5, 2.0)
@@ -208,10 +210,10 @@ class TestSlicedElement:
         marks = [start, start, *f.breakpoints, *g.breakpoints, f.support_end, g.support_end,
                  end + 0.25, end + 0.5, end + 0.5]
         times = np.sort(np.concatenate((np.linspace(start, end, 21), marks)))
-        got = sliced_element(fam, f, g, times)
+        got = sliced_element(F, f, g, times)
         assert got.shape == (times.size, 3, 3)
         for t, out in zip(times, got):
-            ref = sliced_element(fam, f, g, t)
+            ref = sliced_element(F, f, g, t)
             assert op_norm(out - ref) <= 1e-12 * max(1.0, op_norm(ref))
 
     def test_grid_rejects_bad_times(self):
@@ -226,12 +228,11 @@ class TestSlicedElement:
 
     def test_markov_slice_matches_q_exactly(self):
         F = random_contractive(3, 2, seed=3)
-        fam = SemigroupFamily(F)
         z = StepFunction.zero(2)
         for t in (0.4, 1.1):
             assert np.array_equal(
-                sliced_element(fam, z, z, t),
-                fam.q(np.zeros(2), np.zeros(2), t),
+                sliced_element(F, z, z, t),
+                SemigroupFamily(F).q(np.zeros(2), np.zeros(2), t),
             )
 
     def test_refinement_invariance(self):
@@ -354,13 +355,12 @@ class TestMatrixElements:
         marks = [0.0, 0.0, *f.breakpoints, *g.breakpoints, f.support_end,
                  g.support_end, end + 0.25, end + 0.5, end + 0.5]
         times = np.sort(np.concatenate((uniform, uniform[::9], marks)))
-        fam = SemigroupFamily(F)
-        got = full_matrix_element(fam, u, f, v, g, times)
+        got = full_matrix_element(F, u, f, v, g, times)
         ref = np.array([pointwise_element(F, u, f, v, g, t) for t in times])
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
-        assert np.array_equal(full_matrix_element(fam, u, f, v, g, list(times)), got)
+        assert np.array_equal(full_matrix_element(F, u, f, v, g, list(times)), got)
         # A single time is a grid of one, returned as a complex number.
-        last = full_matrix_element(fam, u, f, v, g, times[-1])
+        last = full_matrix_element(F, u, f, v, g, times[-1])
         assert type(last) is complex and abs(last - ref[-1]) <= 1e-12 * abs(ref[-1])
 
     def test_times_must_be_nondecreasing_and_finite(self):
@@ -556,6 +556,14 @@ GUARDED = {
     "tk-n_list": (lambda x: trotter_kato_pipeline(scalar_hp(), [x, 10]), r"n_list\[0\]", COUNTS),
     "lattice-n_steps": (lambda x: ToyLattice(n_steps=x, horizon=1.0), "n_steps", COUNTS),
     "lattice-horizon": (lambda x: ToyLattice(n_steps=4, horizon=x), "horizon", TIMES),
+    "oracle_matrix_element-t": (
+        lambda x: oracle_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, x, 4), "t", TIMES
+    ),
+    "oracle_matrix_element-N": (
+        lambda x: oracle_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, 1.0, x), "N", COUNTS
+    ),
+    "oracle_state_norm-t": (lambda x: oracle_state_norm(scalar_hp(), [1.0], ZERO, x, 4), "t", TIMES),
+    "oracle_state_norm-N": (lambda x: oracle_state_norm(scalar_hp(), [1.0], ZERO, 1.0, x), "N", COUNTS),
     "BlockGenerator-dim_h": (lambda x: drift_only(dim_h=x), "dim_h", COUNTS),
     "BlockGenerator-dim_k": (lambda x: drift_only(dim_k=x), "dim_k", COUNTS),
     "yosida_approx": (lambda x: yosida_approx(scalar_hp(), x), "n", COUNTS),

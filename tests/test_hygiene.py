@@ -3,9 +3,10 @@ wraps resolves, no module imports a name it never uses, no function assigns a
 local it never reads, no guard lets NaN through a comparison with a number,
 and no module reads another package module's private names, only the
 semigroup module exponentiates or builds the coordinate cells, only the
-modules that cache semigroups name ``SemigroupFamily``, only the random
-models and the Schur screen draw random numbers, and only ``opcore`` checks
-counts (it alone imports ``operator``, for ``check_count``)."""
+modules that cache semigroups name ``SemigroupFamily``, only the cocycle
+sweep and the Schur screen build one (so a cache lives for one call), only
+the random models and the Schur screen draw random numbers, and only
+``opcore`` checks counts (it alone imports ``operator``, for ``check_count``)."""
 
 import ast
 import importlib
@@ -148,6 +149,19 @@ def shifted_eyes(source: str) -> list[int]:
     return found
 
 
+def family_builds(source: str) -> list[str]:
+    """The scope of each ``SemigroupFamily(...)`` call: the name of the function
+    or class whose own body makes it, or ``<module>``."""
+    tree = ast.parse(source)
+    found = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, (*_SCOPES, ast.ClassDef)))]:
+        for node in _own_nodes(scope):
+            func = getattr(node, "func", None)
+            if "SemigroupFamily" in (getattr(func, "attr", None), getattr(func, "id", None)):
+                found.append(getattr(scope, "name", "<module>"))
+    return found
+
+
 def test_public_names_resolve():
     assert [name for name in qscocycle.__all__ if not hasattr(qscocycle, name)] == []
 
@@ -249,6 +263,21 @@ def test_shifted_eye_is_found():
     assert shifted_eyes(source) == [1, 2, 3]
 
 
+def test_family_build_is_found():
+    source = (
+        "fam = SemigroupFamily(F)\n"
+        "def f(F):\n"
+        "    def g():\n"
+        "        return semigroups.SemigroupFamily(F)\n"
+        "    return SemigroupFamily\n"
+        "class A:\n"
+        "    def q(self):\n"
+        "        return SemigroupFamily(self.F).q\n"
+        "'SemigroupFamily(F)'\n"
+    )
+    assert family_builds(source) == ["<module>", "g", "q"]
+
+
 def test_only_semigroups_build_the_coordinate_cells():
     # semigroups.coordinate_cells is the one place {0, e_1, ..., e_dk} is built.
     found = sorted(p.stem for p in PACKAGE.glob("*.py") if shifted_eyes(p.read_text()))
@@ -270,6 +299,15 @@ def test_only_semigroup_caches_name_the_family():
         p.stem for p in PACKAGE.glob("*.py") if mentions(p.read_text(), "SemigroupFamily")
     )
     assert found == ["__init__", "cocycle", "reconstruct", "semigroups"]
+
+
+def test_only_the_sweep_and_the_screen_build_a_family():
+    # A SemigroupFamily caches Q for one call: the cocycle product's sweep, or
+    # the core probes of one Schur screen.  No family is shared across calls.
+    found = sorted(
+        f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") for name in family_builds(p.read_text())
+    )
+    assert found == ["cocycle.sliced_element", "reconstruct.screen_family"]
 
 
 def test_only_semigroups_exponentiate():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qscocycle import mat_exp, max_herm_eig, op_norm, psd_inv_sqrt, schur_product
+from qscocycle import mat_exp, max_herm_eig, op_norm, psd_inv_sqrt
 from qscocycle.opcore import PSD_TOL, mat_exp_stack, op_norm_stack, psd_inv_sqrt_stack
 
-from oracles import assert_bitwise, random_complex, schur_loop, scipy_expm
+from oracles import assert_bitwise, random_complex, scipy_expm
 
 
 class TestMatExp:
@@ -127,28 +127,6 @@ class TestMaxHermEig:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             max_herm_eig(np.zeros((1, 2)))
-
-
-class TestSchurProduct:
-    def test_ones_identity(self):
-        rng = np.random.default_rng(1)
-        b = random_complex(rng, (3, 3))
-        assert np.array_equal(schur_product(np.ones((3, 3)), b), b)
-
-    def test_diagonal(self):
-        a = np.diag([1.0, 2.0])
-        b = np.diag([3.0, 4.0])
-        assert np.allclose(schur_product(a, b), np.diag([3.0, 8.0]))
-
-    def test_matches_elementwise_loop(self):
-        rng = np.random.default_rng(2)
-        a = random_complex(rng, (3, 3))
-        b = random_complex(rng, (3, 3))
-        assert np.allclose(schur_product(a, b), schur_loop(a, b), rtol=1e-15, atol=0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
-            schur_product(np.ones((2, 2)), np.ones((3, 2)))
 
 
 def _with_norm(rng, n, mu):

@@ -82,9 +82,9 @@ class TestLatticeAndStep:
                 ToyLattice(n_steps=bad, horizon=1.0)
         assert ToyLattice(n_steps=np.int64(4), horizon=2.0).tau == 0.5
         F, g = random_contractive(2, 1, seed=4), StepFunction.constant([0.5], 1.0)
-        with pytest.raises(ValueError, match="n_steps=3.5"):
+        with pytest.raises(ValueError, match="N=3.5"):
             oracle_matrix_element(F, [1.0, 0.0], g, [1.0, 0.0], g, 1.0, 3.5)
-        with pytest.raises(ValueError, match="n_steps=3.5"):
+        with pytest.raises(ValueError, match="N=3.5"):
             oracle_state_norm(F, [1.0, 0.0], g, 1.0, 3.5)
 
     def test_non_finite_horizon_or_result_is_named(self):
