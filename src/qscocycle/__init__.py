@@ -45,7 +45,6 @@ from .semigroups import (
     generator_from_semigroups,
 )
 from .toyfock import (
-    ToyLattice,
     oracle_matrix_element,
     oracle_state_norm,
     step_matrix,
@@ -62,7 +61,6 @@ __all__ = [
     "ProbeReport",
     "SemigroupFamily",
     "StepFunction",
-    "ToyLattice",
     "birth_death",
     "chi",
     "classify",

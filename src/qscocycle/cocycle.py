@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import BlockGenerator
-from .opcore import check_count, check_times, op_norm
+from .opcore import check_count, check_times, check_vector, op_norm
 from .semigroups import SemigroupFamily
 
 
@@ -235,10 +235,7 @@ def full_matrix_element(
     when an element is not finite because the unnormalized exponential-vector
     factors overflow.
     """
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if u.size != F.dim_h or v.size != F.dim_h:
-        raise ValueError(f"state vectors have dimensions {u.size}, {v.size}; expected {F.dim_h}")
+    u, v = check_vector(u, F.dim_h, "u"), check_vector(v, F.dim_h, "v")
     times = np.asarray(t, dtype=np.float64).reshape(-1)
     slices = sliced_element(F, f, g, times)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .opcore import adjoint, as_cmatrix, check_count, max_herm_eig, op_norm
+from .opcore import adjoint, as_cmatrix, check_count, check_vector, max_herm_eig, op_norm
 
 DEFECT_TOL = 1e-10
 # from_hlc's relative Hermiticity tolerance for H, and yosida_approx's
@@ -185,9 +185,7 @@ def contractivity_defect(F: BlockGenerator) -> float:
 
 def form_defect(F: BlockGenerator, xi) -> float:
     """2 Re<xi, F xi> + |Delta F xi|^2 for xi in h + (h (x) k)."""
-    xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
-    if xi.size != F.total_dim:
-        raise ValueError(f"xi has dimension {xi.size}, expected {F.total_dim}")
+    xi = check_vector(xi, F.total_dim, "xi")
     fxi = F.full_matrix() @ xi
     return float(2.0 * np.vdot(xi, fxi).real + np.vdot(fxi[F.dim_h :], fxi[F.dim_h :]).real)
 

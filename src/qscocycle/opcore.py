@@ -3,8 +3,9 @@
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``; a
 "CMatrix" in the rest of the package is exactly that.  Every routine here
 validates finiteness on entry and guarantees finite output, so callers can
-chain operations without re-checking.  ``check_times`` and ``check_count``
-are the package's one check of a time and of a count.
+chain operations without re-checking.  ``check_times``, ``check_count`` and
+``check_vector`` are the package's one check of a time, of a count and of a
+state vector.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def check_count(value, name: str) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name}={value!r} must be an integer")
     return operator.index(value)
+
+
+def check_vector(v, size: int, name: str) -> np.ndarray:
+    """``v`` flattened to complex128, if it has ``size`` entries, all finite;
+    a ValueError names the argument."""
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    if v.size != size:
+        raise ValueError(f"{name} has dimension {v.size}, expected {size}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return v
 
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:

@@ -270,18 +270,18 @@ def aligned_step(rng, dim_k, t, jumps, base=256, scale=0.7):
     return StepFunction(bps, vals, end)
 
 
-def lattice_runs(lattice, *fns):
-    """Reference for ``ToyLattice.runs``: evaluates every fn at all N slot times.
+def lattice_runs(tau, n, *fns):
+    """Reference for ``toyfock._runs``: evaluates every fn at all n slot times.
 
     A run starts wherever the row of values changes from the previous slot's;
     O(N dim_k) time and memory, so only for moderate N.
     """
-    times = lattice.tau * np.arange(lattice.n_steps)
+    times = tau * np.arange(n)
     values = [fn.at(times) for fn in fns]
     changed = np.logical_or.reduce([col[1:] != col[:-1] for v in values for col in v.T])
     starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
-    one, root = np.ones((starts.size, 1)), np.sqrt(lattice.tau)
-    return np.diff(starts, append=lattice.n_steps), [np.hstack([one, root * v[starts]]) for v in values]
+    one, root = np.ones((starts.size, 1)), np.sqrt(tau)
+    return np.diff(starts, append=n), [np.hstack([one, root * v[starts]]) for v in values]
 
 
 def sequential_chain(mats, piece_idx):

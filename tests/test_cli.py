@@ -88,6 +88,11 @@ class TestBuild:
         bad.write_text("{not json")
         assert main(["build", str(bad), "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_top_level_array_is_parse_error(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "list.json", [{"format": 1, "model": "zero", "dim_h": 1, "dim_k": 1}])
+        assert main(["build", spec, "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == "error: top-level JSON value must be an object\n"
+
     def test_missing_field_names_it(self, tmp_path, capsys):
         spec = write_json(tmp_path / "nolam.json", {
             "format": 1, "model": "oscillator", "dim": 4, "mu": 0.0,
@@ -175,6 +180,17 @@ class TestCheck:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
+
+    def test_module_entry_point_matches_main(self, tmp_path, capsys):
+        # ``python -m qscocycle`` exits with main's code (4: not contractive)
+        # and prints what main prints.
+        gen = write_json(tmp_path / "bad.gen.json", jsonio.generator_to_payload(
+            zero_generator(1, 1, C=2.0 * np.eye(1))))
+        env = {**os.environ, "PYTHONPATH": str(Path(qscocycle.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "qscocycle", "check", gen],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (main(["check", gen]), capsys.readouterr().out)
+        assert proc.returncode == 4 and "NOT contractive" in proc.stdout
 
     def test_csv_report(self, tmp_path):
         gen = scalar_hp_file(tmp_path)
@@ -393,7 +409,7 @@ class TestOtherCommands:
         (["oracle-norm", "STEP", "--t", "0", "--steps", "4"], "--t must be a finite horizon > 0"),
         (["tk", "--n-list", "100,10"], "--n-list must be a comma-separated, strictly increasing"),
         (["tk", "--n-list", "10,10"], "--n-list must be a comma-separated, strictly increasing"),
-        (["oracle-norm", "STEP", "--t", "1", "--steps", str(2**53 + 1)], f"n_steps={2**53 + 1}"),
+        (["oracle-norm", "STEP", "--t", "1", "--steps", str(2**53 + 1)], f"N={2**53 + 1}"),
         (["oracle-norm", "STEP", "--t", "5e-324", "--steps", "4"], "tau must be finite and positive"),
     ])
     def test_bad_count_or_horizon_is_validation_error(self, tmp_path, capsys, flags, message):

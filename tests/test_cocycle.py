@@ -6,10 +6,10 @@ from qscocycle import (
     OscillatorSpec,
     SemigroupFamily,
     StepFunction,
-    ToyLattice,
     birth_death,
     cocycle_defect,
     exp_inner,
+    form_defect,
     from_hlc,
     full_matrix_element,
     generator_from_semigroups,
@@ -58,6 +58,11 @@ class TestStepFunction:
                 StepFunction(np.array([0.0]), np.array([[bad]]), 1.0)
         with pytest.raises(ValueError, match=r"shape \(1, 2, 2\)"):
             StepFunction(np.zeros(1), np.zeros((1, 2, 2)), 1.0)
+        with pytest.raises(ValueError, match="at least one breakpoint"):
+            StepFunction(np.zeros(0), np.zeros((0, 1)), 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="breakpoints must be finite"):
+                StepFunction(np.array([0.0, bad]), np.zeros((2, 1)), 1.0)
 
     def test_right_continuous_evaluation(self):
         f = StepFunction(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]), 3.0)
@@ -98,6 +103,8 @@ class TestStepFunction:
         # Unchanged past the reversal horizon.
         assert r(2.5)[0] == 2.0
         assert r(3.5)[0] == 0.0
+        # Reversal on the empty interval [0, 0) changes nothing.
+        assert f.reversed_on(0.0) is f
 
     def test_zero_and_constant_constructors(self):
         z = StepFunction.zero(2)
@@ -200,6 +207,11 @@ class TestSlicedElement:
         with pytest.raises(ValueError, match="nonnegative"):
             sliced_element(scalar_hp(), z, z, -1.0)
 
+    def test_dim_k_check(self):
+        z, z2 = StepFunction.zero(1), StepFunction.zero(2)
+        with pytest.raises(ValueError, match="^step functions have dim_k 1, 2; generator has 1$"):
+            sliced_element(scalar_hp(), z, z2, 1.0)
+
     @pytest.mark.parametrize("start", [0.0])
     def test_grid_matches_pointwise(self, start):
         F = random_contractive(3, 2, seed=22)
@@ -301,7 +313,7 @@ class TestFullMatrixElement:
 
     def test_dimension_check(self):
         z = StepFunction.zero(1)
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match="u has dimension 2, expected 1"):
             full_matrix_element(scalar_hp(), [1.0, 0.0], z, [1.0], z, 1.0)
 
     def test_underflow_is_an_exact_zero(self):
@@ -554,8 +566,7 @@ GUARDED = {
         lambda x: trotter_kato_pipeline(scalar_hp(), [10], grid_points=x), "grid_points", COUNTS
     ),
     "tk-n_list": (lambda x: trotter_kato_pipeline(scalar_hp(), [x, 10]), r"n_list\[0\]", COUNTS),
-    "lattice-n_steps": (lambda x: ToyLattice(n_steps=x, horizon=1.0), "n_steps", COUNTS),
-    "lattice-horizon": (lambda x: ToyLattice(n_steps=4, horizon=x), "horizon", TIMES),
+    "tk-n_list-iterable": (lambda x: trotter_kato_pipeline(scalar_hp(), x), "n_list", COUNTS),
     "oracle_matrix_element-t": (
         lambda x: oracle_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, x, 4), "t", TIMES
     ),
@@ -604,3 +615,33 @@ def test_nan_guards_name_the_argument(site, bad):
     call, name, _ = GUARDED[site]
     with pytest.raises(ValueError, match=rf"\b{name}={bad}"):
         call(bad)
+
+
+# Every public entry point that takes a state vector, with the argument its
+# ValueError names and the vector's size: a NaN, an infinite entry or a wrong
+# size is refused by name before any product can overflow.
+VECTORS = {
+    "full_matrix_element-u": (lambda x: full_matrix_element(scalar_hp(), x, ZERO, [1.0], ZERO, 1.0), "u", 1),
+    "full_matrix_element-v": (lambda x: full_matrix_element(scalar_hp(), [1.0], ZERO, x, ZERO, 1.0), "v", 1),
+    "oracle_matrix_element-u": (
+        lambda x: oracle_matrix_element(scalar_hp(), x, ZERO, [1.0], ZERO, 1.0, 4), "u", 1
+    ),
+    "oracle_matrix_element-v": (
+        lambda x: oracle_matrix_element(scalar_hp(), [1.0], ZERO, x, ZERO, 1.0, 4), "v", 1
+    ),
+    "oracle_state_norm": (lambda x: oracle_state_norm(scalar_hp(), x, ZERO, 1.0, 4), "v", 1),
+    "form_defect": (lambda x: form_defect(scalar_hp(), x), "xi", 2),
+}
+
+
+@pytest.mark.parametrize("site, bad", [(site, bad) for site in VECTORS for bad in ("nan", "inf", "size")])
+def test_vector_guards_name_the_argument(site, bad):
+    call, name, size = VECTORS[site]
+    if bad == "size":
+        with pytest.raises(ValueError, match=rf"^{name} has dimension {size + 1}, expected {size}$"):
+            call(np.ones(size + 1))
+        return
+    x = np.ones(size, dtype=np.complex128)
+    x[-1] = np.nan if bad == "nan" else complex(0.0, -np.inf)
+    with pytest.raises(ValueError, match=rf"^{name} has non-finite entries$"):
+        call(x)

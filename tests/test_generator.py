@@ -42,6 +42,16 @@ def test_assemble_names_offending_block():
         zero_generator(2, 1, L=np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("dim_h, dim_k, message", [
+    (0, 1, "dim_h must be >= 1"),
+    (1, -1, "dim_k must be >= 0"),
+])
+def test_assemble_range_check(dim_h, dim_k, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BlockGenerator(dim_h=dim_h, dim_k=dim_k, K=np.zeros((1, 1)), L=np.zeros((0, 1)),
+                       M=np.zeros((1, 0)), C=np.zeros((0, 0)))
+
+
 def test_from_hlc_zero():
     F = from_hlc(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
     assert op_norm(F.full_matrix()) == 0.0
@@ -91,6 +101,12 @@ def test_component_zero_vectors_gives_drift():
     F = random_contractive(3, 2, seed=1)
     z = np.zeros(2)
     assert np.allclose(component(F, z, z), F.K, atol=1e-15)
+
+
+def test_component_dimension_check():
+    F = random_contractive(2, 2, seed=1)
+    with pytest.raises(ValueError, match=r"^slice vectors have dimensions 3, 2; expected 2$"):
+        component(F, np.zeros(3), np.zeros(2))
 
 
 def test_component_of_zero_generator():

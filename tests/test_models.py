@@ -45,6 +45,9 @@ class TestOscillator:
             OscillatorSpec(dim=3, lam=np.zeros(3), mu=np.zeros(3))
         with pytest.raises(ValueError, match="mu"):
             OscillatorSpec(dim=3, lam=np.zeros(4), mu=np.zeros(4))
+        for lam, mu in (([0.0, 0.0, np.inf, 0.0], [0.0] * 3), ([0.0] * 4, [0.0, np.nan, 0.0])):
+            with pytest.raises(ValueError, match="oscillator sequences must be finite"):
+                OscillatorSpec(dim=3, lam=lam, mu=mu)
 
     def test_trivial_sequences_give_zero(self):
         F = inverse_oscillator(OscillatorSpec(dim=3, lam=np.zeros(4), mu=np.zeros(3)))

@@ -59,6 +59,10 @@ class TestMatExp:
         with pytest.raises(ValueError, match="finite"):
             mat_exp([[np.inf, 0.0], [0.0, 0.0]])
 
+    def test_empty(self):
+        got = mat_exp(np.zeros((0, 0)))
+        assert got.shape == (0, 0) and got.dtype == np.complex128
+
 
 class TestPsdInvSqrt:
     def test_identity(self):
@@ -94,6 +98,9 @@ class TestPsdInvSqrt:
         with pytest.raises(ValueError, match="eigenvalue"):
             psd_inv_sqrt(np.diag([1.0, 1e-15]))
 
+    def test_empty(self):
+        assert psd_inv_sqrt(np.zeros((0, 0))).shape == (0, 0)
+
 
 class TestOpNorm:
     def test_identity(self):
@@ -104,6 +111,11 @@ class TestOpNorm:
 
     def test_column_vector(self):
         assert abs(op_norm([[3.0], [4.0]]) - 5.0) < 1e-12
+
+    def test_vector_rejected(self):
+        for norm, name in ((op_norm, "2-dimensional"), (op_norm_stack, "at least 2-dimensional")):
+            with pytest.raises(ValueError, match=f"^op_norm input must be {name}, got ndim=1$"):
+                norm(np.ones(3))
 
     def test_submultiplicative(self):
         rng = np.random.default_rng(5)
@@ -127,6 +139,9 @@ class TestMaxHermEig:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             max_herm_eig(np.zeros((1, 2)))
+
+    def test_empty(self):
+        assert max_herm_eig(np.zeros((0, 0))) == 0.0
 
 
 def _with_norm(rng, n, mu):

@@ -14,7 +14,7 @@ from qscocycle import (
     trotter_kato_pipeline,
     varpi_matrix,
 )
-from qscocycle.reconstruct import Probe, _check_group, deterministic_core_probes, screen_probes
+from qscocycle.reconstruct import Probe, _check_group, _inv_roots, deterministic_core_probes, screen_probes
 from qscocycle.semigroups import q_stack
 
 from oracles import (
@@ -61,6 +61,10 @@ class TestVarpiMatrix:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             varpi_matrix(np.zeros((1, 1)), -0.1)
+
+    def test_flat_tuple_is_one_channel(self):
+        # A 1-d c-tuple holds n scalars, the slice vectors of dim_k = 1.
+        assert_bitwise(varpi_matrix([0.0, 1.0, 0.5j], 0.7), varpi_matrix([[0.0], [1.0], [0.5j]], 0.7))
 
 
 class TestProbes:
@@ -209,6 +213,13 @@ class TestScreening:
         with pytest.raises(ValueError, match=f"^{name}="):
             screen(scalar_hp(), **counts)
 
+    def test_singular_weights_raise_the_reason(self):
+        # The random weights are drawn positive definite; a singular one in a
+        # stack is refused with psd_inv_sqrt's reason, not a zero root.
+        weights = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
+        with pytest.raises(ValueError, match="eigenvalue 0 <= tol"):
+            _inv_roots(weights)
+
     def test_numpy_integer_counts_accepted(self):
         F = random_contractive(2, 1, seed=19)
         got = screen_family(F, n_max=np.int64(2), samples=np.int32(10), seed=np.uint8(29))
@@ -348,6 +359,10 @@ class TestTrotterKato:
         # int() would run n = 10 and n = 1 here without a word.
         with pytest.raises(ValueError, match=r"^n_list\[0\]="):
             trotter_kato_pipeline(scalar_hp(), n_list)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="^grid_points must be >= 1, got 0$"):
+            trotter_kato_pipeline(scalar_hp(), [10, 100], grid_points=0)
 
     @pytest.mark.parametrize("grid_points", [2.0, np.nan, True])
     def test_non_integer_grid_points_rejected(self, grid_points):

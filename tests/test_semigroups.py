@@ -110,6 +110,11 @@ class TestSemigroupValues:
         with pytest.raises(ValueError, match="nonnegative"):
             fam.q([0.0], [0.0], -0.5)
 
+    def test_slice_vector_dimension_checked(self):
+        fam = SemigroupFamily(scalar_hp())
+        with pytest.raises(ValueError, match="^slice vector has dimension 2, expected 1$"):
+            fam.q([0.0, 0.0], [0.0], 0.5)
+
     def test_zero_generator_q(self):
         fam = SemigroupFamily(zero_generator(2, 1))
         c, d = np.array([1.0]), np.array([1j])

@@ -6,7 +6,6 @@ import pytest
 
 from qscocycle import (
     StepFunction,
-    ToyLattice,
     exp_inner,
     from_hlc,
     full_matrix_element,
@@ -16,7 +15,7 @@ from qscocycle import (
     random_contractive,
     step_matrix,
 )
-from qscocycle import _kernels, jsonio
+from qscocycle import _kernels, jsonio, toyfock
 from qscocycle.cli import main
 
 from oracles import (
@@ -64,34 +63,33 @@ def slot_factor(step, dh, m, N, j):
 
 class TestLatticeAndStep:
     def test_lattice_validation(self):
-        with pytest.raises(ValueError, match="n_steps"):
-            ToyLattice(n_steps=0, horizon=1.0)
-        with pytest.raises(ValueError, match="horizon"):
-            ToyLattice(n_steps=4, horizon=0.0)
-        lat = ToyLattice(n_steps=4, horizon=2.0)
-        assert lat.tau == 0.5
-        # Slot j starts at tau * j: the first slot at or after each time.
-        assert [lat._first_slot(x) for x in (0.0, 0.5, 0.6, 1.5, 1.6, 9.0)] == [0, 1, 2, 3, 4, 4]
-        # Past 2**53 the slot times tau * j are no longer distinct doubles.
-        assert ToyLattice(n_steps=2**53, horizon=1.0).n_steps == 2**53
-        with pytest.raises(ValueError, match=f"n_steps={2**53 + 1}"):
-            ToyLattice(n_steps=2**53 + 1, horizon=1.0)
-        # Slot counts are integers: no float, however whole, and no bool.
-        for bad in (3.5, 4.0, np.float64(4.0), True, "4"):
-            with pytest.raises(ValueError, match="n_steps="):
-                ToyLattice(n_steps=bad, horizon=1.0)
-        assert ToyLattice(n_steps=np.int64(4), horizon=2.0).tau == 0.5
         F, g = random_contractive(2, 1, seed=4), StepFunction.constant([0.5], 1.0)
-        with pytest.raises(ValueError, match="N=3.5"):
-            oracle_matrix_element(F, [1.0, 0.0], g, [1.0, 0.0], g, 1.0, 3.5)
-        with pytest.raises(ValueError, match="N=3.5"):
-            oracle_state_norm(F, [1.0, 0.0], g, 1.0, 3.5)
+        oracles = (
+            lambda t, N: oracle_matrix_element(F, [1.0, 0.0], g, [1.0, 0.0], g, t, N),
+            lambda t, N: oracle_state_norm(F, [1.0, 0.0], g, t, N),
+        )
+        for oracle in oracles:
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                oracle(1.0, 0)
+            with pytest.raises(ValueError, match="t=0.0"):
+                oracle(0.0, 4)
+            # Past 2**53 the slot times tau * j are no longer distinct doubles.
+            assert np.isfinite(oracle(1.0, 2**53))
+            with pytest.raises(ValueError, match=f"N={2**53 + 1} is above 2"):
+                oracle(1.0, 2**53 + 1)
+            # Slot counts are integers: no float, however whole, and no bool.
+            for bad in (3.5, 4.0, np.float64(4.0), True, "4"):
+                with pytest.raises(ValueError, match="N="):
+                    oracle(1.0, bad)
+            assert oracle(2.0, np.int64(4)) == oracle(2.0, 4)
+        # Slot j starts at tau * j: the first slot at or after each time.
+        assert [toyfock._first_slot(x, 0.5, 4) for x in (0.0, 0.5, 0.6, 1.5, 1.6, 9.0)] == [0, 1, 2, 3, 4, 4]
 
     def test_non_finite_horizon_or_result_is_named(self):
-        with pytest.raises(ValueError, match="horizon must be finite"):
-            ToyLattice(n_steps=4, horizon=np.inf)
         F = random_contractive(2, 1, seed=4)
         g = StepFunction.constant([0.5], 1.0)
+        with pytest.raises(ValueError, match="t must be finite and positive, got t=inf"):
+            oracle_state_norm(F, [1.0, 0.0], g, np.inf, 4)
         with pytest.raises(OverflowError, match=r"t=1e\+308"):
             oracle_state_norm(F, [1.0, 0.0], g, 1e308, 4)
         with pytest.raises(OverflowError, match=r"t=1e\+308"):
@@ -144,7 +142,7 @@ def bitwise_equal(got, want):
     )
 
 
-def schedule_case(rng, lattice, dim_k):
+def schedule_case(rng, t, N, dim_k):
     """A step function whose jumps stress the lattice's slot boundaries.
 
     The breakpoints lie on a 1/32 grid, are uniform, sit at slot times
@@ -153,7 +151,7 @@ def schedule_case(rng, lattice, dim_k):
     drawn from a few repeated ones (signed zeros among them), so that
     neighbouring pieces are often equal.
     """
-    t, tau, n = lattice.horizon, lattice.tau, lattice.n_steps
+    tau = t / N
     pieces = int(rng.integers(1, 8))
     kind = int(rng.integers(0, 4))
     if kind == 0:
@@ -161,14 +159,14 @@ def schedule_case(rng, lattice, dim_k):
     elif kind == 1:
         jumps = np.arange(pieces) * (t / pieces)
     elif kind == 2:
-        jumps = tau * rng.integers(1, n + 3, pieces)
+        jumps = tau * rng.integers(1, N + 3, pieces)
         jumps = np.nextafter(jumps, jumps + rng.integers(-1, 2, pieces))
     else:
         jumps = rng.uniform(0.0, 1.3 * t, pieces)
     jumps = np.unique(np.concatenate(([0.0], jumps[jumps > 0])))
     choices = np.array([0.0, -0.0, 1.0, 1.0 + 1.0j, complex(-0.0, -0.0), 0.5j])
     values = rng.choice(choices, size=(jumps.size, dim_k))
-    end = (jumps[-1], t, 0.5 * t, jumps[-1] + rng.uniform(0.0, t), tau * rng.integers(0, n + 2))
+    end = (jumps[-1], t, 0.5 * t, jumps[-1] + rng.uniform(0.0, t), tau * rng.integers(0, N + 2))
     return StepFunction(jumps, values, max(float(end[int(rng.integers(0, 5))]), jumps[-1]))
 
 
@@ -179,17 +177,18 @@ class TestRuns:
         # reference that evaluates the functions at all N slot times.
         rng = np.random.default_rng(N)
         for _ in range(200 if N < 65536 else 50):
-            lattice = ToyLattice(N, float(rng.choice([1.0, 0.3, 2.0 / 3.0, rng.uniform(0.01, 5.0)])))
+            t = float(rng.choice([1.0, 0.3, 2.0 / 3.0, rng.uniform(0.01, 5.0)]))
             dim_k = int(rng.integers(0, 3))
-            fns = [schedule_case(rng, lattice, dim_k) for _ in range(int(rng.integers(1, 3)))]
-            assert bitwise_equal(lattice.runs(*fns), lattice_runs(lattice, *fns))
+            fns = [schedule_case(rng, t, N, dim_k) for _ in range(int(rng.integers(1, 3)))]
+            assert bitwise_equal(toyfock._runs(t / N, N, *fns), lattice_runs(t / N, N, *fns))
 
     def test_underflowed_step_matches_reference(self):
         # tau = 5e-324 / 4 rounds to 0: every slot time is 0.
         f = StepFunction([0.0, 0.25], [[1.0], [2.0]], 0.5)
-        lattice = ToyLattice(4, 5e-324)
-        assert lattice.tau == 0.0
-        assert bitwise_equal(lattice.runs(f, StepFunction.zero(1)), lattice_runs(lattice, f, StepFunction.zero(1)))
+        tau = 5e-324 / 4
+        assert tau == 0.0
+        zero = StepFunction.zero(1)
+        assert bitwise_equal(toyfock._runs(tau, 4, f, zero), lattice_runs(tau, 4, f, zero))
 
     def test_equal_neighbours_share_a_run(self):
         # f repeats its value across the breakpoint 0.25 and g has no jump
@@ -197,22 +196,20 @@ class TestRuns:
         # of f at 0.75 and past its support end stay one run too.
         f = StepFunction([0.0, 0.25, 0.5, 0.75], [[1.0], [1.0], [2.0], [-0.0]], 0.875)
         g = StepFunction.constant([0.5], 1.0)
-        lattice = ToyLattice(8, 1.0)
-        counts, (xi, eta) = lattice.runs(f, g)
+        counts, (xi, eta) = toyfock._runs(1.0 / 8, 8, f, g)
         assert counts.tolist() == [4, 2, 2]
         assert xi[:, 1].tolist() == [np.sqrt(0.125), 2 * np.sqrt(0.125), -0.0]
-        assert bitwise_equal((counts, [xi, eta]), lattice_runs(lattice, f, g))
+        assert bitwise_equal((counts, [xi, eta]), lattice_runs(1.0 / 8, 8, f, g))
 
     def test_runs_start_at_the_first_slot_past_each_jump(self):
         # At N = 2**50 the all-slot reference cannot be built; each run must
         # start at the first j with tau * j >= b, found here with exact
         # rational arithmetic on the doubles tau * j.
         N = 2**50
-        lattice = ToyLattice(N, 1.0)
-        tau = lattice.tau
+        tau = 1.0 / N
         jumps = [0.1, 0.3, 0.5, np.nextafter(0.5, 1.0), 0.7]
         f = StepFunction([0.0, *jumps], np.arange(1.0, 7.0), 0.9)
-        counts, (xi,) = lattice.runs(f)
+        counts, (xi,) = toyfock._runs(tau, N, f)
         assert counts.sum() == N
         starts = np.concatenate(([0], np.cumsum(counts)[:-1])).tolist()
 
@@ -331,7 +328,7 @@ class TestOracleMatrixElement:
 
     def test_dimension_checks(self):
         z = StepFunction.zero(1)
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match="u has dimension 2, expected 1"):
             oracle_matrix_element(scalar_hp(), [1.0, 0.0], z, [1.0], z, 1.0, 8)
         with pytest.raises(ValueError, match="dim_k"):
             oracle_matrix_element(scalar_hp(), [1.0], StepFunction.zero(2), [1.0], z, 1.0, 8)
