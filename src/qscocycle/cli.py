@@ -247,7 +247,9 @@ def cmd_oracle_norm(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as it was."""
     new_parser = functools.partial(argparse.ArgumentParser, exit_on_error=False)
     parser = new_parser(
         prog="qscocycle",

@@ -10,6 +10,7 @@ as its stacked channel blocks.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +65,39 @@ def _matrix(obj, name: str, shape) -> np.ndarray:
     rows, cols = shape or (len(obj), len(obj[0]))
     if len(obj) != rows or any(len(row) != cols for row in obj):
         raise SchemaError(f"field {name!r} must be a {rows} x {cols} matrix")
-    for i, row in enumerate(obj):
-        for j, entry in enumerate(row):
-            if not _is_pair(entry):
-                raise SchemaError(f"field '{name}[{i}][{j}]' must hold complex entries as [re, im]")
-    # Every entry is a pair of numbers, so the float array is (rows, cols, 2).
-    return np.array(obj, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+    # The exact types of the entries and their numbers, in C-level passes,
+    # settle the usual input; the per-entry walk runs only to name the first
+    # bad entry, or to accept a number that subclasses int or float.
+    entries = list(chain.from_iterable(obj))
+    if not (
+        set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {2}
+        and set(map(type, chain.from_iterable(entries))) <= {int, float}
+    ):
+        for i, row in enumerate(obj):
+            for j, entry in enumerate(row):
+                if not _is_pair(entry):
+                    raise SchemaError(f"field '{name}[{i}][{j}]' must hold complex entries as [re, im]")
+    # Every entry is a pair of numbers: row-major [re, im], viewed as complex.
+    numbers = np.fromiter(chain.from_iterable(entries), np.float64, 2 * rows * cols)
+    return numbers.view(np.complex128).reshape(rows, cols)
+
+
+def _huge_entry(obj, name: str, depth: int) -> str:
+    """``name`` extended by the index of the first entry, ``depth`` list
+    levels down in row-major order, that holds an integer too large for a
+    double."""
+    if depth and isinstance(obj, list):
+        for i, entry in enumerate(obj):
+            try:
+                np.array(entry, dtype=np.float64)
+            except OverflowError:
+                return _huge_entry(entry, f"{name}[{i}]", depth - 1)
+    return name
+
+
+# List levels above an entry: a ``matrix`` entry is one [re, im] pair.
+_ENTRY_DEPTH = {"real": 0, "reals": 1, "complexes": 1, "matrix": 2}
 
 
 def read_field(payload: dict, name: str, kind: str, shape=None):
@@ -79,7 +107,8 @@ def read_field(payload: dict, name: str, kind: str, shape=None):
     ``"complexes"`` (lists of ``shape`` entries, any length if None; a number
     broadcasts; complex entries are numbers or ``[re, im]``) and ``"matrix"``
     (rows of ``[re, im]``, of ``shape`` if given).  JSON ``true``/``false`` are
-    not numbers; finiteness is left to the objects built from the values.
+    not numbers, and an integer too large for a double is refused by the name
+    of its entry; finiteness is left to the objects built from the values.
     """
     if name not in payload:
         raise SchemaError(f"missing field {name!r}")
@@ -89,13 +118,17 @@ def read_field(payload: dict, name: str, kind: str, shape=None):
         if not value >= 0:
             raise SchemaError(f"field {name!r} must be nonnegative, got {value}")
         return value
-    if kind == "real":
-        if not is_number(obj):
-            raise SchemaError(f"field {name!r} must be a number, got {obj!r}")
-        return float(obj)
-    if kind == "matrix":
-        return _matrix(obj, name, shape)
-    return _sequence(obj, name, shape, {"reals": np.float64, "complexes": np.complex128}[kind])
+    try:
+        if kind == "real":
+            if not is_number(obj):
+                raise SchemaError(f"field {name!r} must be a number, got {obj!r}")
+            return float(obj)
+        if kind == "matrix":
+            return _matrix(obj, name, shape)
+        return _sequence(obj, name, shape, {"reals": np.float64, "complexes": np.complex128}[kind])
+    except OverflowError:
+        entry = _huge_entry(obj, name, _ENTRY_DEPTH[kind])
+        raise SchemaError(f"field {entry!r} holds an integer that does not fit in a double") from None
 
 
 def check_format(payload: dict) -> None:

@@ -82,7 +82,7 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=np.complex128)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={out.ndim}")
-    if out.size and not np.all(np.isfinite(out)):
+    if out.size and not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -92,7 +92,7 @@ def _as_cstack(a, name: str) -> np.ndarray:
     out = np.asarray(a, dtype=np.complex128)
     if not out.ndim >= 2:
         raise ValueError(f"{name} must be at least 2-dimensional, got ndim={out.ndim}")
-    if out.size and not np.all(np.isfinite(out)):
+    if out.size and not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -112,9 +112,11 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def _exp_norm_measure(a: np.ndarray) -> np.ndarray:
     # max(|a|_1, |a|_inf), per matrix of a stack.  Symmetric in a <-> a*, so
     # mat_exp(a*) picks the same degree and scaling as mat_exp(a) and the
-    # adjoint identity holds to roundoff.
-    axes = (-2, -1)
-    return np.maximum(np.linalg.norm(a, 1, axis=axes), np.linalg.norm(a, np.inf, axis=axes))
+    # adjoint identity holds to roundoff.  One abs pass, then the column and
+    # row sums that numpy's norm forms for ord 1 and ord inf: the same
+    # add.reduce, so the same bits.
+    x = np.abs(a)
+    return np.maximum(x.sum(axis=-2).max(axis=-1), x.sum(axis=-1).max(axis=-1))
 
 
 def _norm_overflow(mu: float) -> OverflowError:
@@ -139,12 +141,14 @@ def _pade_approx(a: np.ndarray, m: int) -> np.ndarray:
         powers = [eye, a2]
         for _ in range(2, m // 2 + 1):
             powers.append(powers[-1] @ a2)
-        u = np.zeros_like(a)
-        v = np.zeros_like(a)
-        for j in range(m, 0, -2):
+        # Each sum starts from its highest term and adds the others in the
+        # order that a sum started from zero would.
+        u = c[m] * powers[-1]
+        for j in range(m - 2, 0, -2):
             u += c[j] * powers[(j - 1) // 2]
         u = a @ u
-        for j in range(m - 1, -1, -2):
+        v = c[m - 1] * powers[-1]
+        for j in range(m - 3, -1, -2):
             v += c[j] * powers[j // 2]
     else:
         a2 = a @ a

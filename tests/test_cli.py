@@ -544,6 +544,128 @@ class TestRoundTrips:
         assert isinstance(entry, list) and len(entry) == 2
 
 
+# An integer that json loads exactly but that no double can hold.
+HUGE = 10**400
+
+
+def osc_spec(**fields):
+    return {"format": 1, "model": "oscillator", "dim": 4, "lam": 1.0, "mu": 0.0, **fields}
+
+
+class TestMatrixEntries:
+    # The bulk type check refers each bad entry to the per-entry walk, which
+    # names the first bad entry in row-major order and never the later one.
+    @pytest.mark.parametrize("bad", [
+        True, "ab", None, {"re": 1, "im": 2}, [1], [1, 2, 3], [[1, 2], [3, 4]], 5,
+        [1, "2"], [None, 0.5], [1.5, False],
+    ], ids=repr)
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0)])
+    def test_first_bad_entry_is_named(self, bad, where):
+        rows = [[[1, 0], [0.5, -2]], [[0, 0], [3, 4.25]]]
+        rows[where[0]][where[1]] = bad
+        rows[1][1] = [True, 0]
+        i, j = where
+        with pytest.raises(jsonio.SchemaError) as exc:
+            jsonio.read_field({"K": rows}, "K", "matrix", (2, 2))
+        assert str(exc.value) == f"field 'K[{i}][{j}]' must hold complex entries as [re, im]"
+
+    def test_row_that_is_not_a_list(self):
+        for rows in ([[[1, 0]], 5], [[[1, 0]], "ab"], [None, [[1, 0]]]):
+            with pytest.raises(jsonio.SchemaError, match="^field 'K' must be a nonempty list of rows$"):
+                jsonio.read_field({"K": rows}, "K", "matrix", (2, 1))
+
+    def test_number_leaves_are_accepted_as_given(self):
+        rows = [[[1, -0.0], [2.5, 3]], [[float("nan"), float("inf")], [float("-inf"), -7]]]
+        got = jsonio.read_field({"K": rows}, "K", "matrix", (2, 2))
+        want = np.array([[complex(*e) for e in row] for row in rows])
+        assert_bitwise(got, want)
+        assert got.flags.c_contiguous
+
+    def test_float_subclass_leaf_takes_the_walk(self):
+        rows = [[[np.float64(1.5), 2]], [[0, np.float64(-0.25)]]]
+        got = jsonio.read_field({"K": rows}, "K", "matrix", (2, 1))
+        assert_bitwise(got, np.array([[complex(1.5, 2)], [complex(0, -0.25)]]))
+
+    def test_empty_shapes(self):
+        assert jsonio.read_field({"K": []}, "K", "matrix", (0, 0)).shape == (0, 0)
+        assert jsonio.read_field({"K": [[], []]}, "K", "matrix", (2, 0)).shape == (2, 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_leaf_is_left_to_the_generator(self, tmp_path, capsys, value):
+        payload = jsonio.generator_to_payload(random_contractive(2, 1, seed=1))
+        payload["K"][1][0] = [0.5, value]
+        gen = write_json(tmp_path / "gen.json", payload)
+        assert main(["check", gen]) == 3
+        assert capsys.readouterr().err == "error: block K contains non-finite entries\n"
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("kind, obj, shape, entry", [
+        ("real", HUGE, None, "x"),
+        ("real", -HUGE, None, "x"),
+        ("reals", [0.0, 1, HUGE], None, "x[2]"),
+        ("reals", HUGE, 3, "x"),
+        ("complexes", [1.0, [0, -HUGE], HUGE], 3, "x[1]"),
+        ("complexes", HUGE, 2, "x"),
+        ("matrix", [[[0, 0], [0, 0]], [[1, 0], [0, HUGE]]], (2, 2), "x[1][1]"),
+        ("matrix", [[[HUGE, 0]]], None, "x[0][0]"),
+    ], ids=["real", "real-negative", "reals", "reals-broadcast", "complexes",
+            "complexes-broadcast", "matrix", "matrix-any-shape"])
+    def test_read_field_names_the_entry(self, kind, obj, shape, entry):
+        with pytest.raises(jsonio.SchemaError) as exc:
+            jsonio.read_field({"x": obj}, "x", kind, shape)
+        assert str(exc.value) == f"field '{entry}' holds an integer that does not fit in a double"
+
+    def test_largest_double_integer_is_accepted(self):
+        assert jsonio.read_field({"x": int(np.finfo(float).max)}, "x", "real") == np.finfo(float).max
+
+    @pytest.mark.parametrize("command, payload, entry", [
+        ("check", {"K": [[[HUGE, 0]]]}, "K[0][0]"),
+        ("evolve", step_payload(support_end=HUGE), "support_end"),
+        ("evolve", step_payload(breakpoints=[0.0, HUGE], values=[[[0, 0]]] * 2), "breakpoints[1]"),
+        ("evolve", step_payload(values=[[[0.5, -HUGE]]]), "values[0][0]"),
+        ("build", osc_spec(lam=[HUGE, 1, 1, 1, 1]), "lam[0]"),
+        ("build", osc_spec(mu=[0, 0, HUGE, 0]), "mu[2]"),
+        ("build", {"format": 1, "model": "birth_death", "dim": 3, "birth": HUGE, "death": 1.0}, "birth"),
+        ("build", {"format": 1, "model": "hlc", "H": [[[0, HUGE]]], "L": [[[1, 0]]], "C": [[[1, 0]]]},
+         "H[0][0]"),
+    ])
+    def test_cli_exits_2_naming_the_field(self, tmp_path, capsys, command, payload, entry):
+        gen = scalar_hp_file(tmp_path)
+        if command == "check":
+            payload = {**json.loads(Path(gen).read_text()), **payload}
+        path = write_json(tmp_path / "in.json", payload)
+        argv = {"check": ["check", path], "evolve": ["evolve", gen, path, path, "--t", "1"],
+                "build": ["build", path, "--out", str(tmp_path / "out.json")]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: field '{entry}' holds an integer that does not fit in a double\n"
+        )
+
+
+class TestSharedParser:
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        assert cli.make_parser() is cli.make_parser()
+        gen, step = scalar_hp_file(tmp_path), zero_step_file(tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(qscocycle.__file__).parents[1])}
+
+        def subprocess_run(argv):
+            proc = subprocess.run([sys.executable, "-m", "qscocycle", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        capsys.readouterr()
+        assert main(["evolve", gen, step, step, "--t", "nan"]) == 3
+        assert capsys.readouterr().err.startswith("error: --t must be a finite time >= 0")
+        usage = ["evolve", gen, step, step, "--grid", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(usage)
+        assert (exc.value.code, *capsys.readouterr()) == subprocess_run(usage)
+        valid = ["evolve", gen, step, step, "--t", "0.5", "--grid", "4"]
+        assert (main(valid), *capsys.readouterr()) == subprocess_run(valid)
+
+
 # Payload pieces for the evolve fuzz test: JSON numbers including NaN,
 # infinities, large values and booleans, and junk of every JSON shape.
 _numbers = st.one_of(

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from qscocycle import mat_exp, max_herm_eig, op_norm, psd_inv_sqrt
-from qscocycle.opcore import PSD_TOL, mat_exp_stack, op_norm_stack, psd_inv_sqrt_stack
+from qscocycle.opcore import (
+    PSD_TOL,
+    _exp_norm_measure,
+    mat_exp_stack,
+    op_norm_stack,
+    psd_inv_sqrt_stack,
+)
 
 from oracles import assert_bitwise, random_complex, scipy_expm
 
@@ -62,6 +68,41 @@ class TestMatExp:
     def test_empty(self):
         got = mat_exp(np.zeros((0, 0)))
         assert got.shape == (0, 0) and got.dtype == np.complex128
+
+
+def _norm_mirror(a):
+    # How perfbench/tracing.py picks the Pade degree for its flop count.
+    return max(np.linalg.norm(a, 1), np.linalg.norm(a, np.inf))
+
+
+class TestExpNormMeasure:
+    def test_matches_numpy_norms_bitwise(self):
+        rng = np.random.default_rng(47)
+        for n in range(1, 25):
+            for scale in (1e-4, 1.0, 20.0):
+                a = random_complex(rng, (n, n), scale)
+                a[rng.random((n, n)) < 0.3] = 0.0
+                assert_bitwise(_exp_norm_measure(a), _norm_mirror(a))
+                assert_bitwise(_exp_norm_measure(a.real), _norm_mirror(a.real))
+
+    def test_stack_is_measured_per_matrix(self):
+        rng = np.random.default_rng(53)
+        stack = random_complex(rng, (2, 3, 5, 5), 3.0)
+        want = np.array([_norm_mirror(a) for a in stack.reshape(-1, 5, 5)]).reshape(2, 3)
+        assert_bitwise(_exp_norm_measure(stack), want)
+
+    def test_zero_and_overflowing_matrices(self):
+        zero = np.zeros((3, 3), dtype=complex)
+        assert_bitwise(_exp_norm_measure(zero), _norm_mirror(zero))
+        assert _exp_norm_measure(zero) == 0.0
+        # Finite entries whose row and column sums overflow to inf.
+        big = np.full((3, 3), 1e308 + 1e308j)
+        with np.errstate(over="ignore"):
+            assert_bitwise(_exp_norm_measure(big), _norm_mirror(big))
+            assert_bitwise(_exp_norm_measure(big.real), _norm_mirror(big.real))
+            assert _exp_norm_measure(big.real) == np.inf
+            with pytest.raises(OverflowError, match="norm inf exceeds"):
+                mat_exp(big)
 
 
 class TestPsdInvSqrt:
