@@ -139,7 +139,13 @@ def check_format(payload: dict) -> None:
 
 def load_json(path) -> dict:
     with Path(path).open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            # Bytes that are not UTF-8, or an integer past Python's digit limit.
+            raise SchemaError(f"file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise SchemaError("top-level JSON value must be an object")
     return payload

@@ -36,17 +36,25 @@ def _runs(tau: float, n: int, *fns: StepFunction) -> tuple[np.ndarray, list[np.n
     A run of slots starts wherever the row of values of ``fns`` changes.
     A value can change only at the first slot j with tau * j >= b for a
     breakpoint or support end b, so each fn is evaluated once, at those
-    slots: O(pieces) work, and no array of all n slot times.
+    slots: O(pieces) work, and no array of all n slot times.  The slots and
+    run starts are Python ints; numpy holds only the values.
     """
     jumps = {0.0}.union(*(fn.breakpoints.tolist() + [fn.support_end] for fn in fns))
-    slots = np.array(sorted({j for j in (_first_slot(b, tau, n) for b in jumps) if j < n}))
-    values = [fn.at(tau * slots) for fn in fns]
+    slots = sorted({j for j in (_first_slot(b, tau, n) for b in jumps) if j < n})
+    values = [fn.at(tau * np.array(slots)) for fn in fns]
+    listed = [v.tolist() for v in values]
     # Equal neighbouring pieces stay one run: splitting it would change the power's rounding.
-    changed = np.logical_or.reduce([(v[1:] != v[:-1]).any(axis=1) for v in values])
-    starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
-    one, root = np.ones((starts.size, 1)), np.sqrt(tau)
-    counts = np.diff(slots[starts], append=n)
-    return counts, [np.hstack([one, root * v[starts]]) for v in values]
+    starts = [i for i in range(len(slots)) if not i or any(vals[i] != vals[i - 1] for vals in listed)]
+    bounds = [slots[i] for i in starts] + [n]
+    counts = np.array([end - start for start, end in zip(bounds, bounds[1:])])
+    root = math.sqrt(tau)
+    out = []
+    for v in values:
+        comps = np.empty((len(starts), 1 + v.shape[1]), dtype=np.complex128)
+        comps[:, 0] = 1.0
+        comps[:, 1:] = root * v[starts]
+        out.append(comps)
+    return counts, out
 
 
 def _first_slot(t: float, tau: float, n: int) -> int:

@@ -644,6 +644,25 @@ class TestHugeIntegers:
         )
 
 
+class TestUndecodableJson:
+    # json.load raises a plain ValueError, not a JSONDecodeError, for these.
+    @pytest.mark.parametrize("raw, reason", [
+        (b'\xff\xfe{"format": 1}', "'utf-8' codec can't decode byte 0xff"),
+        (b'{"format": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf8", "5000-digit-integer"])
+    @pytest.mark.parametrize("kind", ["generator", "step", "spec"])
+    def test_exits_2_saying_the_file_is_not_json(self, tmp_path, capsys, raw, reason, kind):
+        gen = scalar_hp_file(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        argv = {"generator": ["check", str(bad)],
+                "step": ["evolve", gen, str(bad), str(bad), "--t", "1"],
+                "spec": ["build", str(bad), "--out", str(tmp_path / "out.json")]}[kind]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: file is not valid JSON: {reason}")
+
+
 class TestSharedParser:
     def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
         assert cli.make_parser() is cli.make_parser()

@@ -131,6 +131,14 @@ class TestLatticeAndStep:
         assert got.tobytes() == block.tobytes()
 
 
+def near_identity(rng, n, dh, slots):
+    """n matrices I + (x - x* - x* x / 2) / slots, near-identity contractions
+    whose powers stay bounded over about ``slots`` slots."""
+    x = random_complex(rng, (n, dh, dh))
+    xh = x.conj().swapaxes(-1, -2)
+    return np.eye(dh) + (x - xh - 0.5 * xh @ x) / slots
+
+
 def bitwise_equal(got, want):
     """Same counts and the same slot components, bit for bit."""
     (got_counts, got_rows), (want_counts, want_rows) = got, want
@@ -200,6 +208,31 @@ class TestRuns:
         assert counts.tolist() == [4, 2, 2]
         assert xi[:, 1].tolist() == [np.sqrt(0.125), 2 * np.sqrt(0.125), -0.0]
         assert bitwise_equal((counts, [xi, eta]), lattice_runs(1.0 / 8, 8, f, g))
+
+    @pytest.mark.parametrize("case, N, counts", [
+        ("aligned-one", 65536, [16384] * 4),
+        ("aligned-two", 65536, [32768] * 2),
+        ("support-end-inside", 4096, [1024, 1024, 410, 1638]),
+        ("equal-across-jump", 65536, [32768, 16384, 16384]),
+    ])
+    def test_benchmark_shapes_match_all_slot_reference(self, case, N, counts):
+        # The oracle benchmark's schedules: every jump on a slot edge, one
+        # or two functions; then a support end between slot edges, and a
+        # jump that keeps its value, which must not start a run.
+        rng = np.random.default_rng(21)
+        a, b, c = random_complex(rng, (3, 1), 0.5)
+        quarters = 0.25 * np.arange(4)
+        fns = {
+            "aligned-one": [StepFunction(quarters, random_complex(rng, (4, 1), 0.5), 1.0)],
+            "aligned-two": [StepFunction([0.0, 0.5], random_complex(rng, (2, 2), 0.5), 1.0),
+                            StepFunction([0.0, 0.5], random_complex(rng, (2, 2), 0.5), 1.0)],
+            "support-end-inside": [StepFunction(quarters[:3], [a, b, c], 0.6),
+                                   StepFunction.constant(a, 1.0)],
+            "equal-across-jump": [StepFunction(quarters, [a, a, b, c], 1.0), StepFunction.constant(c, 1.0)],
+        }[case]
+        got = toyfock._runs(1.0 / N, N, *fns)
+        assert got[0].tolist() == counts
+        assert bitwise_equal(got, lattice_runs(1.0 / N, N, *fns))
 
     def test_runs_start_at_the_first_slot_past_each_jump(self):
         # At N = 2**50 the all-slot reference cannot be built; each run must
@@ -505,6 +538,55 @@ class TestKernels:
         ref = sequential_chain(mats, np.repeat(np.arange(pieces), counts))
         got = _kernels.element_chain(mats, counts)
         assert op_norm(got - ref) <= 1e-11 * op_norm(ref)
+
+    def test_stacked_run_powers_match_matrix_power(self):
+        # One binary powering of the whole stack takes each run's power as
+        # numpy does, bit for bit; only count 3 differs, a @ (a @ a) against
+        # numpy's (a @ a) @ a.
+        counts = [1, 2, 3, 4, 5, 7, 65535, 65536, 2**20 + 1]
+        mats = near_identity(np.random.default_rng(17), len(counts), 3, 2**20)
+        powers = _kernels._run_powers(mats, np.array(counts))
+        for mat, count, power in zip(mats, counts, powers, strict=True):
+            want = mat @ (mat @ mat) if count == 3 else np.linalg.matrix_power(mat, count)
+            assert power.tobytes() == want.tobytes()
+
+    def test_stacked_chain_matches_slot_by_slot_product(self):
+        # The mixed schedule above without its 2**20-slot run, whose
+        # slot-by-slot reference would take seconds.
+        counts = np.array([1, 2, 3, 4, 5, 7, 65535, 65536])
+        mats = near_identity(np.random.default_rng(18), counts.size, 3, 2**17)
+        ref = sequential_chain(mats, np.repeat(np.arange(counts.size), counts))
+        got = _kernels.element_chain(mats, counts)
+        assert op_norm(got - ref) <= 1e-11 * op_norm(ref)
+
+    def test_finished_runs_are_not_squared_on(self):
+        # (2 I)^4 is done after two squarings; squared on with the 2**20-slot
+        # run beside it, 2 I would overflow at its tenth squaring.
+        near = near_identity(np.random.default_rng(19), 1, 2, 2**20)
+        mats = np.concatenate([2 * np.eye(2, dtype=np.complex128)[None], near])
+        with np.errstate(over="raise", invalid="raise"):
+            got = _kernels.element_chain(mats, [4, 2**20])
+        assert np.array_equal(got, 16 * np.linalg.matrix_power(near[0], 2**20))
+
+    @pytest.mark.parametrize("dh, m, count, branch", [
+        (2, 2, 4, "stepped"), (2, 2, 1000, "squared"), (24, 2, 16, "kraus"),
+    ])
+    def test_slot_apply_branches_match_reduced_recurrence(self, monkeypatch, dh, m, count, branch):
+        # One run of ``count`` slots: vec(rho) steps by S where forming S and
+        # the count products cost fewer flops than the Kraus slots, S is
+        # squared where even that costs fewer, and at dh = 24 no S is formed.
+        formed, chained = [], []
+        superoperator, chain = _kernels._superoperator, _kernels.element_chain
+        monkeypatch.setattr(_kernels, "_superoperator", lambda ops: formed.append(1) or superoperator(ops))
+        monkeypatch.setattr(_kernels, "element_chain", lambda mats, c: chained.append(1) or chain(mats, c))
+        rng = np.random.default_rng(400 + dh + count)
+        F = random_contractive(dh, m - 1, seed=80 + dh)
+        g = StepFunction.constant(random_complex(rng, m - 1, 0.5), 1.0)
+        v = random_complex(rng, dh)
+        got = oracle_state_norm(F, v, g, 1.0, count)
+        expect = reduced_state_norm(F, v, g, 1.0, count)
+        assert abs(got - expect) <= 1e-12 * expect
+        assert (len(formed), len(chained)) == {"stepped": (1, 0), "squared": (1, 1), "kraus": (0, 0)}[branch]
 
     @pytest.mark.parametrize("dh, m, n", [(2, 2, 4), (2, 3, 3), (1, 2, 5)])
     def test_slot_apply_matches_dense_slot_factors(self, dh, m, n):
