@@ -274,7 +274,7 @@ def make_parser() -> argparse.ArgumentParser:
     evolve.add_argument("f", type=Path)
     evolve.add_argument("g", type=Path)
     evolve.add_argument("--t", type=TIME, required=True)
-    evolve.add_argument("--grid", type=COUNT, default=10)
+    evolve.add_argument("--grid", type=POSITIVE, default=10)
     evolve.add_argument("--oracle", type=COUNT, default=0,
                         help="also evaluate the repeated-interaction oracle with N steps")
     evolve.add_argument("--out", type=Path, default=None)

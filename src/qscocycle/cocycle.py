@@ -100,7 +100,10 @@ class StepFunction:
 
     def at(self, times: np.ndarray) -> np.ndarray:
         """Values at an array of times >= 0, one row of length dim_k per time."""
-        times = check_times(times, "t")
+        return self._values(check_times(times, "t"))
+
+    def _values(self, times: np.ndarray) -> np.ndarray:
+        """``at`` for a float array of times already known finite and >= 0."""
         out = self.values[np.searchsorted(self.breakpoints, times, side="right") - 1]
         out[times >= self.support_end] = 0.0
         return out
@@ -143,7 +146,7 @@ def _refinement(f: StepFunction, g: StepFunction, a: float, b: float, extra=()):
     cuts = np.sort(np.concatenate(((a, b), jumps[(jumps > a) & (jumps < b)])))
     # Deduplicated by hand: np.unique imports numpy.ma (about 1 MB resident).
     cuts = cuts[np.append(True, np.diff(cuts) > 0)]
-    return cuts, f.at(cuts[:-1]), g.at(cuts[:-1])
+    return cuts, f._values(cuts[:-1]), g._values(cuts[:-1])
 
 
 def exp_inner(
@@ -179,7 +182,7 @@ def exp_inner(
 
 
 def sliced_element(
-    F: BlockGenerator, f: StepFunction, g: StepFunction, t: float | np.ndarray
+    F: BlockGenerator, f: StepFunction, g: StepFunction, t: float | np.ndarray, u=None
 ) -> np.ndarray:
     """Ordered product of Q-semigroup factors over the joint refinement of [0, t).
 
@@ -190,7 +193,15 @@ def sliced_element(
     these products: one sweep over one refinement of [0, t[-1]] that holds
     every time as a cut, read off at each time by the cocycle law.  The slice
     of sigma_r(V_t) is that of V_t on the shifted step data ``f.shifted(r)``.
-    The call's one ``SemigroupFamily`` caches Q for this sweep alone.
+
+    Given a state vector ``u``, the sweep carries the row u* (Q-product)
+    instead of the product itself, dim_h^2 flops per piece in place of
+    dim_h^3, and returns one such row per time: (len(t), dim_h), or (dim_h,)
+    for a single time.
+
+    The call's one ``SemigroupFamily`` caches Q for this sweep alone; the
+    generators of the refinement's distinct slices come from one stacked
+    ``slice_generators`` call before the sweep.
     """
     fam = SemigroupFamily(F)
     times = np.reshape(check_times(t, "t"), -1)
@@ -200,12 +211,16 @@ def sliced_element(
         raise ValueError(
             f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}"
         )
+    if u is None:
+        prefix = np.eye(F.dim_h, dtype=np.complex128)
+    else:
+        prefix = check_vector(u, F.dim_h, "u").conj()
     cuts, fv, gv = _refinement(f, g, 0.0, times[-1] if times.size else 0.0, times)
+    fam.slice_generators(fv, gv)
     # Rows rows[j]:rows[j+1] of the output are the times at cuts[j]; each gets
     # the product of the factors of the pieces before that cut.
     rows = np.searchsorted(np.searchsorted(cuts, times), np.arange(cuts.size + 1))
-    out = np.empty((times.size, F.dim_h, F.dim_h), dtype=np.complex128)
-    prefix = np.eye(F.dim_h, dtype=np.complex128)
+    out = np.empty((times.size, *prefix.shape), dtype=np.complex128)
     out[rows[0] : rows[1]] = prefix
     for j, (c, d, h) in enumerate(zip(fv, gv, np.diff(cuts)), start=1):
         prefix = prefix @ fam.q(c, d, h)
@@ -228,18 +243,20 @@ def full_matrix_element(
     A single time t gives a complex number and a nondecreasing sequence of
     times gives an array, from one sweep: by the cocycle law the Q-product up
     to each time is the product up to the previous time times the factors in
-    between, so one ``sliced_element`` stack and one ``exp_inner`` array serve
-    the whole grid.  The norms of the exponential vectors enter as one log
-    scalar, exp(log <u, Q-product v> + S(t)), so an underflowed Q-product
-    gives an exact 0.  Raises ``OverflowError``, naming the first such time,
+    between, so one ``sliced_element`` sweep and one ``exp_inner`` array serve
+    the whole grid.  The sweep carries only the row u* (Q-product), one
+    vector-matrix product per piece, and <u, Q-product v> is that row times
+    v.  The norms of the exponential vectors enter as one log scalar,
+    exp(log <u, Q-product v> + S(t)), so an underflowed Q-product gives an
+    exact 0.  Raises ``OverflowError``, naming the first such time,
     when an element is not finite because the unnormalized exponential-vector
     factors overflow.
     """
     u, v = check_vector(u, F.dim_h, "u"), check_vector(v, F.dim_h, "v")
     times = np.asarray(t, dtype=np.float64).reshape(-1)
-    slices = sliced_element(F, f, g, times)
+    rows = sliced_element(F, f, g, times, u)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logs = np.log(u.conj() @ slices @ v) + _log_norms(f, g, times)
+        logs = np.log(rows @ v) + _log_norms(f, g, times)
         out = np.exp(logs) * exp_inner(f, g, times, None)
     finite = np.isfinite(out)
     if not finite.all():

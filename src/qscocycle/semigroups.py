@@ -78,10 +78,33 @@ class SemigroupFamily:
         return hit
 
     def slice_generators(self, c, d) -> np.ndarray:
-        """The generator G_{c,d} of Q^{c,d}, evaluated once per slice."""
-        c, d = self._vec(c), self._vec(d)
-        return self._lookup(
-            (c.tobytes(), d.tobytes(), None), lambda: g_generator(self.source, c, d)
+        """The generator G_{c,d} of Q^{c,d}, evaluated once per slice.
+
+        Stacks of rows c, d (n, dim_k) give the (n, dim_h, dim_h) stack of
+        generators, and the rows not cached yet get theirs from one
+        ``g_generator`` call: ``component`` gives a slice the same bits alone
+        or in a stack, so a generator does not depend on how it was cached.
+        """
+        if np.ndim(c) < 2 and np.ndim(d) < 2:
+            c, d = self._vec(c), self._vec(d)
+            return self._lookup(
+                (c.tobytes(), d.tobytes(), None), lambda: g_generator(self.source, c, d)
+            )
+        c, d = np.asarray(c, dtype=np.complex128), np.asarray(d, dtype=np.complex128)
+        if c.ndim != 2 or c.shape != d.shape or c.shape[1] != self.source.dim_k:
+            raise ValueError(
+                f"slice vector stacks have shapes {c.shape} and {d.shape}, "
+                f"expected (n, {self.source.dim_k}) each"
+            )
+        keys = [(ci.tobytes(), di.tobytes(), None) for ci, di in zip(c, d)]
+        # Rows with equal keys hold equal bytes, so any one of them will do.
+        new = {key: i for i, key in enumerate(keys) if key not in self._cache}
+        if new:
+            rows = list(new.values())
+            for key, gen in zip(new, g_generator(self.source, c[rows], d[rows])):
+                self._lookup(key, lambda gen=gen: gen)
+        return np.array([self._cache[key] for key in keys]).reshape(
+            len(keys), self.source.dim_h, self.source.dim_h
         )
 
     def _exp(self, c, d, t: float) -> np.ndarray:

@@ -41,7 +41,7 @@ def _runs(tau: float, n: int, *fns: StepFunction) -> tuple[np.ndarray, list[np.n
     """
     jumps = {0.0}.union(*(fn.breakpoints.tolist() + [fn.support_end] for fn in fns))
     slots = sorted({j for j in (_first_slot(b, tau, n) for b in jumps) if j < n})
-    values = [fn.at(tau * np.array(slots)) for fn in fns]
+    values = [fn._values(tau * np.array(slots)) for fn in fns]
     listed = [v.tolist() for v in values]
     # Equal neighbouring pieces stay one run: splitting it would change the power's rounding.
     starts = [i for i in range(len(slots)) if not i or any(vals[i] != vals[i - 1] for vals in listed)]

@@ -400,7 +400,7 @@ class TestOtherCommands:
         assert reference == pytest.approx(np.exp(0.035), rel=1e-11)
 
     @pytest.mark.parametrize("flags, message", [
-        (["evolve", "STEP", "STEP", "--t", "1.0", "--grid=-1"], "--grid must be >= 0"),
+        (["evolve", "STEP", "STEP", "--t", "1.0", "--grid=-1"], "--grid must be >= 1"),
         (["schur", "--samples", "0"], "--samples must be >= 1"),
         (["schur", "--samples", "1.5"], "--samples must be >= 1"),
         (["tk", "--grid", "0"], "--grid must be >= 1"),
@@ -411,6 +411,7 @@ class TestOtherCommands:
         (["tk", "--n-list", "10,10"], "--n-list must be a comma-separated, strictly increasing"),
         (["oracle-norm", "STEP", "--t", "1", "--steps", str(2**53 + 1)], f"N={2**53 + 1}"),
         (["oracle-norm", "STEP", "--t", "5e-324", "--steps", "4"], "tau must be finite and positive"),
+        (["evolve", "STEP", "STEP", "--t", "1.0", "--grid", "0"], "--grid must be >= 1"),
     ])
     def test_bad_count_or_horizon_is_validation_error(self, tmp_path, capsys, flags, message):
         gen = scalar_hp_file(tmp_path)

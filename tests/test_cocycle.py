@@ -26,9 +26,12 @@ from qscocycle import (
     varpi_matrix,
     yosida_approx,
 )
-from qscocycle.semigroups import dual_generator, q_stack
+from qscocycle import semigroups
+from qscocycle.cocycle import _log_norms
+from qscocycle.semigroups import dual_generator, g_generator, q_stack
 
 from oracles import (
+    assert_bitwise,
     lift_map,
     pointwise_element,
     random_complex,
@@ -401,6 +404,104 @@ class TestMatrixElements:
         assert abs(full_matrix_element(F, [1.0], f, [1.0], g, [50.0])[0] / np.exp(450.0) - 1) < 1e-12
         with pytest.raises(OverflowError, match="overflowed at t=100"):
             full_matrix_element(F, [1.0], f, [1.0], g, [1.0, 50.0, 100.0, 100.0])
+
+
+def generator_cases():
+    """Both evolve_grid models and a strict_C random generator, by name."""
+    return {**evolve_models(), "random-3-2-strict": random_contractive(3, 2, 1, "strict_C")}
+
+
+class TestStackedGenerators:
+    @pytest.mark.parametrize("case", ["oscillator-24", "birth-death-12", "random-3-2-strict"])
+    def test_stacked_generators_equal_single_calls_bitwise(self, case):
+        F = generator_cases()[case]
+        rng = np.random.default_rng(sum(map(ord, case)))
+        distinct = random_complex(rng, (2, 6, F.dim_k), 0.5)
+        distinct[:, 0] = 0.0
+        # Repeated rows, as a refinement repeats the values of f and g.
+        pick = rng.integers(0, 6, size=(2, 20))
+        cs, ds = distinct[0, pick[0]], distinct[1, pick[1]]
+        fam = SemigroupFamily(F)
+        single = fam.slice_generators(cs[3], ds[3])
+        stack = fam.slice_generators(cs, ds)
+        assert stack.shape == (20, F.dim_h, F.dim_h)
+        assert fam.slice_generators(cs[3], ds[3]) is single
+        for c, d, got in zip(cs, ds, stack):
+            want = g_generator(F, c, d)
+            assert_bitwise(got.view(np.float64), want.view(np.float64))
+            assert_bitwise(fam.slice_generators(c, d).view(np.float64), want.view(np.float64))
+
+    def test_stack_shapes_checked(self):
+        fam = SemigroupFamily(random_contractive(2, 2, seed=3))
+        assert fam.slice_generators(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2, 2)
+        with pytest.raises(ValueError, match=r"shapes \(3, 2\) and \(2, 2\)"):
+            fam.slice_generators(np.zeros((3, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"expected \(n, 2\) each"):
+            fam.slice_generators(np.zeros((3, 1)), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("case", ["oscillator-24", "birth-death-12", "random-3-2-strict"])
+    def test_one_generator_call_per_sweep(self, case, monkeypatch):
+        F = generator_cases()[case]
+        rng = np.random.default_rng(sum(map(ord, case)) + 1)
+        f, g = lattice_step(rng, F.dim_k), lattice_step(rng, F.dim_k)
+        u = v = np.eye(F.dim_h)[0]
+        times = np.linspace(0.0, 4.0, 201)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return g_generator(*args)
+
+        monkeypatch.setattr(semigroups, "g_generator", spy)
+        sliced_element(F, f, g, times)
+        sliced_element(F, f, g, times, u)
+        full_matrix_element(F, u, f, v, g, times)
+        assert len(calls) == 3
+        # Each call holds the refinement's distinct slices, each row once.
+        for _, cs, ds in calls:
+            keys = {(c.tobytes(), d.tobytes()) for c, d in zip(cs, ds)}
+            assert len(keys) == len(cs) > 16
+
+
+class TestRowSweep:
+    @pytest.mark.parametrize("dim_h", [1, 2, 3, 5, 8, 13, 24])
+    @pytest.mark.parametrize("mode", ["unitary_C", "strict_C"])
+    def test_rows_match_matrix_sweep(self, dim_h, mode):
+        rng = np.random.default_rng(100 * dim_h + len(mode))
+        F = random_contractive(dim_h, 2, seed=dim_h, mode=mode)
+        f = random_step(rng, 2, 6, 2.0)
+        g = random_step(rng, 2, 6, 2.0)
+        u, v = random_unit(rng, dim_h), random_unit(rng, dim_h)
+        # t = 0 twice, every breakpoint and support end, times past both
+        # supports, and a uniform grid off the breakpoints.
+        end = max(f.support_end, g.support_end)
+        marks = [0.0, 0.0, *f.breakpoints, *g.breakpoints, f.support_end,
+                 g.support_end, end + 0.25, end + 0.5, end + 0.5]
+        times = np.sort(np.concatenate((np.linspace(0.0, 2.0, 41), marks)))
+        slices = sliced_element(F, f, g, times)
+        rows = sliced_element(F, f, g, times, u)
+        assert rows.shape == (times.size, dim_h)
+        assert np.abs(rows - u.conj() @ slices).max() <= 1e-14
+        # The element as rebuilt from the matrix stack before the row sweep.
+        with np.errstate(divide="ignore"):
+            logs = np.log(u.conj() @ slices @ v) + _log_norms(f, g, times)
+        ref = np.exp(logs) * exp_inner(f, g, times, None)
+        got = full_matrix_element(F, u, f, v, g, times)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+    def test_single_time_gives_one_row(self):
+        F = random_contractive(3, 2, seed=9)
+        rng = np.random.default_rng(10)
+        f, g = random_step(rng, 2, 4, 1.5), random_step(rng, 2, 4, 1.5)
+        u = random_unit(rng, 3)
+        for t in (0.0, 0.7, 2.0):
+            row = sliced_element(F, f, g, t, u)
+            assert row.shape == (3,)
+            assert np.abs(row - u.conj() @ sliced_element(F, f, g, t)).max() <= 1e-14
+        assert np.array_equal(sliced_element(F, f, g, 0.0, u), u.conj())
+        assert sliced_element(F, f, g, np.array([]), u).shape == (0, 3)
+        with pytest.raises(ValueError, match="^u has dimension 2, expected 3$"):
+            sliced_element(F, f, g, 1.0, [1.0, 0.0])
 
 
 class TestCocycleLaw:
