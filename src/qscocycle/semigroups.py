@@ -61,58 +61,50 @@ class SemigroupFamily:
         self.source = source
         self._cache: dict = {}
 
-    def _vec(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.complex128).reshape(-1)
-        if v.size != self.source.dim_k:
-            raise ValueError(
-                f"slice vector has dimension {v.size}, expected {self.source.dim_k}"
-            )
-        return v
-
-    def _lookup(self, key, make):
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = make()
-            hit.flags.writeable = False
-            hit = self._cache.setdefault(key, hit)
-        return hit
-
     def slice_generators(self, c, d) -> np.ndarray:
         """The generator G_{c,d} of Q^{c,d}, evaluated once per slice.
 
-        Stacks of rows c, d (n, dim_k) give the (n, dim_h, dim_h) stack of
-        generators, and the rows not cached yet get theirs from one
+        Slice vectors c, d (dim_k,) give the cached, read-only G_{c,d} itself,
+        and stacks of rows c, d (n, dim_k) give the (n, dim_h, dim_h) stack of
+        generators.  The rows not cached yet get theirs from one
         ``g_generator`` call: ``component`` gives a slice the same bits alone
         or in a stack, so a generator does not depend on how it was cached.
         """
-        if np.ndim(c) < 2 and np.ndim(d) < 2:
-            c, d = self._vec(c), self._vec(d)
-            return self._lookup(
-                (c.tobytes(), d.tobytes(), None), lambda: g_generator(self.source, c, d)
-            )
         c, d = np.asarray(c, dtype=np.complex128), np.asarray(d, dtype=np.complex128)
-        if c.ndim != 2 or c.shape != d.shape or c.shape[1] != self.source.dim_k:
+        k = self.source.dim_k
+        if c.shape != d.shape or c.shape[-1:] != (k,) or c.ndim > 2:
             raise ValueError(
-                f"slice vector stacks have shapes {c.shape} and {d.shape}, "
-                f"expected (n, {self.source.dim_k}) each"
+                f"slice vectors have shapes {c.shape} and {d.shape}, "
+                f"expected ({k},) or (n, {k}) each"
             )
-        keys = [(ci.tobytes(), di.tobytes(), None) for ci, di in zip(c, d)]
+        cs, ds = np.atleast_2d(c), np.atleast_2d(d)
+        keys = [(ci.tobytes(), di.tobytes(), None) for ci, di in zip(cs, ds)]
         # Rows with equal keys hold equal bytes, so any one of them will do.
         new = {key: i for i, key in enumerate(keys) if key not in self._cache}
         if new:
             rows = list(new.values())
-            for key, gen in zip(new, g_generator(self.source, c[rows], d[rows])):
-                self._lookup(key, lambda gen=gen: gen)
-        return np.array([self._cache[key] for key in keys]).reshape(
-            len(keys), self.source.dim_h, self.source.dim_h
-        )
+            for key, gen in zip(new, g_generator(self.source, cs[rows], ds[rows])):
+                gen.flags.writeable = False
+                self._cache.setdefault(key, gen)
+        if c.ndim == 1:
+            return self._cache[keys[0]]
+        dh = self.source.dim_h
+        return np.array([self._cache[key] for key in keys], dtype=np.complex128).reshape(-1, dh, dh)
 
     def _exp(self, c, d, t: float) -> np.ndarray:
         check_times(t, "t")
-        c, d = self._vec(c), self._vec(d)
-        return self._lookup(
-            (c.tobytes(), d.tobytes(), float(t)), lambda: mat_exp(t * self.slice_generators(c, d))
-        )
+        c = np.asarray(c, dtype=np.complex128).reshape(-1)
+        d = np.asarray(d, dtype=np.complex128).reshape(-1)
+        key = (c.tobytes(), d.tobytes(), float(t))
+        hit = self._cache.get(key)
+        if hit is None:
+            gen = self._cache.get((*key[:2], None))
+            if gen is None:
+                gen = self.slice_generators(c, d)
+            hit = mat_exp(t * gen)
+            hit.flags.writeable = False
+            hit = self._cache.setdefault(key, hit)
+        return hit
 
     def q(self, c, d, t: float) -> np.ndarray:
         """Q^{c,d}_t = exp(t G_{c,d}); a contraction for contractive sources."""

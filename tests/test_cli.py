@@ -468,6 +468,45 @@ class TestOtherCommands:
         assert float(reference) == pytest.approx(np.exp(450.0), rel=1e-11)
 
 
+# Inputs that overflow inside numpy: K has entries of modulus 1, so the
+# column sums of 1e308 K pass the largest double, and a step value of 1e200
+# squares to inf.
+_OVERFLOWING = {
+    "evolve-t": (["evolve", "GEN", "F", "F", "--t", "1e308", "--grid", "1"],
+                 "mat_exp input norm inf exceeds the supported limit 1e+04"),
+    "evolve-step": (["evolve", "GEN", "H", "F", "--t", "1", "--grid", "2"],
+                    "mat_exp input contains non-finite entries"),
+    "tk-T": (["tk", "GEN", "--T", "1e308"],
+             "mat_exp input norm inf exceeds the supported limit 1e+04"),
+}
+
+
+def overflowing_argv(tmp_path, argv):
+    files = {
+        "GEN": write_json(tmp_path / "ones.gen.json", jsonio.generator_to_payload(
+            zero_generator(2, 1, K=-1j * np.ones((2, 2))))),
+        "F": write_json(tmp_path / "f.json", step_payload()),
+        "H": write_json(tmp_path / "h.json", step_payload(values=[[[1e200, 0.0]]])),
+    }
+    return [files.get(arg, arg) for arg in argv]
+
+
+class TestOverflowingInputs:
+    @pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+    def test_one_error_line(self, tmp_path, case):
+        argv, message = _OVERFLOWING[case]
+        assert run_cli(overflowing_argv(tmp_path, argv)) == (3, f"error: {message}\n")
+
+    def test_warnings_as_errors(self, tmp_path):
+        argv, message = _OVERFLOWING["evolve-step"]
+        env = {**os.environ, "PYTHONPATH": str(Path(qscocycle.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qscocycle", *overflowing_argv(tmp_path, argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (3, f"error: {message}\n")
+
+
 class TestRoundTrips:
     def test_generator_payload_round_trip(self, tmp_path):
         from qscocycle import random_contractive
@@ -825,10 +864,10 @@ _SUBCOMMANDS = {
     "build": (["SPEC", "--out", "OUT"], {"--tol": _tol}),
     "check": (["GEN"], {"--tol": _tol}),
     "evolve": (["GEN", "STEP", "STEP"],
-               {"--t": _time, "--grid": _count(0, 64), "--oracle": _count(0, 64)}),
+               {"--t": _time, "--grid": _count(1, 64), "--oracle": _count(0, 64)}),
     "schur": (["GEN"], {"--samples": _count(1, 20), "--n-max": _count(1, 4),
                         "--seed": _count(0, 64), "--tol": _tol}),
-    "tk": (["GEN"], {"--T": _time, "--grid": _count(0, 64), "--n-list": st.lists(
+    "tk": (["GEN"], {"--T": _time, "--grid": _count(1, 64), "--n-list": st.lists(
         st.integers(1, 2000), min_size=1, max_size=3, unique=True).map(
             lambda ns: ",".join(map(str, sorted(ns))))}),
     "coords": (["GEN"], {"--tol": _tol}),

@@ -433,10 +433,13 @@ class TestStackedGenerators:
 
     def test_stack_shapes_checked(self):
         fam = SemigroupFamily(random_contractive(2, 2, seed=3))
-        assert fam.slice_generators(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2, 2)
-        with pytest.raises(ValueError, match=r"shapes \(3, 2\) and \(2, 2\)"):
+        empty = fam.slice_generators(np.zeros((0, 2)), np.zeros((0, 2)))
+        assert empty.shape == (0, 2, 2)
+        assert empty.dtype == np.complex128
+        expected = r", expected \(2,\) or \(n, 2\) each$"
+        with pytest.raises(ValueError, match=r"^slice vectors have shapes \(3, 2\) and \(2, 2\)" + expected):
             fam.slice_generators(np.zeros((3, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match=r"expected \(n, 2\) each"):
+        with pytest.raises(ValueError, match=r"^slice vectors have shapes \(3, 1\) and \(3, 1\)" + expected):
             fam.slice_generators(np.zeros((3, 1)), np.zeros((3, 1)))
 
     @pytest.mark.parametrize("case", ["oscillator-24", "birth-death-12", "random-3-2-strict"])

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -111,9 +112,20 @@ class TestSemigroupValues:
             fam.q([0.0], [0.0], -0.5)
 
     def test_slice_vector_dimension_checked(self):
-        fam = SemigroupFamily(scalar_hp())
-        with pytest.raises(ValueError, match="^slice vector has dimension 2, expected 1$"):
-            fam.q([0.0, 0.0], [0.0], 0.5)
+        # A slice vector of the wrong size is never cached, so each of its
+        # lookups reaches the one shape check and leaves the cache as it was.
+        for dim_k in (0, 1, 2):
+            fam = SemigroupFamily(zero_generator(2, dim_k))
+            fam.q(np.zeros(dim_k), np.zeros(dim_k), 0.5)
+            size = len(fam._cache)
+            message = (
+                f"slice vectors have shapes ({dim_k + 1},) and ({dim_k},), "
+                f"expected ({dim_k},) or (n, {dim_k}) each"
+            )
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    fam.q(np.ones(dim_k + 1), np.zeros(dim_k), 0.5)
+            assert len(fam._cache) == size
 
     def test_zero_generator_q(self):
         fam = SemigroupFamily(zero_generator(2, 1))
