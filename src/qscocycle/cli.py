@@ -131,11 +131,12 @@ def cmd_evolve(args) -> int:
     header = ["t", "re", "im"]
     if args.oracle:
         header += ["oracle_re", "oracle_im", "abs_diff"]
-    for t, val in zip(times, values):
+    # Python floats and complexes format faster than numpy scalars, to the same text.
+    for t, val in zip(times.tolist(), values.tolist()):
         row = [f"{t:.12g}", f"{val.real:.17g}", f"{val.imag:.17g}"]
         if args.oracle:
             if t > 0:
-                ora = toyfock.oracle_matrix_element(F, u, f, v, g, float(t), args.oracle)
+                ora = toyfock.oracle_matrix_element(F, u, f, v, g, t, args.oracle)
             else:
                 ora = complex(np.vdot(u, v) * exp_inner(f, g, 0.0, None))
             row += [f"{ora.real:.17g}", f"{ora.imag:.17g}", f"{abs(ora - val):.6g}"]

@@ -10,6 +10,7 @@ state vector.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -130,28 +131,45 @@ def _scaling(mu: float) -> int:
     return max(0, int(math.ceil(math.log2(mu / _PADE_THETA[-1][1]))))
 
 
-def _pade_approx(a: np.ndarray, m: int) -> np.ndarray:
-    """[m/m] Pade approximant of exp at a matrix or at each matrix of a stack."""
-    n = a.shape[-1]
+@functools.lru_cache(maxsize=32)
+def _identity_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(c_1 I, c_0 I)`` of the [m/m] approximant at size n, read-only.
+
+    Full matrices ``c * np.eye(n)``, off-diagonal +0 included, so adding one
+    gives the bits that a fresh identity term would; a diagonal-only add
+    would not where the sum holds a -0.
+    """
     c = _PADE_COEFFS[m]
     eye = np.eye(n, dtype=np.complex128)
+    terms = (c[1] * eye, c[0] * eye)
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
+def _pade_approx(a: np.ndarray, m: int) -> np.ndarray:
+    """[m/m] Pade approximant of exp at a matrix or at each matrix of a stack."""
+    c = _PADE_COEFFS[m]
+    eye_u, eye_v = _identity_terms(a.shape[-1], m)
+    a2 = a @ a
     if m < 13:
-        # U = A * (odd coefficient polynomial in A^2), V = even polynomial.
-        a2 = a @ a
-        powers = [eye, a2]
+        # U = A * (odd coefficient polynomial in A^2), V = even polynomial;
+        # powers[k] is A^(2k), and the k = 0 terms come from _identity_terms.
+        powers = [None, a2]
         for _ in range(2, m // 2 + 1):
             powers.append(powers[-1] @ a2)
         # Each sum starts from its highest term and adds the others in the
-        # order that a sum started from zero would.
+        # order that a sum started from zero would, the identity term last.
         u = c[m] * powers[-1]
-        for j in range(m - 2, 0, -2):
+        for j in range(m - 2, 1, -2):
             u += c[j] * powers[(j - 1) // 2]
+        u += eye_u
         u = a @ u
         v = c[m - 1] * powers[-1]
-        for j in range(m - 3, -1, -2):
+        for j in range(m - 3, 0, -2):
             v += c[j] * powers[j // 2]
+        v += eye_v
     else:
-        a2 = a @ a
         a4 = a2 @ a2
         a6 = a2 @ a4
         u = a @ (
@@ -159,14 +177,14 @@ def _pade_approx(a: np.ndarray, m: int) -> np.ndarray:
             + c[7] * a6
             + c[5] * a4
             + c[3] * a2
-            + c[1] * eye
+            + eye_u
         )
         v = (
             a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
             + c[6] * a6
             + c[4] * a4
             + c[2] * a2
-            + c[0] * eye
+            + eye_v
         )
     return np.linalg.solve(v - u, v + u)
 
@@ -175,16 +193,22 @@ def mat_exp(a) -> np.ndarray:
     """Matrix exponential by Pade approximation with scaling and squaring.
 
     Accurate to ~1e-13 relative error for norms up to ~10; inputs with norm
-    beyond ``EXP_NORM_LIMIT`` are rejected outright.
+    beyond ``EXP_NORM_LIMIT`` are rejected outright.  The norm is the
+    finiteness check: a NaN or infinite entry makes it non-finite, and only
+    then are the entries looked at, to name the fault.
     """
-    a = _as_square(a, "mat_exp input")
-    if a.shape[0] == 0:
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        _as_square(a, "mat_exp input")  # raises: wrong shape
+    n = a.shape[0]
+    if n == 0:
         return a.copy()
     mu = _exp_norm_measure(a)
-    if mu > EXP_NORM_LIMIT:
+    if not mu <= EXP_NORM_LIMIT:
+        as_cmatrix(a, "mat_exp input")  # raises if an entry is not finite
         raise _norm_overflow(mu)
     if mu == 0.0:
-        return np.eye(a.shape[0], dtype=np.complex128)
+        return np.eye(n, dtype=np.complex128)
     for m, theta in _PADE_THETA:
         if mu <= theta:
             return _pade_approx(a, m)

@@ -92,10 +92,15 @@ class SemigroupFamily:
         return np.array([self._cache[key] for key in keys], dtype=np.complex128).reshape(-1, dh, dh)
 
     def _exp(self, c, d, t: float) -> np.ndarray:
-        check_times(t, "t")
+        t = check_times(t, "t")
+        if not isinstance(t, float):
+            # check_times gives an array for array input; one time is 0-d.
+            if t.ndim:
+                raise ValueError(f"t must be a single time, got an array of shape {t.shape}")
+            t = float(t)
         c = np.asarray(c, dtype=np.complex128).reshape(-1)
         d = np.asarray(d, dtype=np.complex128).reshape(-1)
-        key = (c.tobytes(), d.tobytes(), float(t))
+        key = (c.tobytes(), d.tobytes(), t)
         hit = self._cache.get(key)
         if hit is None:
             gen = self._cache.get((*key[:2], None))

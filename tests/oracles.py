@@ -54,6 +54,43 @@ def scipy_expm(a):
     return scipy.linalg.expm(np.asarray(a, dtype=np.complex128))
 
 
+def pade_expm_fresh_eye(a, m, s):
+    """exp(a) by the [m/m] Pade form after s halvings, one term at a time.
+
+    The sums run in ``opcore``'s order, with each identity term formed from a
+    fresh ``np.eye`` and added last, so a cached identity must give the same
+    bits.
+    """
+    from qscocycle.opcore import _PADE_COEFFS
+
+    a = np.asarray(a, dtype=np.complex128) / 2.0**s
+    c = _PADE_COEFFS[m]
+    eye = np.eye(len(a), dtype=np.complex128)
+    a2 = a @ a
+    if m < 13:
+        powers = [eye, a2]
+        for _ in range(2, m // 2 + 1):
+            powers.append(powers[-1] @ a2)
+        u = c[m] * powers[-1]
+        for j in range(m - 2, 0, -2):
+            u += c[j] * powers[(j - 1) // 2]
+        u = a @ u
+        v = c[m - 1] * powers[-1]
+        for j in range(m - 3, -1, -2):
+            v += c[j] * powers[j // 2]
+    else:
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2) + c[7] * a6 + c[5] * a4
+                 + c[3] * a2 + c[1] * eye)
+        v = (a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2) + c[6] * a6 + c[4] * a4
+             + c[2] * a2 + c[0] * eye)
+    f = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        f = f @ f
+    return f
+
+
 def classical_rate_matrix(birth, death):
     """Generator of the truncated birth-death chain acting on functions.
 

@@ -231,6 +231,32 @@ class TestEvolve:
         assert abs(float(last[1]) - 0.6065306597126334) < 1e-12
         assert float(last[5]) <= 1e-2
 
+    def test_oracle_rows_format_numpy_scalars_to_the_same_text(self, tmp_path, capsys):
+        # The rows are formatted from Python floats; each field must read as
+        # the numpy scalar it comes from would, the t = 0 oracle row included.
+        F = random_contractive(2, 1, seed=4)
+        gen = tmp_path / "gen.json"
+        jsonio.save_generator(F, gen)
+        f = write_json(tmp_path / "f.json", step_payload(
+            breakpoints=[0.0, 0.375], values=[[[0.5, -0.25]], [[-0.75, 0.0]]]))
+        g = write_json(tmp_path / "g.json", step_payload(values=[[[0.25, 0.5]]], support_end=0.625))
+        assert main(["evolve", str(gen), f, g, "--t", "0.8", "--grid", "4", "--oracle", "64"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        f, g = jsonio.load_step(f), jsonio.load_step(g)
+        u = np.eye(2, dtype=np.complex128)[0]
+        times = np.linspace(0.0, 0.8, 5)
+        values = qscocycle.full_matrix_element(F, u, f, u, g, times)
+        want = []
+        for t, val in zip(times, values):
+            if t > 0:
+                ora = qscocycle.oracle_matrix_element(F, u, f, u, g, float(t), 64)
+            else:
+                ora = complex(np.vdot(u, u) * qscocycle.exp_inner(f, g, 0.0, None))
+            want.append(",".join([f"{t:.12g}", f"{val.real:.17g}", f"{val.imag:.17g}",
+                                  f"{ora.real:.17g}", f"{ora.imag:.17g}", f"{abs(ora - val):.6g}"]))
+        assert rows == want
+        assert rows[0].startswith("0,") and len(rows) == 5
+
     def test_string_dim_k_in_step_is_parse_error(self, tmp_path, capsys):
         gen = scalar_hp_file(tmp_path)
         step = write_json(tmp_path / "step.json", {

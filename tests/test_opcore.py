@@ -1,16 +1,23 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qscocycle import mat_exp, max_herm_eig, op_norm, psd_inv_sqrt
+from qscocycle import mat_exp, max_herm_eig, op_norm, opcore, psd_inv_sqrt
 from qscocycle.opcore import (
     PSD_TOL,
+    _PADE_THETA,
     _exp_norm_measure,
+    _identity_terms,
     mat_exp_stack,
     op_norm_stack,
     psd_inv_sqrt_stack,
 )
 
-from oracles import assert_bitwise, random_complex, scipy_expm
+from oracles import assert_bitwise, pade_expm_fresh_eye, random_complex, scipy_expm
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 class TestMatExp:
@@ -65,9 +72,43 @@ class TestMatExp:
         with pytest.raises(ValueError, match="finite"):
             mat_exp([[np.inf, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), complex(np.inf, np.nan)])
+    def test_nan_entry_rejected_as_non_finite(self, bad):
+        # A NaN norm fails the norm test too, so the entries are checked first.
+        a = np.zeros((3, 3), dtype=np.complex128)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mat_exp(a)
+        a[0, 0] = 1e300  # a finite norm overflow elsewhere does not hide the NaN
+        with pytest.raises(ValueError, match="non-finite"):
+            mat_exp(a)
+
+    def test_overflowing_column_sum_is_norm_overflow(self):
+        # Finite entries whose absolute column sum is inf: an overflow, not a
+        # non-finite input.
+        a = np.full((2, 2), 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(OverflowError, match="norm inf"):
+                mat_exp(a)
+
+    def test_wrong_shape_keeps_its_message(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            mat_exp(np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            mat_exp([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
     def test_empty(self):
         got = mat_exp(np.zeros((0, 0)))
         assert got.shape == (0, 0) and got.dtype == np.complex128
+
+    @pytest.mark.parametrize("a", [np.zeros((0, 0), dtype=np.complex128),
+                                   np.zeros((3, 3), dtype=np.complex128)])
+    def test_trivial_inputs_return_fresh_arrays(self, a):
+        got = mat_exp(a)
+        assert got is not a and not np.shares_memory(got, a) and got.flags.writeable
+        got[...] = 7.0
+        assert_bitwise(mat_exp(a), np.eye(len(a), dtype=np.complex128))
+        assert not a.any()
 
 
 def _norm_mirror(a):
@@ -252,3 +293,92 @@ class TestStacks:
         assert got.shape == (2, 5)
         assert all(got[i, j] == op_norm(stack[i, j]) for i in range(2) for j in range(5))
         assert np.array_equal(op_norm_stack(np.zeros((3, 0, 2))), np.zeros(3))
+
+
+def _degree_inputs(rng, n):
+    """Matrices with norms just under and just over each theta_m, and over
+    theta_13 * 2^k for k = 1..6, so every degree and s = 0..7 is taken."""
+    thetas = [theta for _, theta in _PADE_THETA]
+    bounds = thetas + [thetas[-1] * 2.0**k for k in range(1, 7)]
+    return [_with_norm(rng, n, mu * f) for mu in bounds for f in (1 - 1e-9, 1 + 1e-9)]
+
+
+class TestNoCachedStateLeaks:
+    def test_identity_terms_are_read_only(self):
+        for m, _ in _PADE_THETA:
+            for term in _identity_terms(5, m):
+                assert not term.flags.writeable
+                with pytest.raises(ValueError):
+                    term[0, 0] = 2.0
+
+    def test_results_are_fresh_and_mutation_does_not_reach_the_next_call(self):
+        rng = np.random.default_rng(59)
+        for n in (1, 4, 12):
+            for a in _degree_inputs(rng, n):
+                first, first_stack = mat_exp(a), mat_exp_stack(a[None])
+                want, want_stack = first.copy(), first_stack.copy()
+                assert first.flags.writeable and first_stack.flags.writeable
+                first[...] = np.nan
+                first_stack[...] = np.nan
+                second = mat_exp(a)
+                assert second is not first and not np.shares_memory(second, first)
+                assert_bitwise(second, want)
+                assert_bitwise(mat_exp_stack(a[None]), want_stack)
+
+    def test_cached_identity_gives_the_fresh_eye_bits(self):
+        # Every degree and s = 0..7, single and as a stack of one; the
+        # inputs carry signed zeros, which a diagonal-only add would flip.
+        rng = np.random.default_rng(61)
+        seen = set()
+        for n in (1, 3, 12, 24):
+            for a in _degree_inputs(rng, n):
+                a.real[rng.random((n, n)) < 0.3] = -0.0
+                mu = _exp_norm_measure(a)
+                m = next((m for m, theta in _PADE_THETA if mu <= theta), 13)
+                s = opcore._scaling(mu) if mu > _PADE_THETA[-1][1] else 0
+                want = pade_expm_fresh_eye(a, m, s)
+                assert_bitwise(mat_exp(a), want)
+                assert_bitwise(mat_exp_stack(a[None])[0], want)
+                seen.add((m, s))
+        assert {m for m, _ in seen} == {3, 5, 7, 9, 13}
+        assert {s for _, s in seen} == set(range(8))
+
+
+class _CountsSquarings(np.ndarray):
+    """An approximant that counts the products formed from it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return (np.asarray(self) @ np.asarray(other)).view(type(self))
+
+
+class TestTracerDegreeMirror:
+    def test_tracer_reports_the_degree_and_scaling_mat_exp_uses(self, monkeypatch):
+        # The benchmark's flop count mirrors mat_exp's choice of m and s; spy
+        # on the approximant mat_exp evaluates and count its squarings.
+        mat_exp_flops = runpy.run_path(str(TRACING))["_mat_exp_flops"]
+        pade = opcore._pade_approx
+        seen = []
+
+        def spy(a, m):
+            seen.append((a.copy(), m))
+            return pade(a, m).view(_CountsSquarings)
+
+        monkeypatch.setattr(opcore, "_pade_approx", spy)
+        rng = np.random.default_rng(67)
+        for n in (1, 3, 12, 24):
+            for a in [np.zeros((n, n))] + _degree_inputs(rng, n):
+                seen.clear()
+                _CountsSquarings.products = 0
+                mat_exp(a)
+                flops, s = mat_exp_flops(a)
+                if not a.any():
+                    assert (flops, s, seen) == (0.0, 0, [])
+                    continue
+                [(arg, m)] = seen
+                assert s == _CountsSquarings.products
+                assert_bitwise(arg, a.astype(np.complex128) / 2.0**s)
+                products = 6 if m == 13 else m // 2 + 1
+                assert flops == 8.0 * n**3 * (products + s) + 32.0 / 3.0 * n**3

@@ -290,6 +290,22 @@ class TestFamilyCache:
         assert a is b
         assert fam.q([0.5], [0.25], np.array(1.0)) is a
 
+    def test_zero_d_times_share_the_float_entry(self):
+        fam = SemigroupFamily(scalar_hp())
+        a = fam.q([0.5], [0.25], 0.5)
+        for t in (np.array(0.5), np.float64(0.5), np.array([[0.5]])[0, 0]):
+            assert fam.q([0.5], [0.25], t) is a
+        assert len(fam._cache) == 2  # G_{c,d} and one Q
+
+    @pytest.mark.parametrize("t", [np.array([0.5]), np.array([[0.5, 1.0]]), [0.5]])
+    def test_array_time_is_named(self, t):
+        fam = SemigroupFamily(scalar_hp())
+        with pytest.raises(ValueError, match=r"^t must be a single time, got an array of shape"):
+            fam.q([0.0], [0.0], t)
+        with pytest.raises(ValueError, match=r"^t must be finite"):
+            fam.q([0.0], [0.0], np.array([0.5, -1.0]))
+        assert fam._cache == {}
+
     def test_exact_key_discrimination(self):
         fam = SemigroupFamily(scalar_hp())
         a = fam.q([0.5], [0.0], 0.1)
