@@ -115,9 +115,13 @@ def _exp_norm_measure(a: np.ndarray) -> np.ndarray:
     # mat_exp(a*) picks the same degree and scaling as mat_exp(a) and the
     # adjoint identity holds to roundoff.  One abs pass, then the column and
     # row sums that numpy's norm forms for ord 1 and ord inf: the same
-    # add.reduce, so the same bits.
-    x = np.abs(a)
-    return np.maximum(x.sum(axis=-2).max(axis=-1), x.sum(axis=-1).max(axis=-1))
+    # add.reduce, so the same bits.  A sum that overflows is inf, also where
+    # ``-W error`` raises numpy's overflow warning.
+    try:
+        x = np.abs(a)
+        return np.maximum(x.sum(axis=-2).max(axis=-1), x.sum(axis=-1).max(axis=-1))
+    except RuntimeWarning:
+        return np.full(a.shape[:-2], np.inf)
 
 
 def _norm_overflow(mu: float) -> OverflowError:
@@ -287,19 +291,24 @@ def _psd_parts(a: np.ndarray):
     Frobenius norm, which bounds the operator norm from above.  A matrix that
     fails either test gets a zero root.
     """
-    w, u = np.linalg.eigh(0.5 * (a + adjoint(a)))
+    a_star = adjoint(a)
+    w, u = np.linalg.eigh(0.5 * (a + a_star))
     if a.shape[-1]:
         low = w[..., 0]
         scale = np.maximum(1.0, np.maximum(-low, w[..., -1]))
     else:
         low = np.full(a.shape[:-2], np.inf)
         scale = np.ones(a.shape[:-2])
-    herm_defect = np.linalg.norm(a - adjoint(a), axis=(-2, -1))
+    d = a - a_star  # np.linalg.norm's Frobenius formula, without its call
+    herm_defect = np.sqrt(np.add.reduce((d.conj() * d).real, axis=(-2, -1)))
     herm_ok = herm_defect <= PSD_TOL * scale
     ok = herm_ok & (low > PSD_TOL)
-    x = (u * (np.where(ok[..., None], w, 1.0) ** -0.5)[..., None, :]) @ adjoint(u)
+    all_ok = ok.all()
+    w_root = w if all_ok else np.where(ok[..., None], w, 1.0)
+    x = (u * (w_root**-0.5)[..., None, :]) @ adjoint(u)
     x = 0.5 * (x + adjoint(x))
-    x[~ok] = 0.0
+    if not all_ok:
+        x[~ok] = 0.0
     return x, ok, herm_ok, herm_defect, low
 
 

@@ -15,7 +15,9 @@ the criterion's quantifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,19 +116,18 @@ def _check_group(probes: list[Probe], q_blocks, tol: float) -> list[ProbeReport]
     c = np.array([p.c_tuple for p in probes])
     t = np.array([p.t for p in probes])
     w = varpi_matrix(c, t)
-    sa, ok_a = psd_inv_sqrt_stack(np.array([p.a for p in probes]) * w)
-    sb, ok_b = psd_inv_sqrt_stack(np.array([p.b for p in probes]) * w)
-    live = np.flatnonzero(ok_a & ok_b)
+    roots, ok = psd_inv_sqrt_stack(np.array([(p.a, p.b) for p in probes]) * w[:, None])
+    live = np.flatnonzero(ok.all(axis=1))
     # NaN marks a skipped probe; it compares false with tol, so it never passes.
     defects = np.full(len(probes), np.nan)
     if live.size:
         y = np.array([p.y for p in probes])[live]
         q = q_blocks(c[live], t[live])
-        defects[live] = op_norm_stack(_criterion(sa[live], q, y, sb[live])) - 1.0
+        defects[live] = op_norm_stack(_criterion(roots[live, 0], q, y, roots[live, 1])) - 1.0
     return [
-        ProbeReport(probe_id=p.probe_id, n=p.c_tuple.shape[0], t=p.t, defect=float(d),
-                    passed=bool(d <= tol), skipped=bool(np.isnan(d)))
-        for p, d in zip(probes, defects)
+        ProbeReport(probe_id=p.probe_id, n=p.c_tuple.shape[0], t=p.t, defect=d,
+                    passed=d <= tol, skipped=d != d)
+        for p, d in zip(probes, defects.tolist())
     ]
 
 
@@ -135,6 +136,7 @@ def schur_criterion_check(
 ) -> ProbeReport:
     """Evaluate one probe, defect the criterion norm minus one or NaN if skipped,
     as the stack of one of ``_check_group`` whose blocks are ``family.q`` lookups."""
+    tol = check_times(tol, "tol")
 
     def lookups(c, t):
         return np.array([[[family.q(ci, cj, s) for cj in ct] for ci in ct] for ct, s in zip(c, t)])
@@ -144,14 +146,13 @@ def schur_criterion_check(
 
 def deterministic_core_probes(F: BlockGenerator) -> list[Probe]:
     """n = 1 probes over c in the coordinate cells, Y over the h basis,
-    t in ``CORE_TIMES``; catches any Q^{c,c} contraction failure reproducibly."""
-    probes = []
-    one = np.ones((1, 1))
-    for c in coordinate_cells(F.dim_k):
-        for y in np.eye(F.dim_h, dtype=np.complex128)[:, :, None]:
-            for t in CORE_TIMES:
-                probes.append(make_probe([c], t, one, one, y, dim_h=F.dim_h, probe_id=len(probes)))
-    return probes
+    t in ``CORE_TIMES``; catches any Q^{c,c} contraction failure reproducibly.
+    A = B = 1, so one ``make_probe`` rescaling per basis vector serves every c and t."""
+    cells, one = coordinate_cells(F.dim_k), np.ones((1, 1))
+    basis = [make_probe(cells[:1], 0.0, one, one, y, dim_h=F.dim_h)
+             for y in np.eye(F.dim_h, dtype=np.complex128)[:, :, None]]
+    grid = enumerate(itertools.product(range(len(cells)), basis, CORE_TIMES))
+    return [replace(probe, c_tuple=cells[i : i + 1], t=t, probe_id=k) for k, (i, probe, t) in grid]
 
 
 def _inv_roots(weights: np.ndarray) -> np.ndarray:
@@ -197,11 +198,12 @@ def _random_probes(
         if n > 1 and dk:
             raw = np.array(cs)
             c[:, 1:] = (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2.0 * dk)
-        a, b = (w @ np.conj(w.mT) / n + 0.25 * np.eye(n) for w in (x[:, 0], x[:, 1]))
-        bound = op_norm_stack(_ampliate(_inv_roots(a), y) @ _inv_roots(b))
+        ab = x @ np.conj(x.mT) / n + 0.25 * np.eye(n)
+        roots = _inv_roots(ab)
+        bound = op_norm_stack(_ampliate(roots[:, 0], y) @ roots[:, 1])
         y = y / np.maximum(bound, 1.0)[:, None, None]
         groups[n] = [
-            Probe(c_tuple=c[k], t=ts[k], a=a[k], b=b[k], y=y[k], probe_id=ids[k])
+            Probe(c_tuple=c[k], t=ts[k], a=ab[k, 0], b=ab[k, 1], y=y[k], probe_id=ids[k])
             for k in range(len(ids))
         ]
     return groups
@@ -231,6 +233,7 @@ def screen_family(
     The core probes are checked one by one on a ``SemigroupFamily``; the
     random probes one group per n, by stacked exponentials and factorizations.
     """
+    tol = check_times(tol, "tol")
     core = deterministic_core_probes(F)
     groups = _random_probes(F, n_max, samples, seed, first_id=len(core))
     family = SemigroupFamily(F)
@@ -241,7 +244,7 @@ def screen_family(
 
     for group in groups.values():
         reports += _check_group(group, stacked, tol)
-    reports.sort(key=lambda r: (-(r.defect if np.isfinite(r.defect) else -np.inf), r.probe_id))
+    reports.sort(key=lambda r: (-(r.defect if math.isfinite(r.defect) else -math.inf), r.probe_id))
     return reports
 
 

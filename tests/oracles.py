@@ -8,7 +8,9 @@ and the oracle's per-slot factors are built from explicit ``np.kron`` lift
 maps, and the classical birth-death generator is assembled directly from
 the jump rates.  The ``*_loops`` references are instead the loop forms of
 stacked package code, one package call per cell, pair or time, so that the
-stacked forms can be checked against them bitwise.
+stacked forms can be checked against them bitwise.  ``screen_reference`` is
+the Schur screen built one probe at a time: one ``make_probe`` per probe, and
+the roots of A and B taken in separate calls.
 """
 
 import numpy as np
@@ -21,11 +23,16 @@ from qscocycle import (
     dual_generator,
     from_hlc,
     g_generator,
+    make_probe,
     op_norm,
     random_contractive,
     step_matrix,
+    varpi_matrix,
     yosida_approx,
 )
+from qscocycle.opcore import op_norm_stack, psd_inv_sqrt_stack
+from qscocycle.reconstruct import CORE_TIMES, PASS_TOL, ProbeReport, _criterion
+from qscocycle.semigroups import coordinate_cells, q_stack
 
 
 def scalar_hp():
@@ -460,3 +467,76 @@ def reference_criterion(F, probe, degenerate_tol=1e-12):
             qy[i * dh:(i + 1) * dh, j] = scipy_expm(t * gen) @ probe.y[i * dh:(i + 1) * dh, j]
     crit = np.kron(roots[0], np.eye(dh)) @ qy @ roots[1]
     return np.linalg.norm(crit, 2) - 1.0
+
+
+def core_probes_per_probe(F):
+    """The deterministic core probes, one ``make_probe`` call each."""
+    probes = []
+    one = np.ones((1, 1))
+    for c in coordinate_cells(F.dim_k):
+        for y in np.eye(F.dim_h, dtype=np.complex128)[:, :, None]:
+            for t in CORE_TIMES:
+                probes.append(make_probe([c], t, one, one, y, dim_h=F.dim_h, probe_id=len(probes)))
+    return probes
+
+
+def per_sample_probes(F, n_max, samples, seed):
+    """The random probes drawn and rescaled one sample at a time by make_probe."""
+    rng = np.random.default_rng(seed)
+    dh, dk = F.dim_h, F.dim_k
+    first = len(core_probes_per_probe(F))
+    probes = []
+    for probe_id in range(first, first + samples):
+        n = int(rng.integers(1, n_max + 1))
+        c_tuple = np.zeros((n, dk), dtype=complex)
+        if n > 1 and dk:
+            c_tuple[1:] = random_complex(rng, (n - 1, dk)) / np.sqrt(2.0 * dk)
+        t = float(rng.uniform(0.0, 2.0))
+        xa, xb = random_complex(rng, (n, n)), random_complex(rng, (n, n))
+        a = xa @ np.conj(xa.T) / n + 0.25 * np.eye(n)
+        b = xb @ np.conj(xb.T) / n + 0.25 * np.eye(n)
+        y = random_complex(rng, (n * dh, n))
+        probes.append(make_probe(c_tuple, t, a, b, y, dim_h=dh, probe_id=probe_id))
+    return probes
+
+
+def check_group_separate_roots(probes, q_blocks, tol):
+    """Schur defects of probes sharing n, with A o w and B o w rooted by two
+    stacked calls and the reports built from numpy scalars."""
+    c = np.array([p.c_tuple for p in probes])
+    t = np.array([p.t for p in probes])
+    w = varpi_matrix(c, t)
+    sa, ok_a = psd_inv_sqrt_stack(np.array([p.a for p in probes]) * w)
+    sb, ok_b = psd_inv_sqrt_stack(np.array([p.b for p in probes]) * w)
+    live = np.flatnonzero(ok_a & ok_b)
+    defects = np.full(len(probes), np.nan)
+    if live.size:
+        y = np.array([p.y for p in probes])[live]
+        q = q_blocks(c[live], t[live])
+        defects[live] = op_norm_stack(_criterion(sa[live], q, y, sb[live])) - 1.0
+    return [
+        ProbeReport(probe_id=p.probe_id, n=p.c_tuple.shape[0], t=p.t, defect=float(d),
+                    passed=bool(d <= tol), skipped=bool(np.isnan(d)))
+        for p, d in zip(probes, defects)
+    ]
+
+
+def screen_reference(F, n_max, samples, seed, tol=PASS_TOL):
+    """``screen_family`` from per-probe construction: the core probes one at a
+    time on ``family.q`` lookups, the random ones grouped by n on ``q_stack``."""
+    family = SemigroupFamily(F)
+
+    def lookups(c, t):
+        return np.array([[[family.q(ci, cj, s) for cj in ct] for ci in ct] for ct, s in zip(c, t)])
+
+    def stacked(c, t):
+        return q_stack(F, c[:, :, None], c[:, None], t[:, None, None])
+
+    reports = [check_group_separate_roots([p], lookups, tol)[0] for p in core_probes_per_probe(F)]
+    groups = {}
+    for p in per_sample_probes(F, n_max, samples, seed):
+        groups.setdefault(p.c_tuple.shape[0], []).append(p)
+    for n in sorted(groups):
+        reports += check_group_separate_roots(groups[n], stacked, tol)
+    reports.sort(key=lambda r: (-(r.defect if np.isfinite(r.defect) else -np.inf), r.probe_id))
+    return reports

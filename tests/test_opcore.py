@@ -85,11 +85,13 @@ class TestMatExp:
 
     def test_overflowing_column_sum_is_norm_overflow(self):
         # Finite entries whose absolute column sum is inf: an overflow, not a
-        # non-finite input.
+        # non-finite input.  The suite turns warnings into errors, so numpy's
+        # overflow warning must not escape either.
         a = np.full((2, 2), 1e308)
-        with np.errstate(over="ignore"):
-            with pytest.raises(OverflowError, match="norm inf"):
-                mat_exp(a)
+        with pytest.raises(OverflowError, match="norm inf"):
+            mat_exp(a)
+        with pytest.raises(OverflowError, match="norm inf"):
+            mat_exp_stack(np.stack([np.eye(2), a]))
 
     def test_wrong_shape_keeps_its_message(self):
         with pytest.raises(ValueError, match="2-dimensional"):
@@ -142,8 +144,10 @@ class TestExpNormMeasure:
             assert_bitwise(_exp_norm_measure(big), _norm_mirror(big))
             assert_bitwise(_exp_norm_measure(big.real), _norm_mirror(big.real))
             assert _exp_norm_measure(big.real) == np.inf
-            with pytest.raises(OverflowError, match="norm inf exceeds"):
-                mat_exp(big)
+        with pytest.raises(OverflowError, match="norm inf exceeds"):
+            mat_exp(big)
+        with pytest.raises(OverflowError, match="norm inf exceeds"):
+            mat_exp_stack(big[None])
 
 
 class TestPsdInvSqrt:
@@ -182,6 +186,19 @@ class TestPsdInvSqrt:
 
     def test_empty(self):
         assert psd_inv_sqrt(np.zeros((0, 0))).shape == (0, 0)
+
+
+class TestPsdParts:
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (5, 2, 2, 2), (3, 1, 1), (2, 0, 0)])
+    def test_hermiticity_defect_is_numpys_frobenius_norm(self, shape):
+        # Hermitian, nearly Hermitian, non-Hermitian and indefinite stacks.
+        rng = np.random.default_rng(61)
+        x = random_complex(rng, shape)
+        gram = x @ np.conj(x.mT) + 0.5 * np.eye(shape[-1])
+        herm = 0.5 * (gram + np.conj(gram.mT))
+        for a in (herm, gram, gram + 1e-3 * x, herm - 20.0 * np.eye(shape[-1]), x):
+            herm_defect = opcore._psd_parts(a.astype(np.complex128))[3]
+            assert_bitwise(herm_defect, np.linalg.norm(a - np.conj(a.mT), axis=(-2, -1)))
 
 
 class TestOpNorm:
@@ -278,6 +295,10 @@ class TestStacks:
         ])
         roots, ok = psd_inv_sqrt_stack(stack)
         assert ok.tolist() == [True, False, False, False, False, True]
+        # As pairs, the shape of the Schur screen's two weights per probe.
+        paired, ok_paired = psd_inv_sqrt_stack(stack.reshape(3, 2, 2, 2))
+        assert_bitwise(paired, roots.reshape(3, 2, 2, 2))
+        assert np.array_equal(ok_paired, ok.reshape(3, 2))
         for k, a in enumerate(stack):
             if ok[k]:
                 assert_bitwise(roots[k], psd_inv_sqrt(a))

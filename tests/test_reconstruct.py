@@ -20,9 +20,12 @@ from qscocycle.semigroups import q_stack
 from oracles import (
     assert_bitwise,
     contractive_cases,
+    core_probes_per_probe,
+    per_sample_probes,
     random_complex,
     reference_criterion,
     scalar_hp,
+    screen_reference,
     trotter_kato_loops,
     zero_generator,
 )
@@ -220,30 +223,20 @@ class TestScreening:
         with pytest.raises(ValueError, match="eigenvalue 0 <= tol"):
             _inv_roots(weights)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # A NaN or negative tol would flag every probe, and inf would pass every one.
+        F = random_contractive(2, 1, 5, "strict_C")
+        message = f"^tol must be finite and nonnegative, got tol={re.escape(str(tol))}$"
+        with pytest.raises(ValueError, match=message):
+            screen_family(F, 2, 5, 1, tol=tol)
+        with pytest.raises(ValueError, match=message):
+            schur_criterion_check(SemigroupFamily(F), deterministic_core_probes(F)[0], tol=tol)
+
     def test_numpy_integer_counts_accepted(self):
         F = random_contractive(2, 1, seed=19)
         got = screen_family(F, n_max=np.int64(2), samples=np.int32(10), seed=np.uint8(29))
         assert [astuple(r) for r in got] == [astuple(r) for r in screen_family(F, 2, 10, 29)]
-
-
-def per_sample_probes(F, n_max, samples, seed):
-    """The random probes drawn and rescaled one sample at a time by make_probe."""
-    rng = np.random.default_rng(seed)
-    dh, dk = F.dim_h, F.dim_k
-    first = len(deterministic_core_probes(F))
-    probes = []
-    for probe_id in range(first, first + samples):
-        n = int(rng.integers(1, n_max + 1))
-        c_tuple = np.zeros((n, dk), dtype=complex)
-        if n > 1 and dk:
-            c_tuple[1:] = random_complex(rng, (n - 1, dk)) / np.sqrt(2.0 * dk)
-        t = float(rng.uniform(0.0, 2.0))
-        xa, xb = random_complex(rng, (n, n)), random_complex(rng, (n, n))
-        a = xa @ np.conj(xa.T) / n + 0.25 * np.eye(n)
-        b = xb @ np.conj(xb.T) / n + 0.25 * np.eye(n)
-        y = random_complex(rng, (n * dh, n))
-        probes.append(make_probe(c_tuple, t, a, b, y, dim_h=dh, probe_id=probe_id))
-    return probes
 
 
 def screened_models():
@@ -319,6 +312,35 @@ class TestGroups:
             assert (report.passed, report.skipped) == (ref.passed, ref.skipped)
             if not ref.skipped:
                 assert abs(report.defect - ref.defect) <= 1e-12
+
+
+def reference_cases():
+    cases = {
+        f"{mode}-h{dh}k{dk}": random_contractive(dh, dk, seed=59, mode=mode)
+        for mode in ("unitary_C", "strict_C") for dh in (2, 3) for dk in (1, 2)
+    }
+    return {**cases, "planted": planted_violation(), "h2k0": zero_generator(2, 0, K=-np.eye(2))}
+
+
+class TestPerProbeReference:
+    @pytest.mark.parametrize("name", sorted(reference_cases()))
+    def test_core_probes_are_one_make_probe_each(self, name):
+        F = reference_cases()[name]
+        got, want = deterministic_core_probes(F), core_probes_per_probe(F)
+        assert [(p.probe_id, p.t) for p in got] == [(p.probe_id, p.t) for p in want]
+        for p, q in zip(got, want):
+            assert type(p.t) is float
+            for field in ("c_tuple", "a", "b", "y"):
+                assert_bitwise(getattr(p, field), getattr(q, field))
+
+    @pytest.mark.parametrize("name", sorted(reference_cases()))
+    def test_screen_reports_match_the_per_probe_screen(self, name):
+        # repr spells out every field: a float to its last bit, and the type
+        # of each value, so a numpy scalar in a report fails too.
+        F = reference_cases()[name]
+        got = screen_family(F, n_max=3, samples=60, seed=61)
+        want = screen_reference(F, n_max=3, samples=60, seed=61)
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 class TestTrotterKato:
