@@ -135,6 +135,17 @@ def _scaling(mu: float) -> int:
     return max(0, int(math.ceil(math.log2(mu / _PADE_THETA[-1][1]))))
 
 
+def _scalings(mu: np.ndarray) -> np.ndarray:
+    """``_scaling`` of each norm of a stack, in one numpy pass.  Where log2
+    lands within 1e-12 of an integer, numpy's and math's log2 may round to
+    either side of it, so ``_scaling`` decides there."""
+    e = np.log2(mu / _PADE_THETA[-1][1])
+    s = np.maximum(np.ceil(e), 0.0).astype(int)
+    for k in np.flatnonzero(np.abs(e - np.rint(e)) < 1e-12):
+        s[k] = _scaling(mu[k])
+    return s
+
+
 @functools.lru_cache(maxsize=32)
 def _identity_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``(c_1 I, c_0 I)`` of the [m/m] approximant at size n, read-only.
@@ -244,7 +255,7 @@ def mat_exp_stack(a) -> np.ndarray:
     slot = np.searchsorted(thetas, mu)
     s = np.zeros(len(flat), dtype=int)
     scaled = np.flatnonzero(slot == len(thetas))
-    s[scaled] = [_scaling(x) for x in mu[scaled]]
+    s[scaled] = _scalings(mu[scaled])
     slot[scaled] = len(thetas) - 1
     out = np.empty_like(flat)
     out[mu == 0.0] = np.eye(a.shape[-1])

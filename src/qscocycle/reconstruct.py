@@ -107,28 +107,28 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     return Probe(c_tuple=c_arr, t=float(t), a=a, b=b, y=y, probe_id=probe_id)
 
 
-def _check_group(probes: list[Probe], q_blocks, tol: float) -> list[ProbeReport]:
-    """Evaluate probes that share n in one stacked pass; defect is the criterion norm minus one.
+def _check_stacks(ids, c, ts, ab, y, q_blocks, tol: float) -> list[ProbeReport]:
+    """Reports of one n's stacks from ``_random_probes``; defect is the criterion norm minus one.
 
     ``q_blocks(c, t)`` gives the blocks Q^{c_i,c_j}_t (probes, n, n, dim_h, dim_h) of the
     live probes only: one with degenerate weighted Gram matrices is reported as skipped.
     """
-    c = np.array([p.c_tuple for p in probes])
-    t = np.array([p.t for p in probes])
-    w = varpi_matrix(c, t)
-    roots, ok = psd_inv_sqrt_stack(np.array([(p.a, p.b) for p in probes]) * w[:, None])
+    t = np.array(ts)
+    roots, ok = psd_inv_sqrt_stack(ab * varpi_matrix(c, t)[:, None])
     live = np.flatnonzero(ok.all(axis=1))
     # NaN marks a skipped probe; it compares false with tol, so it never passes.
-    defects = np.full(len(probes), np.nan)
+    defects = np.full(len(ids), np.nan)
     if live.size:
-        y = np.array([p.y for p in probes])[live]
         q = q_blocks(c[live], t[live])
-        defects[live] = op_norm_stack(_criterion(roots[live, 0], q, y, roots[live, 1])) - 1.0
-    return [
-        ProbeReport(probe_id=p.probe_id, n=p.c_tuple.shape[0], t=p.t, defect=d,
-                    passed=d <= tol, skipped=d != d)
-        for p, d in zip(probes, defects.tolist())
-    ]
+        defects[live] = op_norm_stack(_criterion(roots[live, 0], q, y[live], roots[live, 1])) - 1.0
+    return [ProbeReport(probe_id=i, n=c.shape[1], t=s, defect=d, passed=d <= tol, skipped=d != d)
+            for i, s, d in zip(ids, ts, defects.tolist())]
+
+
+def _check_group(probes: list[Probe], q_blocks, tol: float) -> list[ProbeReport]:
+    """``_check_stacks`` of probes that share n."""
+    ids, c, ts, ab, y = zip(*((p.probe_id, p.c_tuple, p.t, (p.a, p.b), p.y) for p in probes))
+    return _check_stacks(ids, np.array(c), ts, np.array(ab), np.array(y), q_blocks, tol)
 
 
 def schur_criterion_check(
@@ -163,16 +163,14 @@ def _inv_roots(weights: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _random_probes(
-    F: BlockGenerator, n_max: int, samples: int, seed: int, first_id: int
-) -> dict[int, list[Probe]]:
-    """The seeded random probes of ``screen_probes``, grouped by n.
+def _random_probes(F: BlockGenerator, n_max: int, samples: int, seed: int, first_id: int) -> dict:
+    """The seeded random probes of ``screen_probes``, as stacks ``(ids, c, ts, ab, y)`` per n.
 
-    Each sample draws n, its slice vectors, t, and then the real and
-    imaginary parts of X_A, X_B and Y in one call, which consumes the
-    generator exactly as one call per part does.  The weights
-    A = X_A X_A* / n + I/4 and B, and the rescaling of Y to the precondition
-    (as in ``make_probe``), are then formed one group at a time.
+    Each sample draws n, its slice vectors, t = 0 + 2 u as ``uniform(0.0, 2.0)``
+    does, and then the real and imaginary parts of X_A, X_B and Y in one call,
+    which consumes the generator exactly as one call per part does.  The
+    weights ``ab`` = (A, B) with A = X_A X_A* / n + I/4, and Y rescaled to the
+    precondition (as in ``make_probe``), are then formed one group at a time.
     """
     n_max, samples = check_count(n_max, "n_max"), check_count(samples, "samples")
     seed = check_count(seed, "seed")
@@ -184,7 +182,7 @@ def _random_probes(
     for probe_id in range(first_id, first_id + samples):
         n = int(rng.integers(1, n_max + 1))
         c = rng.standard_normal((2, n - 1, dk)) if n > 1 and dk else None
-        t = float(rng.uniform(0.0, 2.0))
+        t = 0.0 + 2.0 * rng.random()
         draws.setdefault(n, []).append((probe_id, c, t, rng.standard_normal(2 * n * n * (2 + dh))))
     groups = {}
     for n, group in sorted(draws.items()):
@@ -201,11 +199,7 @@ def _random_probes(
         ab = x @ np.conj(x.mT) / n + 0.25 * np.eye(n)
         roots = _inv_roots(ab)
         bound = op_norm_stack(_ampliate(roots[:, 0], y) @ roots[:, 1])
-        y = y / np.maximum(bound, 1.0)[:, None, None]
-        groups[n] = [
-            Probe(c_tuple=c[k], t=ts[k], a=ab[k, 0], b=ab[k, 1], y=y[k], probe_id=ids[k])
-            for k in range(len(ids))
-        ]
+        groups[n] = (list(ids), c, list(ts), ab, y / np.maximum(bound, 1.0)[:, None, None])
     return groups
 
 
@@ -218,7 +212,9 @@ def screen_probes(F: BlockGenerator, n_max: int, samples: int, seed: int) -> lis
     """
     core = deterministic_core_probes(F)
     groups = _random_probes(F, n_max, samples, seed, first_id=len(core))
-    return core + sorted((p for g in groups.values() for p in g), key=lambda p: p.probe_id)
+    probes = (Probe(c[k], ts[k], ab[k, 0], ab[k, 1], y[k], ids[k])
+              for ids, c, ts, ab, y in groups.values() for k in range(len(ids)))
+    return core + sorted(probes, key=lambda p: p.probe_id)
 
 
 def screen_family(
@@ -243,7 +239,7 @@ def screen_family(
         return q_stack(F, c[:, :, None], c[:, None], t[:, None, None])
 
     for group in groups.values():
-        reports += _check_group(group, stacked, tol)
+        reports += _check_stacks(*group, stacked, tol)
     reports.sort(key=lambda r: (-(r.defect if math.isfinite(r.defect) else -math.inf), r.probe_id))
     return reports
 
@@ -262,11 +258,11 @@ def trotter_kato_pipeline(
 ) -> ConvergenceReport:
     """Sup-grid semigroup errors of the resolvent-regularized generators.
 
-    For each n the regularized generator is built, and per probe pair (c, d)
-    the error sup_{t in grid} |Q^{(n)c,d}_t - Q^{c,d}_t| is recorded; the
-    report flags whether errors decrease along ``n_list`` within
-    ``MONOTONE_SLACK``.  The probe pairs are (0, 0) and, when dim_k >= 1,
-    (e_1, e_1) and (e_1, 0).
+    For each n the regularized generator F_n is built and checked contractive,
+    as the congruence J* K J keeps it, and per probe pair (c, d) the error
+    sup_{t in grid} |Q^{(n)c,d}_t - Q^{c,d}_t| is recorded; the report flags
+    whether errors decrease along ``n_list`` within ``MONOTONE_SLACK``.  The
+    probe pairs are (0, 0) and, when dim_k >= 1, (e_1, e_1) and (e_1, 0).
     """
     try:
         n_list = tuple(n_list)
@@ -281,18 +277,20 @@ def trotter_kato_pipeline(
     check_times(T, "T", positive=True)
     defect = contractivity_defect(F)
     if defect > CONTRACTIVITY_TOL:
-        raise ValueError(
-            f"pipeline needs a contractive generator; defect {defect:.3g}"
-        )
+        raise ValueError(f"pipeline needs a contractive generator; defect {defect:.3g}")
     # The probe pairs over the grid: Q^{c,d}_t on axes (pair, t).
     cells = coordinate_cells(F.dim_k)[:, None]
     pairs = 3 if F.dim_k else 1
     c, d = cells[[0, 1, 1][:pairs]], cells[[0, 1, 0][:pairs]]
     grid = np.linspace(0.0, T, grid_points)
     base = q_stack(F, c, d, grid)
-    errors = np.array([
-        op_norm_stack(q_stack(yosida_approx(F, n), c, d, grid) - base).max(axis=-1) for n in n_list
-    ])
+    errors = []
+    for n in n_list:
+        F_n = yosida_approx(F, n)
+        if (defect := contractivity_defect(F_n)) > CONTRACTIVITY_TOL:
+            raise ValueError(f"Yosida approximation n={n} is not contractive; defect {defect:.3g}")
+        errors.append(op_norm_stack(q_stack(F_n, c, d, grid) - base).max(axis=-1))
+    errors = np.array(errors)
     monotone = bool(np.all(errors[1:] <= MONOTONE_SLACK * errors[:-1] + 1e-14))
     errors.flags.writeable = False
     return ConvergenceReport(n_list=n_list, errors=errors, monotone=monotone)

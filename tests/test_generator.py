@@ -165,12 +165,19 @@ def test_stacked_component_and_chi_equal_per_slice_bitwise(dh, dk):
             assert chis[i, j] == chi(cs[i, 0], ds[0, j])
 
 
+def _scaled_c(F, factor):
+    return BlockGenerator(dim_h=F.dim_h, dim_k=F.dim_k, K=F.K, L=F.L, M=F.M, C=factor * F.C)
+
+
 def test_contractivity_defect_examples():
     zero = zero_generator(1, 1)
     assert abs(contractivity_defect(zero) - 0.0) < 1e-14
     assert abs(contractivity_defect(scalar_hp())) < 1e-14
     inflated = zero_generator(2, 1, C=2.0 * np.eye(2))
     assert contractivity_defect(inflated) > 1.0
+    # C scaled by 1.01 on the equality case.
+    tilted = _scaled_c(random_contractive(2, 1, seed=2, mode="unitary_C"), 1.01)
+    assert abs(contractivity_defect(tilted) - 2.36e-2) <= 1e-4
 
 
 def test_form_defect_examples():
@@ -180,6 +187,20 @@ def test_form_defect_examples():
     rng = np.random.default_rng(2)
     assert abs(form_defect(zero, random_complex(rng, 4))) < 1e-14
     assert abs(form_defect(F, [1.0, 0.0])) < 1e-15
+
+
+@pytest.mark.parametrize("F", [
+    _scaled_c(random_contractive(2, 1, seed=2, mode="unitary_C"), 1.01),
+    random_contractive(2, 1, seed=2, mode="strict_C"),
+    random_contractive(3, 2, seed=5, mode="strict_C"),
+], ids=["unitary_C-C1.01", "strict_C-h2k1", "strict_C-h3k2"])
+def test_contractivity_defect_is_the_form_at_its_top_eigenvector(F):
+    # Two codings of one form: the defect matrix F + F* + F* Delta F built
+    # here, and 2 Re<xi, F xi> + |Delta F xi|^2 in form_defect.
+    full = F.full_matrix()
+    delta_f = np.concatenate((np.zeros((F.dim_h, F.total_dim)), full[F.dim_h :]))
+    _, vecs = np.linalg.eigh(full + full.conj().T + full.conj().T @ delta_f)
+    assert abs(form_defect(F, vecs[:, -1]) - contractivity_defect(F)) <= 1e-12
 
 
 def test_form_defect_dimension_check():
@@ -205,6 +226,12 @@ def test_yosida_preserves_contractivity():
     F = random_contractive(3, 2, seed=8)
     for n in (1, 10, 100):
         assert contractivity_defect(yosida_approx(F, n)) <= 1e-10
+    # Equality-case generators have no margin: K_n = J K J instead of J* K J
+    # gives them defects 3.5e-2 to 5.5e-2.
+    for seed in (1, 2):
+        F = random_contractive(3, 2, seed=seed, mode="unitary_C")
+        for n in (2, 10):
+            assert contractivity_defect(yosida_approx(F, n)) <= 1e-10
 
 
 def test_yosida_convergence_rate():
@@ -240,6 +267,17 @@ def test_classify_equality_case():
     assert report.c_isometric
     assert report.equality_case
     assert report.gauge_equality_defect <= 1e-12
+
+
+def test_classify_perturbed_gauge_is_not_equality():
+    # M + 0.1 I breaks M = -L*C alone: gauge defect 0.1, drift defect ~1e-16.
+    F = random_contractive(2, 1, seed=4, mode="unitary_C")
+    F = BlockGenerator(dim_h=2, dim_k=1, K=F.K, L=F.L, M=F.M + 0.1 * np.eye(2), C=F.C)
+    report = classify(F)
+    assert abs(report.gauge_equality_defect - 0.1) <= 1e-12
+    assert report.drift_equality_defect <= 1e-12
+    assert report.c_isometric
+    assert not report.equality_case
 
 
 def test_classify_zero_generator():

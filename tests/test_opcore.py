@@ -6,10 +6,13 @@ import pytest
 
 from qscocycle import mat_exp, max_herm_eig, op_norm, opcore, psd_inv_sqrt
 from qscocycle.opcore import (
+    EXP_NORM_LIMIT,
     PSD_TOL,
     _PADE_THETA,
     _exp_norm_measure,
     _identity_terms,
+    _scaling,
+    _scalings,
     mat_exp_stack,
     op_norm_stack,
     psd_inv_sqrt_stack,
@@ -256,6 +259,19 @@ class TestStacks:
         rng = np.random.default_rng(41)
         norms = [0.0, 0.01, 0.2, 0.9, 2.0, 5.0, 6.0, 30.0, 400.0]
         stack = np.array([_with_norm(rng, 3, mu) for mu in norms])[rng.permutation(len(norms))]
+        got = mat_exp_stack(stack)
+        for k, a in enumerate(stack):
+            assert_bitwise(got[k], mat_exp(a))
+
+    def test_stacked_scalings_are_mat_exps(self):
+        # theta_13 2^k and one ulp to either side of it, where ceil(log2) steps,
+        # and random norms up to the limit; then bitwise exponentials at the edges,
+        # from diagonal skew-Hermitian matrices whose norm measure is exactly mu.
+        edges = _PADE_THETA[-1][1] * 2.0 ** np.arange(11)
+        edges = np.concatenate((np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)))
+        mu = np.concatenate((edges, np.random.default_rng(59).uniform(5.0, EXP_NORM_LIMIT, 2000)))
+        assert _scalings(mu).tolist() == [_scaling(x) for x in mu]
+        stack = edges[:, None, None] * np.diag([1j, -0.5j])
         got = mat_exp_stack(stack)
         for k, a in enumerate(stack):
             assert_bitwise(got[k], mat_exp(a))

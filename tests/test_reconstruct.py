@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qscocycle import (
+    BlockGenerator,
     SemigroupFamily,
     make_probe,
     op_norm,
@@ -369,6 +370,21 @@ class TestTrotterKato:
     def test_non_contractive_rejected(self):
         with pytest.raises(ValueError, match="contractive"):
             trotter_kato_pipeline(planted_violation(), [10, 100])
+
+    def test_non_contractive_regularization_rejected(self, monkeypatch):
+        # K_n = J K J in place of J* K J: F_n leaves the equality case, and the
+        # pipeline names the first n at fault with its defect.
+        from qscocycle import reconstruct
+
+        def transposed(F, n):
+            j = np.linalg.inv(np.eye(F.dim_h) - F.K / n)
+            return BlockGenerator(F.dim_h, F.dim_k, j @ F.K @ j, F.L @ j, j.conj().T @ F.M, F.C)
+
+        monkeypatch.setattr(reconstruct, "yosida_approx", transposed)
+        F = random_contractive(3, 2, seed=1, mode="unitary_C")
+        message = r"^Yosida approximation n=2 is not contractive; defect \d"
+        with pytest.raises(ValueError, match=message):
+            trotter_kato_pipeline(F, [2, 10])
 
     def test_non_increasing_n_list_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
