@@ -11,6 +11,7 @@ fewest flops.  Neither uses a matrix exponential.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -44,30 +45,32 @@ def _run_powers(mats: np.ndarray, counts) -> list:
     overflows.  Each power builds up as ``np.linalg.matrix_power``'s does, bit
     for bit: the lowest set bit takes that level's square z, and each later
     set bit power @ z.  Only count 3 differs, which numpy takes as (a @ a) @ a.
+    Levels that no count has set are squared past without a look at the runs.
     """
     counts = list(map(int, counts))
     if len(counts) != len(mats):
         raise ValueError(f"{len(mats)} run matrices for {len(counts)} counts")
+    levels = reduce(int.__or__, counts, 0)
     # Longest runs first, so the runs still squared are always a prefix of the stack.
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     stack = mats if order == list(range(len(mats))) else mats[order]
     powers, live, bit = [None] * len(counts), len(order), 1
     while live:
-        for k, r in enumerate(order[:live]):
+        for k, r in enumerate(order[:live] if levels & bit else ()):
             if counts[r] & bit:
                 powers[r] = stack[k] if powers[r] is None else powers[r] @ stack[k]
         bit <<= 1
         while live and counts[order[live - 1]] < bit:
             live -= 1
         if live:
-            stack = stack[:live] @ stack[:live]
+            stack = stack @ stack if live == len(stack) else stack[:live] @ stack[:live]
     return powers
 
 
 def _superoperator(ops: np.ndarray) -> np.ndarray:
-    """S = sum_a A_a (x) conj(A_a), the map rho -> sum_a A_a rho A_a* on row-major vec(rho)."""
+    """S = sum_a A_a (x) conj(A_a), rho -> sum_a A_a rho A_a* on row-major vec(rho), per leading index."""
     dh = ops.shape[-1]
-    return np.einsum("apq,ast->psqt", ops, ops.conj()).reshape(dh * dh, -1)
+    return np.einsum("...apq,...ast->...psqt", ops, ops.conj()).reshape(*ops.shape[:-3], dh * dh, -1)
 
 
 def slot_apply(rho: np.ndarray, g4: np.ndarray, etas: np.ndarray, counts) -> np.ndarray:
@@ -83,17 +86,21 @@ def slot_apply(rho: np.ndarray, g4: np.ndarray, etas: np.ndarray, counts) -> np.
     slots at dh = 2 and 7-12 x 10^4 at dh = 24; otherwise vec(rho) steps by
     S_r where forming it and c products of dh^4 flops beat the slots,
     dh (m + c) < 2 m c, which needs dh < 2 m; every other run steps through
-    its Kraus slots.
+    its Kraus slots.  The R stepped runs' small maps come from one stacked
+    call, R dh^4 entries, under 4 m times the Kraus stack; squared runs form one each.
     """
     m, dh = g4.shape[:2]
-    runs = zip(np.einsum("rb,apbq->rapq", etas, g4)[::-1], list(map(int, counts))[::-1], strict=True)
-    for ops, count in runs:
-        squared = dh * (m + 2 * dh**2 * math.log2(count)) < 2 * m * count
-        if squared or dh * (m + count) < 2 * m * count:
-            superop, vec = _superoperator(ops), rho.reshape(-1)
-            if squared:
-                vec = element_chain(superop[None], [count]) @ vec
+    kraus, counts = np.einsum("rb,apbq->rapq", etas, g4)[::-1], list(map(int, counts))[::-1]
+    squared = [dh * (m + 2 * dh**2 * math.log2(count)) < 2 * m * count for count in counts]
+    stepped = [not square and dh * (m + count) < 2 * m * count for square, count in zip(squared, counts)]
+    superops = iter(_superoperator(kraus[stepped]) if any(stepped) else ())
+    for ops, count, square, step in zip(kraus, counts, squared, stepped, strict=True):
+        if square or step:
+            vec = rho.reshape(-1)
+            if square:
+                vec = element_chain(_superoperator(ops)[None], [count]) @ vec
             else:
+                superop = next(superops)
                 for _ in range(count):
                     vec = superop @ vec
             rho = vec.reshape(dh, dh)

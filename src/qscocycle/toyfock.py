@@ -21,6 +21,7 @@ V_{r+t} = V_r sigma_r(V_t) on the lattice exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -35,24 +36,23 @@ def _runs(tau: float, n: int, *fns: StepFunction) -> tuple[np.ndarray, list[np.n
 
     A run of slots starts wherever the row of values of ``fns`` changes.
     A value can change only at the first slot j with tau * j >= b for a
-    breakpoint or support end b, so each fn is evaluated once, at those
-    slots: O(pieces) work, and no array of all n slot times.  The slots and
-    run starts are Python ints; numpy holds only the values.
+    breakpoint or support end b, so each fn is read once, at those slots, by
+    bisecting Python lists: O(pieces) work, and no array of all n slot times.
+    Numpy holds only the components.
     """
-    jumps = {0.0}.union(*(fn.breakpoints.tolist() + [fn.support_end] for fn in fns))
+    tables = [(fn.breakpoints.tolist(), fn.values.tolist(), fn.support_end) for fn in fns]
+    jumps = {0.0}.union(*(bps + [end] for bps, _, end in tables))
     slots = sorted({j for j in (_first_slot(b, tau, n) for b in jumps) if j < n})
-    values = [fn._values(tau * np.array(slots)) for fn in fns]
-    listed = [v.tolist() for v in values]
+    rows = [[vals[bisect_right(bps, tau * j) - 1] if tau * j < end else [0j] * len(vals[0]) for j in slots]
+            for bps, vals, end in tables]
     # Equal neighbouring pieces stay one run: splitting it would change the power's rounding.
-    starts = [i for i in range(len(slots)) if not i or any(vals[i] != vals[i - 1] for vals in listed)]
+    starts = [i for i in range(len(slots)) if not i or any(r[i] != r[i - 1] for r in rows)]
     bounds = [slots[i] for i in starts] + [n]
     counts = np.array([end - start for start, end in zip(bounds, bounds[1:])])
-    root = math.sqrt(tau)
     out = []
-    for v in values:
-        comps = np.empty((len(starts), 1 + v.shape[1]), dtype=np.complex128)
-        comps[:, 0] = 1.0
-        comps[:, 1:] = root * v[starts]
+    for r in rows:
+        comps = np.array([[1.0, *r[i]] for i in starts], dtype=np.complex128)
+        comps[:, 1:] *= math.sqrt(tau)
         out.append(comps)
     return counts, out
 
@@ -75,7 +75,7 @@ def _first_slot(t: float, tau: float, n: int) -> int:
 def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     """One-slot interaction matrix G_tau on h (x) (C + k)."""
     check_times(tau, "tau", positive=True)
-    root, dh = np.sqrt(tau), F.dim_h
+    root, dh = math.sqrt(tau), F.dim_h
     out = np.empty((F.total_dim, F.total_dim), dtype=np.complex128)
     out[:dh, :dh] = np.eye(dh) + tau * F.K
     out[:dh, dh:] = root * F.M
@@ -88,7 +88,8 @@ def _lattice(F: BlockGenerator, t: float, N: int, *fns: StepFunction):
     """The oracles' shared preamble: ``t`` and ``N`` checked by name, then the
     run counts and slot components of ``fns`` on the N-slot lattice of [0, t),
     and the step matrix as a (m, dh, m, dh) tensor with m = 1 + dim_k."""
-    check_times(t, "t", positive=True)
+    if getattr(check_times(t, "t", positive=True), "ndim", 0):
+        raise ValueError(f"t must be a single time, got an array of shape {np.shape(t)}")
     N = check_count(N, "N")
     if not N >= 1:
         raise ValueError("N must be >= 1")
@@ -98,14 +99,16 @@ def _lattice(F: BlockGenerator, t: float, N: int, *fns: StepFunction):
     if any(fn.dim_k != F.dim_k for fn in fns):
         dims = ", ".join(str(fn.dim_k) for fn in fns)
         raise ValueError(f"step functions have dim_k {dims}; generator has {F.dim_k}")
-    counts, slots = _runs(t / N, N, *fns)
+    if not (tau := float(t) / N):
+        raise ValueError(f"t={float(t)} over N={N} slots underflows the slot width t / N to 0")
+    counts, slots = _runs(tau, N, *fns)
     m, dh = 1 + F.dim_k, F.dim_h
-    return counts, slots, step_matrix(F, t / N).reshape(m, dh, m, dh)
+    return counts, slots, step_matrix(F, tau).reshape(m, dh, m, dh)
 
 
 def _finite(value, t: float):
     """``value``, or an ``OverflowError`` naming ``t`` when it is not finite."""
-    if not np.isfinite(value):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError(f"oracle overflowed at t={t:.6g}: the lattice result is not finite")
     return value
 
@@ -148,4 +151,4 @@ def oracle_state_norm(F: BlockGenerator, v, g: StepFunction, t: float, N: int) -
     counts, (etas,), g4 = _lattice(F, t, N, g)
     v = check_vector(v, F.dim_h, "v")
     rho = _kernels.slot_apply(np.outer(v, v.conj()), g4, etas, counts)
-    return _finite(float(np.sqrt(abs(np.trace(rho).real))), t)
+    return _finite(math.sqrt(abs(rho.trace().real)), t)

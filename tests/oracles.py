@@ -10,12 +10,16 @@ the jump rates.  The ``*_loops`` references are instead the loop forms of
 stacked package code, one package call per cell, pair or time, so that the
 stacked forms can be checked against them bitwise.  ``screen_reference`` is
 the Schur screen built one probe at a time: one ``make_probe`` per probe, and
-the roots of A and B taken in separate calls.
+the roots of A and B taken in separate calls; ``slot_apply_per_run`` is the
+oracle's state-norm kernel forming one superoperator per run.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
 
+from qscocycle import _kernels
 from qscocycle import (
     BlockGenerator,
     SemigroupFamily,
@@ -326,6 +330,34 @@ def lattice_runs(tau, n, *fns):
     starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
     one, root = np.ones((starts.size, 1)), np.sqrt(tau)
     return np.diff(starts, append=n), [np.hstack([one, root * v[starts]]) for v in values]
+
+
+def _run_superoperator(ops):
+    """S = sum_a A_a (x) conj(A_a) for one run's Kraus operators ``ops``."""
+    dh = ops.shape[-1]
+    return np.einsum("apq,ast->psqt", ops, ops.conj()).reshape(dh * dh, -1)
+
+
+def slot_apply_per_run(rho, g4, etas, counts):
+    """``_kernels.slot_apply`` with one superoperator formed per run, stepped
+    runs included: the loop form of its stacked call, on the same branches."""
+    m, dh = g4.shape[:2]
+    runs = zip(np.einsum("rb,apbq->rapq", etas, g4)[::-1], list(map(int, counts))[::-1], strict=True)
+    for ops, count in runs:
+        squared = dh * (m + 2 * dh**2 * math.log2(count)) < 2 * m * count
+        if squared or dh * (m + count) < 2 * m * count:
+            superop, vec = _run_superoperator(ops), rho.reshape(-1)
+            if squared:
+                vec = _kernels.element_chain(superop[None], [count]) @ vec
+            else:
+                for _ in range(count):
+                    vec = superop @ vec
+            rho = vec.reshape(dh, dh)
+        else:
+            adjoint = ops.conj().swapaxes(-1, -2)
+            for _ in range(count):
+                rho = (ops @ rho @ adjoint).sum(axis=0)
+    return rho
 
 
 def sequential_chain(mats, piece_idx):

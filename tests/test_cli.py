@@ -436,7 +436,8 @@ class TestOtherCommands:
         (["tk", "--n-list", "100,10"], "--n-list must be a comma-separated, strictly increasing"),
         (["tk", "--n-list", "10,10"], "--n-list must be a comma-separated, strictly increasing"),
         (["oracle-norm", "STEP", "--t", "1", "--steps", str(2**53 + 1)], f"N={2**53 + 1}"),
-        (["oracle-norm", "STEP", "--t", "5e-324", "--steps", "4"], "tau must be finite and positive"),
+        # t / N underflows to 0: the message names t and N, never tau.
+        (["oracle-norm", "STEP", "--t", "5e-324", "--steps", "4"], "N=4 slots"),
         (["evolve", "STEP", "STEP", "--t", "1.0", "--grid", "0"], "--grid must be >= 1"),
     ])
     def test_bad_count_or_horizon_is_validation_error(self, tmp_path, capsys, flags, message):

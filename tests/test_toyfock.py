@@ -29,6 +29,7 @@ from oracles import (
     reduced_state_norm,
     scalar_hp,
     sequential_chain,
+    slot_apply_per_run,
     zero_generator,
 )
 
@@ -94,6 +95,32 @@ class TestLatticeAndStep:
             oracle_state_norm(F, [1.0, 0.0], g, 1e308, 4)
         with pytest.raises(OverflowError, match=r"t=1e\+308"):
             oracle_matrix_element(F, [1.0, 0.0], g, [1.0, 0.0], g, 1e308, 4)
+
+    def test_array_of_times_is_refused_by_name(self):
+        # One horizon per call: an array of times, even of one, is refused as
+        # the semigroup family refuses it, while a 0-d array is its float.
+        F, g = random_contractive(2, 1, seed=4), StepFunction.constant([0.5], 1.0)
+        oracles = (
+            lambda t: oracle_matrix_element(F, [1.0, 0.0], g, [1.0, 0.0], g, t, 64),
+            lambda t: oracle_state_norm(F, [1.0, 0.0], g, t, 64),
+        )
+        for oracle in oracles:
+            for t, shape in ((np.array([1.0]), r"\(1,\)"), (np.array([1.0, 2.0]), r"\(2,\)"), ([1.0], r"\(1,\)")):
+                with pytest.raises(ValueError, match=rf"^t must be a single time, got an array of shape {shape}$"):
+                    oracle(t)
+            assert oracle(np.array(1.0)) == oracle(1.0)
+
+    def test_underflowed_slot_width_names_t_and_N(self):
+        # t / N rounds to 0: the message names the caller's arguments, not tau.
+        F, g = random_contractive(2, 1, seed=4), StepFunction.constant([0.5], 1.0)
+        for oracle in (
+            lambda: oracle_matrix_element(F, [1.0, 0.0], g, [1.0, 0.0], g, 5e-324, 2),
+            lambda: oracle_state_norm(F, [1.0, 0.0], g, 5e-324, 2),
+        ):
+            with pytest.raises(ValueError, match=r"^t=5e-324 over N=2 slots underflows") as info:
+                oracle()
+            assert "tau" not in str(info.value)
+        assert np.isfinite(oracle_state_norm(F, [1.0, 0.0], g, 5e-324, 1))
 
     def test_zero_generator_step_is_identity(self):
         F = zero_generator(2, 1)
@@ -550,6 +577,15 @@ class TestKernels:
             want = mat @ (mat @ mat) if count == 3 else np.linalg.matrix_power(mat, count)
             assert power.tobytes() == want.tobytes()
 
+    def test_run_powers_skip_levels_no_count_sets(self):
+        # The counts share only bit 14, so most levels are squared past; the
+        # powers must still be numpy's, bit for bit.
+        counts = [1, 2**14, 2**14, 2**20]
+        mats = near_identity(np.random.default_rng(20), len(counts), 3, 2**20)
+        powers = _kernels._run_powers(mats, np.array(counts))
+        for mat, count, power in zip(mats, counts, powers, strict=True):
+            assert power.tobytes() == np.linalg.matrix_power(mat, count).tobytes()
+
     def test_stacked_chain_matches_slot_by_slot_product(self):
         # The mixed schedule above without its 2**20-slot run, whose
         # slot-by-slot reference would take seconds.
@@ -587,6 +623,27 @@ class TestKernels:
         expect = reduced_state_norm(F, v, g, 1.0, count)
         assert abs(got - expect) <= 1e-12 * expect
         assert (len(formed), len(chained)) == {"stepped": (1, 0), "squared": (1, 1), "kraus": (0, 0)}[branch]
+
+    @pytest.mark.parametrize("dh", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stacked_superoperators_match_per_run_forms(self, monkeypatch, dh, m):
+        # Mixed schedules of Kraus, stepped and squared runs: the stepped
+        # runs' maps formed in one stacked call must carry rho bit for bit as
+        # one map per run does.  All three branches meet at dh, m >= 2.
+        shapes, superoperator = [], _kernels._superoperator
+        monkeypatch.setattr(_kernels, "_superoperator", lambda ops: shapes.append(ops.shape) or superoperator(ops))
+        rng = np.random.default_rng(500 + 10 * dh + m)
+        for _ in range(5):
+            counts = rng.permutation([1, 2, 3, 4, 5, 17, 1000, *rng.choice([1, 2, 3, 4, 5, 17, 1000], 5)])
+            step = near_identity(rng, 1, dh * m, 4 * int(counts.sum()))[0]
+            etas = np.hstack([np.ones((counts.size, 1)), random_complex(rng, (counts.size, m - 1), 0.03)])
+            rho = random_complex(rng, (dh, dh))
+            got = _kernels.slot_apply(rho, step.reshape(m, dh, m, dh), etas, counts)
+            want = slot_apply_per_run(rho, step.reshape(m, dh, m, dh), etas, counts)
+            assert got.tobytes() == want.tobytes()
+        if dh >= 2 and m >= 2:
+            assert any(len(shape) == 4 and shape[0] > 1 for shape in shapes)
+            assert any(len(shape) == 3 for shape in shapes)
 
     @pytest.mark.parametrize("dh, m, n", [(2, 2, 4), (2, 3, 3), (1, 2, 5)])
     def test_slot_apply_matches_dense_slot_factors(self, dh, m, n):
