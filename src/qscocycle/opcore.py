@@ -10,6 +10,7 @@ state vector.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -115,19 +116,13 @@ def _exp_norm_measure(a: np.ndarray) -> np.ndarray:
     # mat_exp(a*) picks the same degree and scaling as mat_exp(a) and the
     # adjoint identity holds to roundoff.  One abs pass, then the column and
     # row sums that numpy's norm forms for ord 1 and ord inf: the same
-    # add.reduce, so the same bits.  A sum that overflows is inf, also where
-    # ``-W error`` raises numpy's overflow warning.
+    # add.reduce, so the same bits, and one max over both.  A sum that
+    # overflows is inf, also where ``-W error`` raises numpy's overflow warning.
     try:
         x = np.abs(a)
-        return np.maximum(x.sum(axis=-2).max(axis=-1), x.sum(axis=-1).max(axis=-1))
+        return np.maximum(x.sum(axis=-2), x.sum(axis=-1)).max(axis=-1)
     except RuntimeWarning:
         return np.full(a.shape[:-2], np.inf)
-
-
-def _norm_overflow(mu: float) -> OverflowError:
-    return OverflowError(
-        f"mat_exp input norm {mu:.4g} exceeds the supported limit {EXP_NORM_LIMIT:.0e}"
-    )
 
 
 def _scaling(mu: float) -> int:
@@ -135,15 +130,21 @@ def _scaling(mu: float) -> int:
     return max(0, int(math.ceil(math.log2(mu / _PADE_THETA[-1][1]))))
 
 
-def _scalings(mu: np.ndarray) -> np.ndarray:
-    """``_scaling`` of each norm of a stack, in one numpy pass.  Where log2
-    lands within 1e-12 of an integer, numpy's and math's log2 may round to
-    either side of it, so ``_scaling`` decides there."""
-    e = np.log2(mu / _PADE_THETA[-1][1])
-    s = np.maximum(np.ceil(e), 0.0).astype(int)
-    for k in np.flatnonzero(np.abs(e - np.rint(e)) < 1e-12):
-        s[k] = _scaling(mu[k])
-    return s
+def _scaling_edge(s: int) -> float:
+    """The largest norm that ``_scaling`` sends to s (it sends theta_13 2^s there)."""
+    mu = _PADE_THETA[-1][1] * 2.0**s
+    while _scaling(math.nextafter(mu, math.inf)) == s:
+        mu = math.nextafter(mu, math.inf)
+    return mu
+
+
+# A matrix of norm mu gets the Pade degree m and the squarings s of
+# _EXP_KEYS[k] for the first edge _EXP_EDGES[k] >= mu: m = 0 (the [0/0]
+# approximant 1) at mu = 0, the first m whose theta_m bounds mu, else m = 13
+# with s = _scaling(mu); a norm past the last edge is over the limit.
+_S_MAX = _scaling(EXP_NORM_LIMIT)
+_EXP_EDGES = (0.0, *(theta for _, theta in _PADE_THETA), *map(_scaling_edge, range(1, _S_MAX)), EXP_NORM_LIMIT)
+_EXP_KEYS = ((0, 0), *((m, 0) for m, _ in _PADE_THETA), *((13, s) for s in range(1, _S_MAX + 1)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -205,67 +206,64 @@ def _pade_approx(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def mat_exp(a) -> np.ndarray:
-    """Matrix exponential by Pade approximation with scaling and squaring.
+    """Matrix exponential: ``mat_exp_stack`` of a stack with no leading axes.
 
     Accurate to ~1e-13 relative error for norms up to ~10; inputs with norm
-    beyond ``EXP_NORM_LIMIT`` are rejected outright.  The norm is the
-    finiteness check: a NaN or infinite entry makes it non-finite, and only
-    then are the entries looked at, to name the fault.
+    beyond ``EXP_NORM_LIMIT`` are rejected outright.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if np.ndim(a) != 2:
         _as_square(a, "mat_exp input")  # raises: wrong shape
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    mu = _exp_norm_measure(a)
-    if not mu <= EXP_NORM_LIMIT:
-        as_cmatrix(a, "mat_exp input")  # raises if an entry is not finite
-        raise _norm_overflow(mu)
-    if mu == 0.0:
-        return np.eye(n, dtype=np.complex128)
-    for m, theta in _PADE_THETA:
-        if mu <= theta:
-            return _pade_approx(a, m)
-    s = _scaling(mu)
-    f = _pade_approx(a / (2.0**s), 13)
-    for _ in range(s):
-        f = f @ f
-    return f
+    return mat_exp_stack(a)
 
 
 def mat_exp_stack(a) -> np.ndarray:
-    """``mat_exp`` of each matrix of an (..., n, n) stack, one numpy call per step.
+    """exp of each matrix of an (..., n, n) stack: the package's one matrix
+    exponential, by Pade approximation with scaling and squaring.
 
-    Each matrix gets its own Pade degree m and scaling exponent s from
-    ``_PADE_THETA``, as in ``mat_exp`` (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31 (2009)): the matrices of one degree are approximated together,
-    and squaring step k squares only the matrices with s > k.  The same
-    finiteness check and ``EXP_NORM_LIMIT`` apply to every matrix.
+    Each matrix gets its Pade degree m and squarings s from ``_PADE_THETA``
+    and ``_scaling`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
+    (2009)); the matrices of one (m, s) are approximated and squared
+    together, and when all share one the input is used as given.  The norm
+    is the finiteness check: only a non-finite norm has the entries read, to
+    name the fault.  Squarings that overflow raise ``OverflowError``.
     """
-    a = _as_square(a, "mat_exp input", stack=True)
-    flat = a.reshape(-1, *a.shape[-2:])
-    if flat.size == 0:
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        _as_square(a, "mat_exp input", stack=True)  # raises: wrong shape
+    if a.size == 0:
         return a.copy()
-    mu = _exp_norm_measure(flat)
-    if mu.max() > EXP_NORM_LIMIT:
-        raise _norm_overflow(mu.max())
-    thetas = [theta for _, theta in _PADE_THETA]
-    # The first degree whose theta bounds mu; len(thetas) means scaled m = 13.
-    slot = np.searchsorted(thetas, mu)
-    s = np.zeros(len(flat), dtype=int)
-    scaled = np.flatnonzero(slot == len(thetas))
-    s[scaled] = _scalings(mu[scaled])
-    slot[scaled] = len(thetas) - 1
-    out = np.empty_like(flat)
-    out[mu == 0.0] = np.eye(a.shape[-1])
-    for k, (m, _) in enumerate(_PADE_THETA):
-        pick = np.flatnonzero((slot == k) & (mu > 0.0))
-        if pick.size:
-            out[pick] = _pade_approx(flat[pick] / (2.0 ** s[pick])[:, None, None], m)
-    for k in range(s.max()):
-        pick = np.flatnonzero(s > k)
-        out[pick] = out[pick] @ out[pick]
+    mu = _exp_norm_measure(a).ravel()
+    norms = mu.tolist()
+    top = max(norms)
+    if not top <= EXP_NORM_LIMIT or math.isnan(sum(norms)):  # max skips a NaN
+        _as_cstack(a, "mat_exp input")  # raises if an entry is not finite
+        raise OverflowError(f"mat_exp input norm {top:.4g} exceeds the supported limit {EXP_NORM_LIMIT:.0e}")
+    # (m, s) grows with the norm, so the smallest and largest norms share
+    # their slot only when every norm does.
+    slot = bisect.bisect_left(_EXP_EDGES, top)
+    if slot == bisect.bisect_left(_EXP_EDGES, min(norms)):
+        groups = [(slot, None)]
+    else:
+        slots = np.searchsorted(_EXP_EDGES, mu)
+        groups = [(k, np.flatnonzero(slots == k)) for k in np.flatnonzero(np.bincount(slots)).tolist()]
+        flat = a.reshape(-1, *a.shape[-2:])
+        out = np.empty_like(flat)
+    for slot, pick in groups:
+        m, s = _EXP_KEYS[slot]
+        x = a if pick is None else flat[pick]
+        if m == 0:
+            f = np.zeros_like(x) + np.eye(a.shape[-1], dtype=np.complex128)
+        else:
+            f = _pade_approx(x / 2.0**s if s else x, m)
+        if s:
+            with np.errstate(over="ignore", invalid="ignore"):  # only squarings overflow
+                for _ in range(s):
+                    f = f @ f
+            if not np.isfinite(f).all():
+                raise OverflowError(f"mat_exp squarings overflowed: exp at input norm {top:.4g} is not finite")
+        if pick is None:
+            return f
+        out[pick] = f
     return out.reshape(a.shape)
 
 

@@ -61,14 +61,14 @@ class SemigroupFamily:
         self.source = source
         self._cache: dict = {}
 
-    def slice_generators(self, c, d) -> np.ndarray:
+    def slice_generators(self, c, d) -> np.ndarray | None:
         """The generator G_{c,d} of Q^{c,d}, evaluated once per slice.
 
-        Slice vectors c, d (dim_k,) give the cached, read-only G_{c,d} itself,
-        and stacks of rows c, d (n, dim_k) give the (n, dim_h, dim_h) stack of
-        generators.  The rows not cached yet get theirs from one
-        ``g_generator`` call: ``component`` gives a slice the same bits alone
-        or in a stack, so a generator does not depend on how it was cached.
+        Slice vectors c, d (dim_k,) give the cached, read-only G_{c,d} itself;
+        stacks of rows c, d (n, dim_k) fill the cache and return None.  The
+        rows not cached yet get theirs from one ``g_generator`` call:
+        ``component`` gives a slice the same bits alone or in a stack, so a
+        generator does not depend on how it was cached.
         """
         c, d = np.asarray(c, dtype=np.complex128), np.asarray(d, dtype=np.complex128)
         k = self.source.dim_k
@@ -88,8 +88,7 @@ class SemigroupFamily:
                 self._cache.setdefault(key, gen)
         if c.ndim == 1:
             return self._cache[keys[0]]
-        dh = self.source.dim_h
-        return np.array([self._cache[key] for key in keys], dtype=np.complex128).reshape(-1, dh, dh)
+        return None
 
     def _exp(self, c, d, t: float) -> np.ndarray:
         t = check_times(t, "t")

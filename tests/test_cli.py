@@ -505,6 +505,12 @@ _OVERFLOWING = {
                     "mat_exp input contains non-finite entries"),
     "tk-T": (["tk", "GEN", "--T", "1e308"],
              "mat_exp input norm inf exceeds the supported limit 1e+04"),
+    # Norms under the limit whose exponentials are not doubles: the squarings
+    # overflow, in a Schur probe's Q and in the factor of evolve's piece [1, 3).
+    "schur-K": (["schur", "K400"],
+                "mat_exp squarings overflowed: exp at input norm 793.2 is not finite"),
+    "evolve-K": (["evolve", "K400", "F", "F", "--t", "3", "--grid", "1"],
+                 "mat_exp squarings overflowed: exp at input norm 800 is not finite"),
 }
 
 
@@ -512,6 +518,8 @@ def overflowing_argv(tmp_path, argv):
     files = {
         "GEN": write_json(tmp_path / "ones.gen.json", jsonio.generator_to_payload(
             zero_generator(2, 1, K=-1j * np.ones((2, 2))))),
+        "K400": write_json(tmp_path / "k400.gen.json", jsonio.generator_to_payload(
+            zero_generator(2, 1, K=400 * np.eye(2)))),
         "F": write_json(tmp_path / "f.json", step_payload()),
         "H": write_json(tmp_path / "h.json", step_payload(values=[[[1e200, 0.0]]])),
     }
@@ -525,7 +533,14 @@ class TestOverflowingInputs:
         assert run_cli(overflowing_argv(tmp_path, argv)) == (3, f"error: {message}\n")
 
     def test_warnings_as_errors(self, tmp_path):
-        argv, message = _OVERFLOWING["evolve-step"]
+        self.check_warnings_as_errors(tmp_path, "evolve-step")
+
+    def test_squarings_overflow_with_warnings_as_errors(self, tmp_path):
+        self.check_warnings_as_errors(tmp_path, "schur-K")
+
+    @staticmethod
+    def check_warnings_as_errors(tmp_path, case):
+        argv, message = _OVERFLOWING[case]
         env = {**os.environ, "PYTHONPATH": str(Path(qscocycle.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "qscocycle", *overflowing_argv(tmp_path, argv)],

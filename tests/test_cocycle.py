@@ -422,20 +422,22 @@ class TestStackedGenerators:
         pick = rng.integers(0, 6, size=(2, 20))
         cs, ds = distinct[0, pick[0]], distinct[1, pick[1]]
         fam = SemigroupFamily(F)
+        slices = len({(c.tobytes(), d.tobytes()) for c, d in zip(cs, ds)})
         single = fam.slice_generators(cs[3], ds[3])
-        stack = fam.slice_generators(cs, ds)
-        assert stack.shape == (20, F.dim_h, F.dim_h)
+        assert fam.slice_generators(cs, ds) is None  # a stack only fills the cache
+        assert len(fam._cache) == slices
         assert fam.slice_generators(cs[3], ds[3]) is single
-        for c, d, got in zip(cs, ds, stack):
+        for c, d in zip(cs, ds):
             want = g_generator(F, c, d)
+            got = fam.slice_generators(c, d)
+            assert got.shape == (F.dim_h, F.dim_h) and not got.flags.writeable
             assert_bitwise(got.view(np.float64), want.view(np.float64))
-            assert_bitwise(fam.slice_generators(c, d).view(np.float64), want.view(np.float64))
+        assert len(fam._cache) == slices  # every single read was a hit
 
     def test_stack_shapes_checked(self):
         fam = SemigroupFamily(random_contractive(2, 2, seed=3))
-        empty = fam.slice_generators(np.zeros((0, 2)), np.zeros((0, 2)))
-        assert empty.shape == (0, 2, 2)
-        assert empty.dtype == np.complex128
+        assert fam.slice_generators(np.zeros((0, 2)), np.zeros((0, 2))) is None
+        assert fam._cache == {}
         expected = r", expected \(2,\) or \(n, 2\) each$"
         with pytest.raises(ValueError, match=r"^slice vectors have shapes \(3, 2\) and \(2, 2\)" + expected):
             fam.slice_generators(np.zeros((3, 2)), np.zeros((2, 2)))

@@ -5,6 +5,7 @@ and no module reads another package module's private names, only the
 semigroup module exponentiates or builds the coordinate cells, only the
 modules that cache semigroups name ``SemigroupFamily``, only the cocycle
 sweep and the Schur screen build one (so a cache lives for one call), only
+``mat_exp_stack`` evaluates the Pade approximant, only
 the random models and the Schur screen draw random numbers, and only
 ``opcore`` checks counts (it alone imports ``operator``, for ``check_count``)."""
 
@@ -149,15 +150,15 @@ def shifted_eyes(source: str) -> list[int]:
     return found
 
 
-def family_builds(source: str) -> list[str]:
-    """The scope of each ``SemigroupFamily(...)`` call: the name of the function
-    or class whose own body makes it, or ``<module>``."""
+def call_scopes(source: str, name: str) -> list[str]:
+    """The scope of each ``name(...)`` call: the name of the function or class
+    whose own body makes it, or ``<module>``."""
     tree = ast.parse(source)
     found = []
     for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, (*_SCOPES, ast.ClassDef)))]:
         for node in _own_nodes(scope):
             func = getattr(node, "func", None)
-            if "SemigroupFamily" in (getattr(func, "attr", None), getattr(func, "id", None)):
+            if name in (getattr(func, "attr", None), getattr(func, "id", None)):
                 found.append(getattr(scope, "name", "<module>"))
     return found
 
@@ -275,7 +276,7 @@ def test_family_build_is_found():
         "        return SemigroupFamily(self.F).q\n"
         "'SemigroupFamily(F)'\n"
     )
-    assert family_builds(source) == ["<module>", "g", "q"]
+    assert call_scopes(source, "SemigroupFamily") == ["<module>", "g", "q"]
 
 
 def test_only_semigroups_build_the_coordinate_cells():
@@ -305,9 +306,19 @@ def test_only_the_sweep_and_the_screen_build_a_family():
     # A SemigroupFamily caches Q for one call: the cocycle product's sweep, or
     # the core probes of one Schur screen.  No family is shared across calls.
     found = sorted(
-        f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") for name in family_builds(p.read_text())
+        f"{p.stem}.{name}" for p in PACKAGE.glob("*.py")
+        for name in call_scopes(p.read_text(), "SemigroupFamily")
     )
     assert found == ["cocycle.sliced_element", "reconstruct.screen_family"]
+
+
+def test_one_exponential_path():
+    # mat_exp is mat_exp_stack of one matrix: the Pade approximant, and so
+    # every scaling and squaring, is reached from mat_exp_stack alone.
+    found = sorted(
+        f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") for name in call_scopes(p.read_text(), "_pade_approx")
+    )
+    assert found == ["opcore.mat_exp_stack"]
 
 
 def test_only_semigroups_exponentiate():

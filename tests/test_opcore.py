@@ -1,4 +1,9 @@
+import bisect
+import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +13,12 @@ from qscocycle import mat_exp, max_herm_eig, op_norm, opcore, psd_inv_sqrt
 from qscocycle.opcore import (
     EXP_NORM_LIMIT,
     PSD_TOL,
+    _EXP_EDGES,
+    _EXP_KEYS,
     _PADE_THETA,
     _exp_norm_measure,
     _identity_terms,
     _scaling,
-    _scalings,
     mat_exp_stack,
     op_norm_stack,
     psd_inv_sqrt_stack,
@@ -114,6 +120,30 @@ class TestMatExp:
         got[...] = 7.0
         assert_bitwise(mat_exp(a), np.eye(len(a), dtype=np.complex128))
         assert not a.any()
+
+
+class TestSquaringOverflow:
+    # Norm 800 is under EXP_NORM_LIMIT, but exp(800) is not a double: the
+    # squarings overflow, and a named error says so in place of inf + nanj.
+    @pytest.mark.parametrize("a", [800 * np.eye(2), np.diag([1.0, 750.0j + 750.0])])
+    def test_named_error_and_no_warning(self, a):
+        with pytest.raises(OverflowError, match="^mat_exp squarings overflowed: exp at input norm"):
+            mat_exp(a)
+        with pytest.raises(OverflowError, match="^mat_exp squarings overflowed"):
+            mat_exp_stack(np.stack([np.eye(2), a, np.zeros((2, 2))]))
+        assert np.isfinite(mat_exp(700 * np.eye(2))).all()
+
+    def test_warnings_as_errors(self):
+        code = (
+            "import numpy as np; from qscocycle import mat_exp\n"
+            "try: mat_exp(800 * np.eye(2))\n"
+            "except OverflowError as exc: print(type(exc).__name__, exc)"
+        )
+        src = str(Path(opcore.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "OverflowError mat_exp squarings overflowed: exp at input norm 800 is not finite\n"
 
 
 def _norm_mirror(a):
@@ -264,17 +294,41 @@ class TestStacks:
             assert_bitwise(got[k], mat_exp(a))
 
     def test_stacked_scalings_are_mat_exps(self):
-        # theta_13 2^k and one ulp to either side of it, where ceil(log2) steps,
-        # and random norms up to the limit; then bitwise exponentials at the edges,
-        # from diagonal skew-Hermitian matrices whose norm measure is exactly mu.
+        # theta_13 2^k and one ulp to either side of it, where ceil(log2) steps:
+        # bitwise exponentials at the edges, from diagonal skew-Hermitian
+        # matrices whose norm measure is exactly mu.
         edges = _PADE_THETA[-1][1] * 2.0 ** np.arange(11)
         edges = np.concatenate((np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)))
-        mu = np.concatenate((edges, np.random.default_rng(59).uniform(5.0, EXP_NORM_LIMIT, 2000)))
-        assert _scalings(mu).tolist() == [_scaling(x) for x in mu]
         stack = edges[:, None, None] * np.diag([1j, -0.5j])
         got = mat_exp_stack(stack)
         for k, a in enumerate(stack):
             assert_bitwise(got[k], mat_exp(a))
+
+    def test_key_table_is_the_scalar_rule(self):
+        # The first edge >= mu names the (m, s) that the first theta_m >= mu,
+        # or else _scaling, gives: at 0, at every edge and a few ulps to either
+        # side (where ceil(log2) steps), and at random norms up to the limit.
+        def rule(mu):
+            if mu == 0.0:
+                return 0, 0
+            for m, theta in _PADE_THETA:
+                if mu <= theta:
+                    return m, 0
+            return 13, _scaling(mu)
+
+        mu = [0.0, 5e-324, EXP_NORM_LIMIT]
+        for edge in _EXP_EDGES[1:]:
+            lo = hi = edge
+            for _ in range(4):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+                mu += [lo, hi]
+            mu.append(edge)
+        rng = np.random.default_rng(59)
+        mu += rng.uniform(5.0, EXP_NORM_LIMIT, 2000).tolist() + (10.0 ** rng.uniform(-8, 4, 2000)).tolist()
+        mu = [x for x in mu if x <= EXP_NORM_LIMIT]
+        assert [_EXP_KEYS[bisect.bisect_left(_EXP_EDGES, x)] for x in mu] == [rule(x) for x in mu]
+        assert np.searchsorted(_EXP_EDGES, mu).tolist() == [bisect.bisect_left(_EXP_EDGES, x) for x in mu]
+        assert len(_EXP_KEYS) == len(_EXP_EDGES)
 
     def test_exp_stack_of_one_and_leading_axes(self):
         rng = np.random.default_rng(43)
@@ -296,6 +350,28 @@ class TestStacks:
             mat_exp_stack(stack)
         with pytest.raises(ValueError, match="square"):
             mat_exp_stack(np.zeros((2, 2, 3)))
+        # A NaN or inf last in a stack of mixed degrees: Python's max skips a
+        # NaN norm that is not first, and the first edge >= NaN is the zero
+        # matrix's, so the NaN must be caught on its own.
+        rng = np.random.default_rng(71)
+        mixed = np.array([_with_norm(rng, 3, mu) for mu in (0.0, 0.01, 0.2, 3.0, 40.0, 0.5)])
+        for bad in (np.nan, np.inf, complex(1.0, np.nan)):
+            stack = mixed.copy()
+            stack[-1, 1, 2] = bad
+            for a in (stack, stack[::-1].reshape(2, 3, 3, 3)):
+                with pytest.raises(ValueError, match="^mat_exp input contains non-finite entries$"):
+                    mat_exp_stack(a)
+        # Two norms over the limit: the error names the largest.
+        stack = np.array([np.eye(2), 2e307 * np.eye(2), np.full((2, 2), 1e308), 3e4 * np.eye(2)])
+        with pytest.raises(OverflowError, match="^mat_exp input norm inf exceeds"):
+            mat_exp_stack(stack)
+        with pytest.raises(OverflowError, match="^mat_exp input norm 3e\\+04 exceeds"):
+            mat_exp_stack(np.array([2e4 * np.eye(2), np.eye(2), 3e4 * np.eye(2)]))
+
+    def test_empty_stacks(self):
+        assert mat_exp_stack(np.zeros((0, 0))).shape == (0, 0)
+        assert mat_exp_stack(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+        assert mat_exp_stack(np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
     def test_inv_sqrt_stack_ok_agrees_with_raising(self):
         rng = np.random.default_rng(47)
