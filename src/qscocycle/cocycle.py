@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import BlockGenerator
-from .opcore import check_count, check_times, check_vector, op_norm
+from .opcore import check_count, check_grid, check_time, check_times, check_vector, op_norm
 from .semigroups import SemigroupFamily
 
 
@@ -96,7 +96,7 @@ class StepFunction:
         return cls(np.zeros(1), value, end)
 
     def __call__(self, t: float) -> np.ndarray:
-        return self.at(np.array([t]))[0]
+        return self._values(np.array([check_time(t, "t")]))[0]
 
     def at(self, times: np.ndarray) -> np.ndarray:
         """Values at an array of times >= 0, one row of length dim_k per time."""
@@ -110,7 +110,7 @@ class StepFunction:
 
     def shifted(self, r: float) -> "StepFunction":
         """The time-shifted restriction s -> f(r + s)."""
-        check_times(r, "r")
+        r = check_time(r, "r")
         if r >= self.support_end:
             return StepFunction.zero(self.dim_k)
         cuts, vals, _ = _refinement(self, self, r, self.support_end)
@@ -123,7 +123,7 @@ class StepFunction:
         dual cocycle; values at the isolated reflection points follow the
         right-continuous convention.
         """
-        check_times(t, "t")
+        t = check_time(t, "t")
         if t == 0:
             return self
         cuts, vals, _ = _refinement(self, self, 0.0, t)
@@ -161,13 +161,11 @@ def exp_inner(
     """
     if f.dim_k != g.dim_k:
         raise ValueError(f"dimension mismatch: {f.dim_k} vs {g.dim_k}")
-    starts = np.reshape(check_times(a, "a"), -1)
-    if (starts[1:] < starts[:-1]).any():
-        raise ValueError("times must be nondecreasing")
+    starts = check_grid(a, "a")
     end = max(f.support_end, g.support_end)
     if b is None:
         b = end
-    elif np.isnan(b) or (starts.size and starts[-1] > b):
+    elif (starts > (b := check_time(b, "b"))).any():
         raise ValueError(f"interval endpoints out of order: a={a}, b={b}")
     b = min(b, end)
     if not (starts.size and starts[0] < b):
@@ -204,9 +202,7 @@ def sliced_element(
     ``slice_generators`` call before the sweep.
     """
     fam = SemigroupFamily(F)
-    times = np.reshape(check_times(t, "t"), -1)
-    if not np.all(np.diff(times) >= 0):
-        raise ValueError("times must be nondecreasing")
+    times = check_grid(t, "t")
     if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
         raise ValueError(
             f"step functions have dim_k {f.dim_k}, {g.dim_k}; generator has {F.dim_k}"
@@ -222,9 +218,10 @@ def sliced_element(
     rows = np.searchsorted(np.searchsorted(cuts, times), np.arange(cuts.size + 1))
     out = np.empty((times.size, *prefix.shape), dtype=np.complex128)
     out[rows[0] : rows[1]] = prefix
-    for j, (c, d, h) in enumerate(zip(fv, gv, np.diff(cuts)), start=1):
-        prefix = prefix @ fam.q(c, d, h)
-        out[rows[j] : rows[j + 1]] = prefix
+    with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is inf
+        for j, (c, d, h) in enumerate(zip(fv, gv, np.diff(cuts)), start=1):
+            prefix = prefix @ fam.q(c, d, h)
+            out[rows[j] : rows[j + 1]] = prefix
     return out if np.ndim(t) else out[0]
 
 
@@ -248,22 +245,20 @@ def full_matrix_element(
     vector-matrix product per piece, and <u, Q-product v> is that row times
     v.  The norms of the exponential vectors enter as one log scalar,
     exp(log <u, Q-product v> + S(t)), so an underflowed Q-product gives an
-    exact 0.  Raises ``OverflowError``, naming the first such time,
-    when an element is not finite because the unnormalized exponential-vector
-    factors overflow.
+    exact 0.  Raises ``OverflowError``, naming the first such time, when
+    <u, Q-product v> is not finite, or else when an element is not finite
+    because the unnormalized exponential-vector factors overflow.
     """
     u, v = check_vector(u, F.dim_h, "u"), check_vector(v, F.dim_h, "v")
-    times = np.asarray(t, dtype=np.float64).reshape(-1)
+    times = check_grid(t, "t")
     rows = sliced_element(F, f, g, times, u)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logs = np.log(rows @ v) + _log_norms(f, g, times)
-        out = np.exp(logs) * exp_inner(f, g, times, None)
-    finite = np.isfinite(out)
-    if not finite.all():
-        raise OverflowError(
-            f"exponential-vector factors overflowed at t={times[np.argmin(finite)]:.6g}: the "
-            "matrix element is not finite in double precision"
-        )
+        inner = rows @ v
+        out = np.exp(np.log(inner) + _log_norms(f, g, times)) * exp_inner(f, g, times, None)
+    for value, fault in ((inner, "Q-product overflowed at t={:.6g}: <u, Q-product v>"),
+                         (out, "exponential-vector factors overflowed at t={:.6g}: the matrix element")):
+        if not (finite := np.isfinite(value)).all():
+            raise OverflowError(fault.format(times[np.argmin(finite)]) + " is not finite in double precision")
     return out if np.ndim(t) else complex(out[0])
 
 
@@ -278,8 +273,7 @@ def cocycle_defect(
     the normalized slices, where the exponential-vector norms of [0, r) and
     [r, r+t) multiply to those of [0, r+t).
     """
-    check_times(r, "r")
-    check_times(t, "t")
+    r, t = check_time(r, "r"), check_time(t, "t")
     first, whole = sliced_element(F, f, g, [r, r + t])
     second = sliced_element(F, f.shifted(r), g.shifted(r), t)
     return float(op_norm(whole - first @ second))

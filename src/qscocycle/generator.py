@@ -59,9 +59,7 @@ class BlockGenerator:
 
     def __post_init__(self):
         for name, low in (("dim_h", 1), ("dim_k", 0)):
-            object.__setattr__(self, name, check_count(getattr(self, name), name))
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}")
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low))
         dh, dk = self.dim_h, self.dim_k
         shapes = {
             "K": (dh, dh),
@@ -121,9 +119,7 @@ def from_hlc(H, L, C) -> BlockGenerator:
     With C unitary the result satisfies the contractivity inequality with
     equality (drift identity |Lu|^2 + 2 Re<u, Ku> = 0 and M = -L*C exact).
     """
-    H = as_cmatrix(H, "H")
-    if H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
+    H = as_cmatrix(H, "H", square=True)
     dh = H.shape[0]
     herm_defect = op_norm(H - adjoint(H))
     if herm_defect > HERMITIAN_TOL * max(1.0, op_norm(H)):
@@ -199,9 +195,7 @@ def yosida_approx(F: BlockGenerator, n: int) -> BlockGenerator:
     of its Hermitian part may exceed 0 by at most DISSIPATIVE_TOL * max(1, |K|),
     which also keeps I - K/n invertible.
     """
-    n = check_count(n, "n")
-    if not n >= 1:
-        raise ValueError("n must be a positive integer")
+    n = check_count(n, "n", 1)
     dh = F.dim_h
     growth = max_herm_eig(F.K)
     if growth > DISSIPATIVE_TOL * max(1.0, op_norm(F.K)):

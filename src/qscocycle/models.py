@@ -30,9 +30,7 @@ class OscillatorSpec:
     mu: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", check_count(self.dim, "dim"))
-        if not self.dim >= 2:
-            raise ValueError("oscillator truncation needs dim >= 2")
+        object.__setattr__(self, "dim", check_count(self.dim, "dim", 2))
         lam = np.asarray(self.lam, dtype=np.complex128).reshape(-1)
         mu = np.asarray(self.mu, dtype=np.float64).reshape(-1)
         if lam.size != self.dim + 1:
@@ -74,9 +72,7 @@ def birth_death(dim: int, birth_rates, death_rates) -> BlockGenerator:
     down-shift (channel-major), C = I, H = 0, so K = -L*L/2 is the diagonal
     of half total jump rates (with the boundary jumps cut by truncation).
     """
-    dim = check_count(dim, "dim")
-    if not dim >= 3:
-        raise ValueError("birth-death truncation needs dim >= 3")
+    dim = check_count(dim, "dim", 3)
     birth = np.asarray(birth_rates, dtype=np.float64).reshape(-1)
     death = np.asarray(death_rates, dtype=np.float64).reshape(-1)
     if birth.size != dim or death.size != dim:
@@ -106,10 +102,8 @@ def random_contractive(
     -I/10 to the drift, making the operator-inequality defect strictly
     negative.
     """
-    dim_h, dim_k = check_count(dim_h, "dim_h"), check_count(dim_k, "dim_k")
+    dim_h, dim_k = check_count(dim_h, "dim_h", 1), check_count(dim_k, "dim_k", 1)
     seed = check_count(seed, "seed")
-    if not (dim_h >= 1 and dim_k >= 1):
-        raise ValueError("random_contractive needs dim_h >= 1 and dim_k >= 1")
     if mode not in RANDOM_MODES:
         raise ValueError(f"mode must be {' or '.join(RANDOM_MODES)}, got {mode!r}")
     rng = np.random.default_rng(seed)

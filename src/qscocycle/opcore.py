@@ -3,9 +3,14 @@
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``; a
 "CMatrix" in the rest of the package is exactly that.  Every routine here
 validates finiteness on entry and guarantees finite output, so callers can
-chain operations without re-checking.  ``check_times``, ``check_count`` and
-``check_vector`` are the package's one check of a time, of a count and of a
-state vector.
+chain operations without re-checking.
+
+The package checks each kind of argument here and nowhere else, and names
+the argument in every ``ValueError``: times (``check_times``), one time
+(``check_time``), a nondecreasing grid of times (``check_grid``), a count
+with its lower bound (``check_count``), a state vector (``check_vector``)
+and a matrix or a stack of them (``as_cmatrix``).  Bools are neither times
+nor counts.
 """
 
 from __future__ import annotations
@@ -44,13 +49,20 @@ _PADE_COEFFS = {
 }
 
 
+# The scalar types ``check_times`` reads without numpy; any other input,
+# a bool or an int or float subclass among them, is read as an array.
+_SCALAR_TIMES = frozenset((int, float, np.float64))
+
+
 def check_times(t, name: str, positive: bool = False):
     """``t`` as a float, or a float array for array input, if every time is
     finite and >= 0 (> 0 if ``positive``); a ValueError names the argument and
-    its first bad value.  A Python or numpy float makes no numpy call, since
-    ``SemigroupFamily`` checks the time of every lookup.
+    its first bad value, a bool among them.  A Python or numpy float makes no
+    numpy call, since ``SemigroupFamily`` checks the time of every lookup.
     """
-    scalar = isinstance(t, (int, float))
+    scalar = type(t) in _SCALAR_TIMES
+    if not scalar and (flag := _first_bool(t)) is not None:
+        raise ValueError(f"{name}={flag} must be a time, not a bool")
     x = float(t) if scalar else np.asarray(t, dtype=np.float64)
     ok = ((x > 0.0) if positive else (x >= 0.0)) & (x < math.inf)
     if ok if scalar else ok.all():
@@ -61,11 +73,40 @@ def check_times(t, name: str, positive: bool = False):
     )
 
 
-def check_count(value, name: str) -> int:
-    """``operator.index(value)``, bools refused; a ValueError names the argument."""
+def _first_bool(t):
+    """The first of the times ``t`` that is a bool or a bool array: ``t``
+    itself, or an entry of a list or tuple; else None."""
+    return next((x for x in (t if isinstance(t, (list, tuple)) else [t])
+                 if isinstance(x, bool) or getattr(x, "dtype", None) == np.bool_), None)
+
+
+def check_time(t, name: str, positive: bool = False) -> float:
+    """One time, by ``check_times``, as a float; an array is refused by name."""
+    x = check_times(t, name, positive)
+    if isinstance(x, float):
+        return x
+    if x.ndim:
+        raise ValueError(f"{name} must be a single time, got an array of shape {x.shape}")
+    return float(x)
+
+
+def check_grid(t, name: str) -> np.ndarray:
+    """A grid of times, by ``check_times``, as a flat float array, if nondecreasing."""
+    times = np.reshape(check_times(t, name), -1)
+    if (times[1:] < times[:-1]).any():
+        raise ValueError("times must be nondecreasing")
+    return times
+
+
+def check_count(value, name: str, low: int = 0) -> int:
+    """``operator.index(value)``, if it is at least ``low``; bools are refused,
+    and a ValueError names the argument."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name}={value!r} must be an integer")
-    return operator.index(value)
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def check_vector(v, size: int, name: str) -> np.ndarray:
@@ -79,29 +120,15 @@ def check_vector(v, size: int, name: str) -> np.ndarray:
     return v
 
 
-def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array, raising on anything else."""
+def as_cmatrix(a, name: str = "matrix", stack: bool = False, square: bool = False) -> np.ndarray:
+    """``a`` as a finite complex128 matrix, or a stack of them (ndim >= 2) if
+    ``stack``, square if ``square``; a ValueError names the argument."""
     out = np.asarray(a, dtype=np.complex128)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got ndim={out.ndim}")
+    if not (out.ndim >= 2 if stack else out.ndim == 2):
+        raise ValueError(f"{name} must be {'at least ' if stack else ''}2-dimensional, got ndim={out.ndim}")
     if out.size and not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return out
-
-
-def _as_cstack(a, name: str) -> np.ndarray:
-    """Coerce to a finite complex128 array of ndim >= 2: a stack of matrices."""
-    out = np.asarray(a, dtype=np.complex128)
-    if not out.ndim >= 2:
-        raise ValueError(f"{name} must be at least 2-dimensional, got ndim={out.ndim}")
-    if out.size and not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return out
-
-
-def _as_square(a, name: str, stack: bool = False) -> np.ndarray:
-    out = _as_cstack(a, name) if stack else as_cmatrix(a, name)
-    if out.shape[-2] != out.shape[-1]:
+    if square and out.shape[-2] != out.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {out.shape}")
     return out
 
@@ -212,7 +239,7 @@ def mat_exp(a) -> np.ndarray:
     beyond ``EXP_NORM_LIMIT`` are rejected outright.
     """
     if np.ndim(a) != 2:
-        _as_square(a, "mat_exp input")  # raises: wrong shape
+        as_cmatrix(a, "mat_exp input", square=True)  # raises: wrong shape
     return mat_exp_stack(a)
 
 
@@ -229,14 +256,14 @@ def mat_exp_stack(a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        _as_square(a, "mat_exp input", stack=True)  # raises: wrong shape
+        as_cmatrix(a, "mat_exp input", stack=True, square=True)  # raises: wrong shape
     if a.size == 0:
         return a.copy()
     mu = _exp_norm_measure(a).ravel()
     norms = mu.tolist()
     top = max(norms)
     if not top <= EXP_NORM_LIMIT or math.isnan(sum(norms)):  # max skips a NaN
-        _as_cstack(a, "mat_exp input")  # raises if an entry is not finite
+        as_cmatrix(a, "mat_exp input", stack=True)  # raises if an entry is not finite
         raise OverflowError(f"mat_exp input norm {top:.4g} exceeds the supported limit {EXP_NORM_LIMIT:.0e}")
     # (m, s) grows with the norm, so the smallest and largest norms share
     # their slot only when every norm does.
@@ -274,7 +301,7 @@ def op_norm(a) -> float:
 
 def op_norm_stack(a) -> np.ndarray:
     """``op_norm`` of each matrix of an (..., m, n) stack, as one ``svd`` call."""
-    return _largest_sv(_as_cstack(a, "op_norm input"))
+    return _largest_sv(as_cmatrix(a, "op_norm input", stack=True))
 
 
 def _largest_sv(a: np.ndarray) -> np.ndarray:
@@ -285,7 +312,7 @@ def _largest_sv(a: np.ndarray) -> np.ndarray:
 
 def max_herm_eig(a) -> float:
     """Largest eigenvalue of the Hermitian part (a + a*)/2."""
-    a = _as_square(a, "max_herm_eig input")
+    a = as_cmatrix(a, "max_herm_eig input", square=True)
     if a.shape[0] == 0:
         return 0.0
     herm = 0.5 * (a + adjoint(a))
@@ -328,7 +355,7 @@ def psd_inv_sqrt(a) -> np.ndarray:
     Hermitian within ``PSD_TOL`` (relative) or has an eigenvalue <= ``PSD_TOL``;
     the Schur screen reports a probe whose weights fail here as skipped.
     """
-    x, ok, herm_ok, herm_defect, low = _psd_parts(_as_square(a, "psd_inv_sqrt input"))
+    x, ok, herm_ok, herm_defect, low = _psd_parts(as_cmatrix(a, "psd_inv_sqrt input", square=True))
     if not herm_ok:
         raise ValueError(
             f"psd_inv_sqrt input is not Hermitian (defect {herm_defect:.3g})"
@@ -346,5 +373,5 @@ def psd_inv_sqrt_stack(a) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(roots, ok)``: ``ok`` is False exactly where ``psd_inv_sqrt``
     would raise, and the root there is zero.
     """
-    x, ok, _, _, _ = _psd_parts(_as_square(a, "psd_inv_sqrt input", stack=True))
+    x, ok, _, _, _ = _psd_parts(as_cmatrix(a, "psd_inv_sqrt input", stack=True, square=True))
     return x, ok

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .generator import BlockGenerator, contractivity_defect, yosida_approx
-from .opcore import check_count, check_times, op_norm, op_norm_stack, psd_inv_sqrt, psd_inv_sqrt_stack
+from .opcore import check_count, check_time, check_times, op_norm, op_norm_stack, psd_inv_sqrt, psd_inv_sqrt_stack
 from .semigroups import SemigroupFamily, coordinate_cells, q_stack
 
 PASS_TOL = 1e-9
@@ -100,7 +100,7 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     n = c_arr.shape[0]
     a = np.asarray(a, dtype=np.complex128).reshape(n, n)
     b = np.asarray(b, dtype=np.complex128).reshape(n, n)
-    y = np.asarray(y, dtype=np.complex128).reshape(n * check_count(dim_h, "dim_h"), n)
+    y = np.asarray(y, dtype=np.complex128).reshape(n * check_count(dim_h, "dim_h", 1), n)
     bound = op_norm(_ampliate(psd_inv_sqrt(a), y) @ psd_inv_sqrt(b))
     if bound > 1.0:
         y = y / bound
@@ -136,7 +136,7 @@ def schur_criterion_check(
 ) -> ProbeReport:
     """Evaluate one probe, defect the criterion norm minus one or NaN if skipped,
     as the stack of one of ``_check_group`` whose blocks are ``family.q`` lookups."""
-    tol = check_times(tol, "tol")
+    tol = check_time(tol, "tol")
 
     def lookups(c, t):
         return np.array([[[family.q(ci, cj, s) for cj in ct] for ci in ct] for ct, s in zip(c, t)])
@@ -172,10 +172,8 @@ def _random_probes(F: BlockGenerator, n_max: int, samples: int, seed: int, first
     weights ``ab`` = (A, B) with A = X_A X_A* / n + I/4, and Y rescaled to the
     precondition (as in ``make_probe``), are then formed one group at a time.
     """
-    n_max, samples = check_count(n_max, "n_max"), check_count(samples, "samples")
+    n_max, samples = check_count(n_max, "n_max", 1), check_count(samples, "samples", 1)
     seed = check_count(seed, "seed")
-    if not (n_max >= 1 and samples >= 1):
-        raise ValueError("n_max and samples must be >= 1")
     rng = np.random.default_rng(seed)
     dh, dk = F.dim_h, F.dim_k
     draws: dict[int, list] = {}
@@ -229,7 +227,7 @@ def screen_family(
     The core probes are checked one by one on a ``SemigroupFamily``; the
     random probes one group per n, by stacked exponentials and factorizations.
     """
-    tol = check_times(tol, "tol")
+    tol = check_time(tol, "tol")
     core = deterministic_core_probes(F)
     groups = _random_probes(F, n_max, samples, seed, first_id=len(core))
     family = SemigroupFamily(F)
@@ -268,13 +266,11 @@ def trotter_kato_pipeline(
         n_list = tuple(n_list)
     except TypeError:
         raise ValueError(f"n_list={n_list!r} must be a list of integers") from None
-    n_list = tuple(check_count(n, f"n_list[{k}]") for k, n in enumerate(n_list))
+    n_list = tuple(check_count(n, f"n_list[{k}]", 1) for k, n in enumerate(n_list))
     if not n_list or any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
         raise ValueError("n_list must be a nonempty, strictly increasing list")
-    grid_points = check_count(grid_points, "grid_points")
-    if not grid_points >= 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
-    check_times(T, "T", positive=True)
+    grid_points = check_count(grid_points, "grid_points", 1)
+    T = check_time(T, "T", positive=True)
     defect = contractivity_defect(F)
     if defect > CONTRACTIVITY_TOL:
         raise ValueError(f"pipeline needs a contractive generator; defect {defect:.3g}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .generator import BlockGenerator, adjoint, chi, component
-from .opcore import check_count, check_times, mat_exp, mat_exp_stack
+from .opcore import check_count, check_time, check_times, mat_exp, mat_exp_stack
 
 
 def g_generator(F: BlockGenerator, c, d) -> np.ndarray:
@@ -91,12 +91,7 @@ class SemigroupFamily:
         return None
 
     def _exp(self, c, d, t: float) -> np.ndarray:
-        t = check_times(t, "t")
-        if not isinstance(t, float):
-            # check_times gives an array for array input; one time is 0-d.
-            if t.ndim:
-                raise ValueError(f"t must be a single time, got an array of shape {t.shape}")
-            t = float(t)
+        t = check_time(t, "t")
         c = np.asarray(c, dtype=np.complex128).reshape(-1)
         d = np.asarray(d, dtype=np.complex128).reshape(-1)
         key = (c.tobytes(), d.tobytes(), t)
@@ -177,7 +172,7 @@ def generator_from_semigroups(q, dim_k: int, t: float) -> BlockGenerator:
     is the slope (e^{t n} Q^{c,d}_t - I)/t - n I of G_{c,d}, and
     ``coords_to_f`` inverts the grid; the error is O(t) as t -> 0.
     """
-    check_times(t, "t", positive=True)
+    t = check_time(t, "t", positive=True)
     cells = coordinate_cells(check_count(dim_k, "dim_k"))
     grid = np.array([[q(c, d, t) for d in cells] for c in cells])
     half = 0.5 * (np.arange(len(cells)) > 0)

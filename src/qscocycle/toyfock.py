@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .cocycle import StepFunction, exp_inner
 from .generator import BlockGenerator
-from .opcore import check_count, check_times, check_vector
+from .opcore import check_count, check_time, check_vector
 
 
 def _runs(tau: float, n: int, *fns: StepFunction) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -74,7 +74,7 @@ def _first_slot(t: float, tau: float, n: int) -> int:
 
 def step_matrix(F: BlockGenerator, tau: float) -> np.ndarray:
     """One-slot interaction matrix G_tau on h (x) (C + k)."""
-    check_times(tau, "tau", positive=True)
+    tau = check_time(tau, "tau", positive=True)
     root, dh = math.sqrt(tau), F.dim_h
     out = np.empty((F.total_dim, F.total_dim), dtype=np.complex128)
     out[:dh, :dh] = np.eye(dh) + tau * F.K
@@ -88,19 +88,15 @@ def _lattice(F: BlockGenerator, t: float, N: int, *fns: StepFunction):
     """The oracles' shared preamble: ``t`` and ``N`` checked by name, then the
     run counts and slot components of ``fns`` on the N-slot lattice of [0, t),
     and the step matrix as a (m, dh, m, dh) tensor with m = 1 + dim_k."""
-    if getattr(check_times(t, "t", positive=True), "ndim", 0):
-        raise ValueError(f"t must be a single time, got an array of shape {np.shape(t)}")
-    N = check_count(N, "N")
-    if not N >= 1:
-        raise ValueError("N must be >= 1")
+    t, N = check_time(t, "t", positive=True), check_count(N, "N", 1)
     if N > 2**53:
         # Past 2**53 the slot times tau * j are no longer distinct doubles.
         raise ValueError(f"N={N} is above 2**53, where slot times stop being distinct")
     if any(fn.dim_k != F.dim_k for fn in fns):
         dims = ", ".join(str(fn.dim_k) for fn in fns)
         raise ValueError(f"step functions have dim_k {dims}; generator has {F.dim_k}")
-    if not (tau := float(t) / N):
-        raise ValueError(f"t={float(t)} over N={N} slots underflows the slot width t / N to 0")
+    if not (tau := t / N):
+        raise ValueError(f"t={t} over N={N} slots underflows the slot width t / N to 0")
     counts, slots = _runs(tau, N, *fns)
     m, dh = 1 + F.dim_k, F.dim_h
     return counts, slots, step_matrix(F, tau).reshape(m, dh, m, dh)

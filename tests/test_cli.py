@@ -511,6 +511,9 @@ _OVERFLOWING = {
                 "mat_exp squarings overflowed: exp at input norm 793.2 is not finite"),
     "evolve-K": (["evolve", "K400", "F", "F", "--t", "3", "--grid", "1"],
                  "mat_exp squarings overflowed: exp at input norm 800 is not finite"),
+    # Each factor of [0, 1) and [1, 2) is finite; their product is not.
+    "evolve-Q": (["evolve", "K400", "F", "F", "--t", "2", "--grid", "2"],
+                 "Q-product overflowed at t=2: <u, Q-product v> is not finite in double precision"),
 }
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,18 @@ class TestMatrixElements:
         with pytest.raises(OverflowError, match="overflowed at t=100"):
             full_matrix_element(F, [1.0], f, [1.0], g, [1.0, 50.0, 100.0, 100.0])
 
+    def test_q_product_overflow_is_named(self):
+        # K = 400 I with L = M = C = 0 and f = g = 0.5 on [0, 1): each Q-factor
+        # is about e^400 and |eps(f)| = e^0.125, so only the Q-product of the
+        # two pieces of [0, 2) overflows, with no numpy warning on the way.
+        F = zero_generator(2, 1, K=400.0 * np.eye(2), C=np.zeros((2, 2)))
+        f = StepFunction.constant([0.5], 1.0)
+        message = r"^Q-product overflowed at t=2: <u, Q-product v> is not finite in double precision$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                full_matrix_element(F, [1.0, 0.0], f, [1.0, 0.0], f, [0.0, 1.0, 2.0])
+
 
 def generator_cases():
     """Both evolve_grid models and a strict_C random generator, by name."""
@@ -639,8 +653,15 @@ class TestFiniteDifferenceRecovery:
 
 STEP = StepFunction.constant([1.0], 1.0)
 ZERO = StepFunction.zero(1)
-TIMES = (np.nan, np.inf)
+TIMES = (np.nan, np.inf, True)
 COUNTS = (2.5, np.nan, True)
+# Two valid times where one time is expected.
+SINGLE = (*TIMES, np.array([0.5, 0.5]))
+
+
+def counts(low=0):
+    """COUNTS, a negative count, and the count just under the bound ``low``."""
+    return (*COUNTS, *sorted({-1, low - 1}))
 
 
 def drift_only(dim_h=1, dim_k=0):
@@ -651,75 +672,99 @@ def drift_only(dim_h=1, dim_k=0):
 # Every public entry point that takes a time or a count, with the argument
 # its ValueError names and the bad values it must refuse.
 GUARDED = {
-    "step-zero": (StepFunction.zero, "dim_k", COUNTS),
-    "step-call": (STEP, "t", TIMES),
-    "step-at": (lambda x: STEP.at(np.array([0.5, x])), "t", (*TIMES, -1.0)),
-    "shifted": (STEP.shifted, "r", TIMES),
-    "reversed_on": (STEP.reversed_on, "t", TIMES),
+    "step-zero": (StepFunction.zero, "dim_k", counts()),
+    "step-call": (STEP, "t", SINGLE),
+    "step-at": (lambda x: STEP.at([0.5, x]), "t", (*TIMES, -1.0)),
+    "shifted": (STEP.shifted, "r", SINGLE),
+    "reversed_on": (STEP.reversed_on, "t", SINGLE),
     "exp_inner": (lambda x: exp_inner(STEP, STEP, [0.5, x]), "a", TIMES),
+    "exp_inner-b": (lambda x: exp_inner(STEP, STEP, 0.0, x), "b", SINGLE),
     "sliced_element": (lambda x: sliced_element(scalar_hp(), ZERO, ZERO, x), "t", TIMES),
     "full_matrix_element": (
         lambda x: full_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, [0.5, x]), "t", TIMES
     ),
-    "cocycle_defect-r": (lambda x: cocycle_defect(scalar_hp(), ZERO, ZERO, x, 1.0), "r", TIMES),
-    "cocycle_defect-t": (lambda x: cocycle_defect(scalar_hp(), ZERO, ZERO, 1.0, x), "t", TIMES),
+    "cocycle_defect-r": (lambda x: cocycle_defect(scalar_hp(), ZERO, ZERO, x, 1.0), "r", SINGLE),
+    "cocycle_defect-t": (lambda x: cocycle_defect(scalar_hp(), ZERO, ZERO, 1.0, x), "t", SINGLE),
     "varpi_matrix": (lambda x: varpi_matrix(np.eye(2), x), "t", TIMES),
-    "step_matrix": (lambda x: step_matrix(scalar_hp(), x), "tau", TIMES),
-    "q": (lambda x: SemigroupFamily(scalar_hp()).q([0.0], [0.0], x), "t", TIMES),
+    "step_matrix": (lambda x: step_matrix(scalar_hp(), x), "tau", SINGLE),
+    "q": (lambda x: SemigroupFamily(scalar_hp()).q([0.0], [0.0], x), "t", SINGLE),
     "q_stack": (lambda x: q_stack(scalar_hp(), [0.0], [0.0], [0.5, x]), "t", TIMES),
-    "tk-T": (lambda x: trotter_kato_pipeline(scalar_hp(), [10], T=x), "T", TIMES),
+    "tk-T": (lambda x: trotter_kato_pipeline(scalar_hp(), [10], T=x), "T", SINGLE),
     "tk-grid_points": (
-        lambda x: trotter_kato_pipeline(scalar_hp(), [10], grid_points=x), "grid_points", COUNTS
+        lambda x: trotter_kato_pipeline(scalar_hp(), [10], grid_points=x), "grid_points", counts(1)
     ),
-    "tk-n_list": (lambda x: trotter_kato_pipeline(scalar_hp(), [x, 10]), r"n_list\[0\]", COUNTS),
+    "tk-n_list": (lambda x: trotter_kato_pipeline(scalar_hp(), [x, 10]), r"n_list\[0\]", counts(1)),
     "tk-n_list-iterable": (lambda x: trotter_kato_pipeline(scalar_hp(), x), "n_list", COUNTS),
     "oracle_matrix_element-t": (
-        lambda x: oracle_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, x, 4), "t", TIMES
+        lambda x: oracle_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, x, 4), "t", SINGLE
     ),
     "oracle_matrix_element-N": (
-        lambda x: oracle_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, 1.0, x), "N", COUNTS
+        lambda x: oracle_matrix_element(scalar_hp(), [1.0], ZERO, [1.0], ZERO, 1.0, x), "N", counts(1)
     ),
-    "oracle_state_norm-t": (lambda x: oracle_state_norm(scalar_hp(), [1.0], ZERO, x, 4), "t", TIMES),
-    "oracle_state_norm-N": (lambda x: oracle_state_norm(scalar_hp(), [1.0], ZERO, 1.0, x), "N", COUNTS),
-    "BlockGenerator-dim_h": (lambda x: drift_only(dim_h=x), "dim_h", COUNTS),
-    "BlockGenerator-dim_k": (lambda x: drift_only(dim_k=x), "dim_k", COUNTS),
-    "yosida_approx": (lambda x: yosida_approx(scalar_hp(), x), "n", COUNTS),
-    "random-dim_h": (lambda x: random_contractive(x, 1, seed=0), "dim_h", COUNTS),
-    "random-dim_k": (lambda x: random_contractive(1, x, seed=0), "dim_k", COUNTS),
-    "random-seed": (lambda x: random_contractive(1, 1, seed=x), "seed", COUNTS),
-    "OscillatorSpec": (lambda x: OscillatorSpec(dim=x, lam=np.ones(4), mu=np.zeros(3)), "dim", COUNTS),
-    "birth_death": (lambda x: birth_death(x, np.ones(3), np.ones(3)), "dim", COUNTS),
-    "make_probe": (lambda x: make_probe([[0.0]], 0.5, [[1.0]], [[1.0]], [[1.0]], dim_h=x), "dim_h", COUNTS),
-    "screen-n_max": (lambda x: screen_family(scalar_hp(), n_max=x, samples=1, seed=0), "n_max", COUNTS),
+    "oracle_state_norm-t": (lambda x: oracle_state_norm(scalar_hp(), [1.0], ZERO, x, 4), "t", SINGLE),
+    "oracle_state_norm-N": (lambda x: oracle_state_norm(scalar_hp(), [1.0], ZERO, 1.0, x), "N", counts(1)),
+    "BlockGenerator-dim_h": (lambda x: drift_only(dim_h=x), "dim_h", counts(1)),
+    "BlockGenerator-dim_k": (lambda x: drift_only(dim_k=x), "dim_k", counts()),
+    "yosida_approx": (lambda x: yosida_approx(scalar_hp(), x), "n", counts(1)),
+    "random-dim_h": (lambda x: random_contractive(x, 1, seed=0), "dim_h", counts(1)),
+    "random-dim_k": (lambda x: random_contractive(1, x, seed=0), "dim_k", counts(1)),
+    "random-seed": (lambda x: random_contractive(1, 1, seed=x), "seed", counts()),
+    "OscillatorSpec": (
+        lambda x: OscillatorSpec(dim=x, lam=np.ones(4), mu=np.zeros(3)), "dim", counts(2)
+    ),
+    "birth_death": (lambda x: birth_death(x, np.ones(3), np.ones(3)), "dim", counts(3)),
+    "make_probe": (
+        lambda x: make_probe([[0.0]], 0.5, [[1.0]], [[1.0]], [[1.0]], dim_h=x), "dim_h", counts(1)
+    ),
+    "screen-n_max": (
+        lambda x: screen_family(scalar_hp(), n_max=x, samples=1, seed=0), "n_max", counts(1)
+    ),
     "screen-samples": (
-        lambda x: screen_family(scalar_hp(), n_max=1, samples=x, seed=0), "samples", COUNTS
+        lambda x: screen_family(scalar_hp(), n_max=1, samples=x, seed=0), "samples", counts(1)
     ),
-    "screen-seed": (lambda x: screen_family(scalar_hp(), n_max=1, samples=1, seed=x), "seed", COUNTS),
+    "screen-seed": (lambda x: screen_family(scalar_hp(), n_max=1, samples=1, seed=x), "seed", counts()),
+    "screen-tol": (
+        lambda x: screen_family(scalar_hp(), n_max=1, samples=1, seed=0, tol=x), "tol", SINGLE
+    ),
     # The finite-difference read-backs of T = L + C E_d and of C, both taken
     # from generator_from_semigroups.
     "t_operator_fd": (
         lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x).L,
         "t",
-        TIMES,
+        SINGLE,
     ),
     "c_operator_fd": (
         lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x).C,
         "t",
-        TIMES,
+        SINGLE,
     ),
-    "fd-dim_k": (lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, x, 0.1), "dim_k", COUNTS),
+    "fd-dim_k": (
+        lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, x, 0.1), "dim_k", counts()
+    ),
 }
 
 
+def refusal(name, bad):
+    """The pattern of the message that refuses ``bad`` as the argument ``name``."""
+    if isinstance(bad, np.ndarray):
+        return rf"^{name} must be a single time, got an array of shape \(2,\)$"
+    if type(bad) is int:
+        return rf"^{name} must be >= \d, got {bad}$"
+    return rf"\b{name}={bad}"
+
+
 @pytest.mark.parametrize(
-    "site, bad", [(site, bad) for site, (_, _, bads) in GUARDED.items() for bad in bads]
+    "site, bad",
+    [pytest.param(site, bad, id=f"{site}-{'array' if np.ndim(bad) else bad}")
+     for site, (_, _, bads) in GUARDED.items() for bad in bads],
 )
 def test_nan_guards_name_the_argument(site, bad):
     # A guard written ``if x < 0: raise`` lets NaN through; each of these
-    # rejects it by name, an infinite time too, and a count that is a float
-    # or a bool.
+    # rejects it by name, an infinite time too, a bool, an array where one
+    # time is expected, and a count that is a float, a bool, negative or
+    # under its bound.
     call, name, _ = GUARDED[site]
-    with pytest.raises(ValueError, match=rf"\b{name}={bad}"):
+    with pytest.raises(ValueError, match=refusal(name, bad)):
         call(bad)
 
 

@@ -43,8 +43,8 @@ def test_assemble_names_offending_block():
 
 
 @pytest.mark.parametrize("dim_h, dim_k, message", [
-    (0, 1, "dim_h must be >= 1"),
-    (1, -1, "dim_k must be >= 0"),
+    (0, 1, "dim_h must be >= 1, got 0"),
+    (1, -1, "dim_k must be >= 0, got -1"),
 ])
 def test_assemble_range_check(dim_h, dim_k, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -248,7 +248,7 @@ def test_yosida_singular_resolvent():
     bad = zero_generator(1, 1, K=3.0 * np.eye(1))
     with pytest.raises(ValueError, match="dissipative"):
         yosida_approx(bad, 3)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         yosida_approx(bad, 0)
 
 

@@ -7,10 +7,12 @@ modules that cache semigroups name ``SemigroupFamily``, only the cocycle
 sweep and the Schur screen build one (so a cache lives for one call), only
 ``mat_exp_stack`` evaluates the Pade approximant, only
 the random models and the Schur screen draw random numbers, and only
-``opcore`` checks counts (it alone imports ``operator``, for ``check_count``)."""
+``opcore`` checks counts (it alone imports ``operator``, for ``check_count``)
+and refuses a count under its bound or an array where one time is expected."""
 
 import ast
 import importlib
+import re
 import runpy
 import types
 from pathlib import Path
@@ -150,6 +152,18 @@ def shifted_eyes(source: str) -> list[int]:
     return found
 
 
+# A count-bound or single-time refusal: ">= 1", ">= {low}", "positive integer"
+# or "single time" in the expression of a raise statement.
+BOUND_REFUSAL = re.compile(r">= ?[\d{]|positive integer|single time")
+
+
+def bound_refusals(source: str) -> list[int]:
+    """Line numbers of the ``raise`` statements whose source matches ``BOUND_REFUSAL``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and BOUND_REFUSAL.search(ast.unparse(node.exc))]
+
+
 def call_scopes(source: str, name: str) -> list[str]:
     """The scope of each ``name(...)`` call: the name of the function or class
     whose own body makes it, or ``<module>``."""
@@ -252,6 +266,19 @@ def test_imported_module_is_found():
     assert imported_modules(source) == {"os", "operator", "math"}
 
 
+def test_bound_refusal_is_found():
+    source = (
+        "raise ValueError(f'{name} must be >= {low}, got {value}')\n"
+        "raise ValueError('N must be >= 1')\n"
+        "raise ValueError('n must be a positive integer')\n"
+        "raise ValueError(f't must be a single time, got {shape}')\n"
+        "raise ValueError(f'support_end {end} must be >= last breakpoint')\n"
+        "message = 'dim must be >= 2'\n"
+        "raise\n"
+    )
+    assert bound_refusals(source) == [1, 2, 3, 4]
+
+
 def test_shifted_eye_is_found():
     source = (
         "np.eye(3, 2, k=-1)\n"
@@ -286,11 +313,15 @@ def test_only_semigroups_build_the_coordinate_cells():
 
 
 def test_only_opcore_checks_counts():
-    # opcore.check_count is the one place a count goes through operator.index.
+    # opcore.check_count is the one place a count goes through operator.index,
+    # and opcore (check_count and check_time) the one that refuses a count
+    # under its bound or an array where one time is expected.
     found = sorted(
         p.stem for p in PACKAGE.glob("*.py") if "operator" in imported_modules(p.read_text())
     )
     assert found == ["opcore"]
+    refusing = sorted(p.stem for p in PACKAGE.glob("*.py") if bound_refusals(p.read_text()))
+    assert refusing == ["opcore"]
 
 
 def test_only_semigroup_caches_name_the_family():

@@ -39,7 +39,7 @@ def operator_inequality_matrices(F):
 
 class TestOscillator:
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="dim >= 2"):
+        with pytest.raises(ValueError, match="^dim must be >= 2, got 1$"):
             OscillatorSpec(dim=1, lam=np.zeros(2), mu=np.zeros(1))
         with pytest.raises(ValueError, match="lam"):
             OscillatorSpec(dim=3, lam=np.zeros(3), mu=np.zeros(3))
@@ -116,7 +116,7 @@ class TestOscillator:
 
 class TestBirthDeath:
     def test_validation(self):
-        with pytest.raises(ValueError, match="dim >= 3"):
+        with pytest.raises(ValueError, match="^dim must be >= 3, got 2$"):
             birth_death(2, np.ones(2), np.ones(2))
         with pytest.raises(ValueError, match="nonnegative"):
             birth_death(3, [-1.0, 0.0, 0.0], np.zeros(3))

@@ -136,6 +136,13 @@ class TestProbes:
 
 
 class TestScreening:
+    @pytest.mark.parametrize("tol", [1e-9, np.float64(1e-9), np.array(1e-9)])
+    def test_report_flags_are_python_bools(self, tol):
+        family = SemigroupFamily(scalar_hp())
+        probe = make_probe([[0.0]], 0.5, [[1.0]], [[1.0]], [[1.0]], dim_h=1)
+        reports = [*screen_family(scalar_hp(), 2, 5, 1, tol=tol), schur_criterion_check(family, probe, tol)]
+        assert {(type(r.passed), type(r.skipped)) for r in reports} == {(bool, bool)}
+
     def test_contractive_family_clean(self):
         F = random_contractive(3, 2, seed=7)
         reports = screen_family(F, n_max=3, samples=200, seed=11)
