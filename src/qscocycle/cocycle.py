@@ -50,7 +50,7 @@ class StepFunction:
     support_end: float
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=np.float64).reshape(-1)
+        bp = np.reshape(check_times(self.breakpoints, "breakpoints"), -1)
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim == 1:
             vals = vals.reshape(-1, 1) if vals.size else vals.reshape(0, 0)
@@ -60,8 +60,6 @@ class StepFunction:
             raise ValueError("a step function needs at least one breakpoint")
         if bp[0] != 0.0:
             raise ValueError(f"first breakpoint must be 0, got {bp[0]}")
-        if not np.all(np.isfinite(bp)):
-            raise ValueError("breakpoints must be finite")
         if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         if vals.shape[0] != bp.size:
@@ -70,11 +68,9 @@ class StepFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("step function values must be finite")
-        end = float(self.support_end)
-        if not np.isfinite(end) or end < bp[-1]:
-            raise ValueError(
-                f"support_end {end} must be finite and >= last breakpoint {bp[-1]}"
-            )
+        end = check_time(self.support_end, "support_end")
+        if end < bp[-1]:
+            raise ValueError(f"support_end {end} must be >= last breakpoint {bp[-1]}")
         bp.flags.writeable = False
         vals = vals.copy()
         vals.flags.writeable = False
@@ -197,11 +193,9 @@ def sliced_element(
     dim_h^3, and returns one such row per time: (len(t), dim_h), or (dim_h,)
     for a single time.
 
-    The call's one ``SemigroupFamily`` caches Q for this sweep alone; the
-    generators of the refinement's distinct slices come from one stacked
-    ``slice_generators`` call before the sweep.
+    The call's one ``SemigroupFamily`` caches Q for this sweep alone and
+    hands over the refinement's factors from one ``factors`` call.
     """
-    fam = SemigroupFamily(F)
     times = check_grid(t, "t")
     if f.dim_k != F.dim_k or g.dim_k != F.dim_k:
         raise ValueError(
@@ -212,15 +206,15 @@ def sliced_element(
     else:
         prefix = check_vector(u, F.dim_h, "u").conj()
     cuts, fv, gv = _refinement(f, g, 0.0, times[-1] if times.size else 0.0, times)
-    fam.slice_generators(fv, gv)
+    factors = SemigroupFamily(F).factors(fv, gv, np.diff(cuts))
     # Rows rows[j]:rows[j+1] of the output are the times at cuts[j]; each gets
     # the product of the factors of the pieces before that cut.
     rows = np.searchsorted(np.searchsorted(cuts, times), np.arange(cuts.size + 1))
     out = np.empty((times.size, *prefix.shape), dtype=np.complex128)
     out[rows[0] : rows[1]] = prefix
     with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is inf
-        for j, (c, d, h) in enumerate(zip(fv, gv, np.diff(cuts)), start=1):
-            prefix = prefix @ fam.q(c, d, h)
+        for j, q in enumerate(factors, start=1):
+            prefix = prefix @ q
             out[rows[j] : rows[j + 1]] = prefix
     return out if np.ndim(t) else out[0]
 

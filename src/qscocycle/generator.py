@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .opcore import adjoint, as_cmatrix, check_count, check_vector, max_herm_eig, op_norm
+from .opcore import adjoint, as_cmatrix, check_count, check_time, check_vector, max_herm_eig, op_norm
 
 DEFECT_TOL = 1e-10
 # from_hlc's relative Hermiticity tolerance for H, and yosida_approx's
@@ -245,6 +245,7 @@ class Classification:
 def classify(F: BlockGenerator, tol: float = DEFECT_TOL) -> Classification:
     """Contractivity report: C contraction/isometry flags, inequality defect,
     and the equality-case diagnostics max|  |Lu|^2 + 2Re<u,Ku>  | and |M + L*C|."""
+    tol = check_time(tol, "tol")
     dk_dim = F.dim_h * F.dim_k
     eye_k = np.eye(dk_dim, dtype=np.complex128)
     c_norm = op_norm(F.C) if F.dim_k else 0.0

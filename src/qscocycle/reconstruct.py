@@ -104,7 +104,7 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     bound = op_norm(_ampliate(psd_inv_sqrt(a), y) @ psd_inv_sqrt(b))
     if bound > 1.0:
         y = y / bound
-    return Probe(c_tuple=c_arr, t=float(t), a=a, b=b, y=y, probe_id=probe_id)
+    return Probe(c_tuple=c_arr, t=check_time(t, "t"), a=a, b=b, y=y, probe_id=probe_id)
 
 
 def _check_stacks(ids, c, ts, ab, y, q_blocks, tol: float) -> list[ProbeReport]:

@@ -8,7 +8,8 @@ on h has the generator
 and for a contractive F each Q^{c,d}_t is a contraction.  ``SemigroupFamily``
 memoizes G_{c,d} per slice and exp(t G_{c,d}) keyed on the exact bit
 patterns of (c, d) and the value of t; reproducibility is preferred over cache
-hit rate, so no rounding is applied to keys.  ``q_stack`` evaluates whole
+hit rate, so no rounding is applied to keys.  Its ``factors`` hands over the
+Q of every piece of a refinement from one call.  ``q_stack`` evaluates whole
 stacks of exp(t G_{c,d}) at once, uncached, for probes that share nothing.
 
 The coordinates of F are the slice generators G_{c,d} over the coordinate
@@ -65,10 +66,32 @@ class SemigroupFamily:
         """The generator G_{c,d} of Q^{c,d}, evaluated once per slice.
 
         Slice vectors c, d (dim_k,) give the cached, read-only G_{c,d} itself;
-        stacks of rows c, d (n, dim_k) fill the cache and return None.  The
-        rows not cached yet get theirs from one ``g_generator`` call:
-        ``component`` gives a slice the same bits alone or in a stack, so a
-        generator does not depend on how it was cached.
+        stacks of rows c, d (n, dim_k) fill the cache and return None.
+        """
+        cs, ds = self._slices(c, d)
+        return self._cache[cs[0], ds[0]] if np.ndim(c) == 1 else None
+
+    def factors(self, c, d, t) -> list[np.ndarray]:
+        """Q^{c_i,d_i}_{t_i} for the rows of c, d (n, dim_k) and the n times t.
+
+        The pieces of a refinement: every piece's key comes from one
+        ``tobytes`` of each row stack and its time as a float, the slices not
+        cached yet get their generators from one ``g_generator`` call, and
+        each Q is one cache lookup.
+        """
+        times = check_times(t, "t")
+        cs, ds = self._slices(c, d)
+        if np.shape(times) != (len(cs),):
+            raise ValueError(f"{len(cs)} slices for times of shape {np.shape(times)}")
+        # A t G_{c,d} that overflows is inf, which mat_exp refuses by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [self._exp(key) for key in zip(cs, ds, times.tolist())]
+
+    def _slices(self, c, d) -> tuple[list[bytes], list[bytes]]:
+        """The bytes of each row of c and d (dim_k,) or (n, dim_k), cut from
+        one ``tobytes`` of each, after caching the generators of the distinct
+        slices not cached yet from one ``g_generator`` call: ``component``
+        gives a slice the same bits alone or in a stack.
         """
         c, d = np.asarray(c, dtype=np.complex128), np.asarray(d, dtype=np.complex128)
         k = self.source.dim_k
@@ -78,36 +101,37 @@ class SemigroupFamily:
                 f"expected ({k},) or (n, {k}) each"
             )
         cs, ds = np.atleast_2d(c), np.atleast_2d(d)
-        keys = [(ci.tobytes(), di.tobytes(), None) for ci, di in zip(cs, ds)]
+        width = cs.itemsize * k
+        cb, db = cs.tobytes(), ds.tobytes()
+        spans = [slice(i * width, (i + 1) * width) for i in range(len(cs))]
+        rows_c, rows_d = [cb[i] for i in spans], [db[i] for i in spans]
         # Rows with equal keys hold equal bytes, so any one of them will do.
-        new = {key: i for i, key in enumerate(keys) if key not in self._cache}
+        new = {key: i for i, key in enumerate(zip(rows_c, rows_d)) if key not in self._cache}
         if new:
             rows = list(new.values())
             for key, gen in zip(new, g_generator(self.source, cs[rows], ds[rows])):
                 gen.flags.writeable = False
                 self._cache.setdefault(key, gen)
-        if c.ndim == 1:
-            return self._cache[keys[0]]
-        return None
+        return rows_c, rows_d
 
-    def _exp(self, c, d, t: float) -> np.ndarray:
-        t = check_time(t, "t")
-        c = np.asarray(c, dtype=np.complex128).reshape(-1)
-        d = np.asarray(d, dtype=np.complex128).reshape(-1)
-        key = (c.tobytes(), d.tobytes(), t)
+    def _exp(self, key: tuple) -> np.ndarray:
+        """The cached Q for a key (c bytes, d bytes, t) whose slice generator is cached."""
         hit = self._cache.get(key)
         if hit is None:
-            gen = self._cache.get((*key[:2], None))
-            if gen is None:
-                gen = self.slice_generators(c, d)
-            hit = mat_exp(t * gen)
+            hit = mat_exp(key[2] * self._cache[key[:2]])
             hit.flags.writeable = False
             hit = self._cache.setdefault(key, hit)
         return hit
 
     def q(self, c, d, t: float) -> np.ndarray:
         """Q^{c,d}_t = exp(t G_{c,d}); a contraction for contractive sources."""
-        return self._exp(c, d, t)
+        t = check_time(t, "t")
+        c = np.asarray(c, dtype=np.complex128).reshape(-1)
+        d = np.asarray(d, dtype=np.complex128).reshape(-1)
+        key = (c.tobytes(), d.tobytes(), t)
+        if key[:2] not in self._cache:
+            self.slice_generators(c, d)
+        return self._exp(key)
 
 
 def dual_generator(F: BlockGenerator) -> BlockGenerator:

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from qscocycle import (
     SemigroupFamily,
     StepFunction,
     birth_death,
+    classify,
     cocycle_defect,
     exp_inner,
     form_defect,
@@ -29,7 +31,7 @@ from qscocycle import (
     yosida_approx,
 )
 from qscocycle import semigroups
-from qscocycle.cocycle import _log_norms
+from qscocycle.cocycle import _log_norms, _refinement
 from qscocycle.semigroups import dual_generator, g_generator, q_stack
 
 from oracles import (
@@ -457,6 +459,12 @@ class TestStackedGenerators:
             fam.slice_generators(np.zeros((3, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match=r"^slice vectors have shapes \(3, 1\) and \(3, 1\)" + expected):
             fam.slice_generators(np.zeros((3, 1)), np.zeros((3, 1)))
+        assert fam.factors(np.zeros((0, 2)), np.zeros((0, 2)), []) == []
+        with pytest.raises(ValueError, match=r"^t must be finite and nonnegative, got t=nan$"):
+            fam.factors(np.zeros((1, 2)), np.zeros((1, 2)), [np.nan])
+        assert fam._cache == {}
+        with pytest.raises(ValueError, match=r"^3 slices for times of shape \(2,\)$"):
+            fam.factors(np.zeros((3, 2)), np.zeros((3, 2)), [0.5, 0.5])
 
     @pytest.mark.parametrize("case", ["oscillator-24", "birth-death-12", "random-3-2-strict"])
     def test_one_generator_call_per_sweep(self, case, monkeypatch):
@@ -480,6 +488,55 @@ class TestStackedGenerators:
         for _, cs, ds in calls:
             keys = {(c.tobytes(), d.tobytes()) for c, d in zip(cs, ds)}
             assert len(keys) == len(cs) > 16
+
+
+class TestFactors:
+    @pytest.mark.parametrize("case", ["oscillator-24", "birth-death-12"])
+    def test_one_lookup_per_piece_and_keys_cut_once(self, case, monkeypatch):
+        F = evolve_models()[case]
+        rng = np.random.default_rng(sum(map(ord, case)) + 2)
+        f, g = lattice_step(rng, F.dim_k), lattice_step(rng, F.dim_k)
+        times = np.linspace(0.0, 4.0, 201)
+        cuts, fv, gv = _refinement(f, g, 0.0, 4.0, times)
+        lengths = np.diff(cuts)
+        pieces = {(c.tobytes(), d.tobytes(), h) for c, d, h in zip(fv, gv, lengths.tolist())}
+        slices = {key[:2] for key in pieces}
+
+        factors, exps = [], []
+        lookup, exp = SemigroupFamily._exp, semigroups.mat_exp
+
+        def spy_lookup(self, *args):
+            factors.append(lookup(self, *args))
+            return factors[-1]
+
+        def spy_exp(a):
+            exps.append(a)
+            return exp(a)
+
+        monkeypatch.setattr(SemigroupFamily, "_exp", spy_lookup)
+        monkeypatch.setattr(semigroups, "mat_exp", spy_exp)
+        sliced_element(F, f, g, times)
+        assert len(factors) == len(lengths)
+        assert len(exps) == len(pieces)
+        family = SemigroupFamily(F)
+        for q, c, d, h in zip(factors, fv, gv, lengths):
+            assert q.tobytes() == family.q(c, d, h).tobytes()
+
+        # Each piece's key is cut from one tobytes of each row stack; a slice
+        # may add two more when its generator is filled.
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", None) == "tobytes":
+                calls.append(arg)
+
+        sys.setprofile(count)
+        try:
+            sliced_element(F, f, g, times)
+        finally:
+            sys.setprofile(None)
+        assert len(lengths) > 200
+        assert len(calls) <= 2 + 2 * len(slices) < len(lengths)
 
 
 class TestRowSweep:
@@ -673,6 +730,8 @@ def drift_only(dim_h=1, dim_k=0):
 # its ValueError names and the bad values it must refuse.
 GUARDED = {
     "step-zero": (StepFunction.zero, "dim_k", counts()),
+    "step-breakpoints": (lambda x: StepFunction([0.0, x], np.zeros((2, 1)), 2.0), "breakpoints", (*TIMES, -1.0)),
+    "step-support_end": (lambda x: StepFunction.constant([1.0], x), "support_end", SINGLE),
     "step-call": (STEP, "t", SINGLE),
     "step-at": (lambda x: STEP.at([0.5, x]), "t", (*TIMES, -1.0)),
     "shifted": (STEP.shifted, "r", SINGLE),
@@ -703,6 +762,7 @@ GUARDED = {
     ),
     "oracle_state_norm-t": (lambda x: oracle_state_norm(scalar_hp(), [1.0], ZERO, x, 4), "t", SINGLE),
     "oracle_state_norm-N": (lambda x: oracle_state_norm(scalar_hp(), [1.0], ZERO, 1.0, x), "N", counts(1)),
+    "classify-tol": (lambda x: classify(random_contractive(2, 1, seed=3), x), "tol", SINGLE),
     "BlockGenerator-dim_h": (lambda x: drift_only(dim_h=x), "dim_h", counts(1)),
     "BlockGenerator-dim_k": (lambda x: drift_only(dim_k=x), "dim_k", counts()),
     "yosida_approx": (lambda x: yosida_approx(scalar_hp(), x), "n", counts(1)),

@@ -8,18 +8,25 @@ sweep and the Schur screen build one (so a cache lives for one call), only
 ``mat_exp_stack`` evaluates the Pade approximant, only
 the random models and the Schur screen draw random numbers, and only
 ``opcore`` checks counts (it alone imports ``operator``, for ``check_count``)
-and refuses a count under its bound or an array where one time is expected."""
+and refuses a count under its bound or an array where one time is expected.
+The CLI builds and evolves a model with numpy as its only third-party
+package, as ``pyproject.toml`` declares."""
 
 import ast
 import importlib
+import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import qscocycle
+from qscocycle import StepFunction, jsonio
 
 PACKAGE = Path(qscocycle.__file__).parent
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -204,6 +211,29 @@ def test_traced_names_resolve():
         if owner is None or name not in vars(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+# ``python -m qscocycle ARGS`` in an interpreter where importing scipy or
+# hypothesis (the test extras) fails.
+NUMPY_ONLY = """
+import runpy, sys
+sys.modules["scipy"] = sys.modules["hypothesis"] = None
+sys.argv = ["qscocycle", *sys.argv[1:]]
+runpy.run_module("qscocycle", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"format": 1, "model": "random", "dim_h": 2, "dim_k": 1, "seed": 0}))
+    jsonio.save_step(StepFunction([0.0, 0.5], [[0.5], [-0.25j]], 1.0), tmp_path / "f.json")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    for argv in (["build", "spec.json", "--out", "gen.json"],
+                 ["evolve", "gen.json", "f.json", "f.json", "--t", "1.0", "--grid", "4", "--out", "ev.csv"]):
+        proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert len((tmp_path / "ev.csv").read_text().splitlines()) == 6
 
 
 def test_unused_import_is_found():

@@ -128,10 +128,17 @@ class TestProbes:
 
     @pytest.mark.parametrize("t", [np.nan, -0.5, np.inf])
     def test_bad_probe_time_rejected(self, t):
-        # varpi_matrix's check, not one from the inverse roots or q_stack.
-        probe = make_probe([[0.3]], t, np.ones((1, 1)), np.ones((1, 1)), [[1.0]], dim_h=1)
+        # make_probe refuses the time when the probe is made.
         message = f"^t must be finite and nonnegative, got t={re.escape(str(t))}$"
         with pytest.raises(ValueError, match=message):
+            make_probe([[0.3]], t, np.ones((1, 1)), np.ones((1, 1)), [[1.0]], dim_h=1)
+
+    def test_bad_time_of_a_direct_probe_rejected(self):
+        # A Probe built without make_probe still meets varpi_matrix's check,
+        # not one from the inverse roots or q_stack.
+        probe = Probe(c_tuple=np.full((1, 1), 0.3 + 0j), t=-0.5, a=np.ones((1, 1), dtype=complex),
+                      b=np.ones((1, 1), dtype=complex), y=np.ones((1, 1), dtype=complex))
+        with pytest.raises(ValueError, match=r"^t must be finite and nonnegative, got t=-0\.5$"):
             schur_criterion_check(SemigroupFamily(scalar_hp()), probe)
 
 
