@@ -71,8 +71,8 @@ class StepFunction:
         end = check_time(self.support_end, "support_end")
         if end < bp[-1]:
             raise ValueError(f"support_end {end} must be >= last breakpoint {bp[-1]}")
+        bp, vals = bp.copy(), vals.copy()
         bp.flags.writeable = False
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)

@@ -8,9 +8,11 @@ on h has the generator
 and for a contractive F each Q^{c,d}_t is a contraction.  ``SemigroupFamily``
 memoizes G_{c,d} per slice and exp(t G_{c,d}) keyed on the exact bit
 patterns of (c, d) and the value of t; reproducibility is preferred over cache
-hit rate, so no rounding is applied to keys.  Its ``factors`` hands over the
-Q of every piece of a refinement from one call.  ``q_stack`` evaluates whole
-stacks of exp(t G_{c,d}) at once, uncached, for probes that share nothing.
+hit rate, so no rounding is applied to keys.  Its ``slice_generators`` cuts
+every key and fills every generator; ``factors`` (the Q of every piece of a
+refinement) and ``q`` (one Q) then make one lookup per key.  ``q_stack``
+evaluates whole stacks of exp(t G_{c,d}) at once, uncached, for probes that
+share nothing.
 
 The coordinates of F are the slice generators G_{c,d} over the coordinate
 cells c, d in {0, e_1, ..., e_dk}; ``coords_to_f`` inverts them exactly, and
@@ -30,12 +32,21 @@ from .generator import BlockGenerator, adjoint, chi, component
 from .opcore import check_count, check_time, check_times, mat_exp, mat_exp_stack
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def g_generator(F: BlockGenerator, c, d) -> np.ndarray:
     """The generator G_{c,d} of the contraction semigroup Q^{c,d}.
 
-    Stacks of slice vectors (..., dim_k) give a stack of generators.
+    Stacks of slice vectors (..., dim_k) give a stack of generators.  A
+    generator that is not finite in double precision raises
+    ``OverflowError`` naming the first such slice.
     """
-    return component(F, c, d) - np.multiply.outer(chi(c, d), np.eye(F.dim_h, dtype=np.complex128))
+    gen = component(F, c, d) - np.multiply.outer(chi(c, d), np.eye(F.dim_h, dtype=np.complex128))
+    if not np.isfinite(gen).all():
+        bad = ~np.isfinite(gen).all(axis=(-2, -1))
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        c, d = (np.broadcast_to(np.asarray(v, dtype=np.complex128), (*bad.shape, F.dim_k))[at] for v in (c, d))
+        raise OverflowError(f"slice generator G_{{c,d}} is not finite at c={c.tolist()}, d={d.tolist()}")
+    return gen
 
 
 def q_stack(F: BlockGenerator, c, d, t) -> np.ndarray:
@@ -62,35 +73,12 @@ class SemigroupFamily:
         self.source = source
         self._cache: dict = {}
 
-    def slice_generators(self, c, d) -> np.ndarray | None:
-        """The generator G_{c,d} of Q^{c,d}, evaluated once per slice.
+    def slice_generators(self, c, d) -> list[tuple[bytes, bytes]]:
+        """The key (c bytes, d bytes) of each slice, with G_{c,d} cached.
 
-        Slice vectors c, d (dim_k,) give the cached, read-only G_{c,d} itself;
-        stacks of rows c, d (n, dim_k) fill the cache and return None.
-        """
-        cs, ds = self._slices(c, d)
-        return self._cache[cs[0], ds[0]] if np.ndim(c) == 1 else None
-
-    def factors(self, c, d, t) -> list[np.ndarray]:
-        """Q^{c_i,d_i}_{t_i} for the rows of c, d (n, dim_k) and the n times t.
-
-        The pieces of a refinement: every piece's key comes from one
-        ``tobytes`` of each row stack and its time as a float, the slices not
-        cached yet get their generators from one ``g_generator`` call, and
-        each Q is one cache lookup.
-        """
-        times = check_times(t, "t")
-        cs, ds = self._slices(c, d)
-        if np.shape(times) != (len(cs),):
-            raise ValueError(f"{len(cs)} slices for times of shape {np.shape(times)}")
-        # A t G_{c,d} that overflows is inf, which mat_exp refuses by name.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return [self._exp(key) for key in zip(cs, ds, times.tolist())]
-
-    def _slices(self, c, d) -> tuple[list[bytes], list[bytes]]:
-        """The bytes of each row of c and d (dim_k,) or (n, dim_k), cut from
-        one ``tobytes`` of each, after caching the generators of the distinct
-        slices not cached yet from one ``g_generator`` call: ``component``
+        Slice vectors c, d (dim_k,) give one key and stacks of rows (n, dim_k)
+        one per row, cut from one ``tobytes`` of each.  The slices not cached
+        yet get their generators from one ``g_generator`` call: ``component``
         gives a slice the same bits alone or in a stack.
         """
         c, d = np.asarray(c, dtype=np.complex128), np.asarray(d, dtype=np.complex128)
@@ -100,19 +88,30 @@ class SemigroupFamily:
                 f"slice vectors have shapes {c.shape} and {d.shape}, "
                 f"expected ({k},) or (n, {k}) each"
             )
-        cs, ds = np.atleast_2d(c), np.atleast_2d(d)
+        cs, ds = (c, d) if c.ndim == 2 else (c[None], d[None])
         width = cs.itemsize * k
         cb, db = cs.tobytes(), ds.tobytes()
         spans = [slice(i * width, (i + 1) * width) for i in range(len(cs))]
-        rows_c, rows_d = [cb[i] for i in spans], [db[i] for i in spans]
+        keys = [(cb[span], db[span]) for span in spans]
         # Rows with equal keys hold equal bytes, so any one of them will do.
-        new = {key: i for i, key in enumerate(zip(rows_c, rows_d)) if key not in self._cache}
+        new = {key: i for i, key in enumerate(keys) if key not in self._cache}
         if new:
             rows = list(new.values())
             for key, gen in zip(new, g_generator(self.source, cs[rows], ds[rows])):
                 gen.flags.writeable = False
                 self._cache.setdefault(key, gen)
-        return rows_c, rows_d
+        return keys
+
+    def factors(self, c, d, t) -> list[np.ndarray]:
+        """Q^{c_i,d_i}_{t_i} for the rows of c, d (n, dim_k) and the n times t:
+        the pieces of a refinement, one cache lookup each."""
+        times = check_times(t, "t")
+        keys = self.slice_generators(c, d)
+        if np.shape(times) != (len(keys),):
+            raise ValueError(f"{len(keys)} slices for times of shape {np.shape(times)}")
+        # A t G_{c,d} that overflows is inf, which mat_exp refuses by name.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [self._exp((*key, h)) for key, h in zip(keys, times.tolist())]
 
     def _exp(self, key: tuple) -> np.ndarray:
         """The cached Q for a key (c bytes, d bytes, t) whose slice generator is cached."""
@@ -128,10 +127,8 @@ class SemigroupFamily:
         t = check_time(t, "t")
         c = np.asarray(c, dtype=np.complex128).reshape(-1)
         d = np.asarray(d, dtype=np.complex128).reshape(-1)
-        key = (c.tobytes(), d.tobytes(), t)
-        if key[:2] not in self._cache:
-            self.slice_generators(c, d)
-        return self._exp(key)
+        (key,) = self.slice_generators(c, d)
+        return self._exp((*key, t))
 
 
 def dual_generator(F: BlockGenerator) -> BlockGenerator:

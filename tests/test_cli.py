@@ -497,12 +497,12 @@ class TestOtherCommands:
 
 # Inputs that overflow inside numpy: K has entries of modulus 1, so the
 # column sums of 1e308 K pass the largest double, and a step value of 1e200
-# squares to inf.
+# squares to inf in G_{c,d}, which names the slice.
 _OVERFLOWING = {
     "evolve-t": (["evolve", "GEN", "F", "F", "--t", "1e308", "--grid", "1"],
                  "mat_exp input norm inf exceeds the supported limit 1e+04"),
     "evolve-step": (["evolve", "GEN", "H", "F", "--t", "1", "--grid", "2"],
-                    "mat_exp input contains non-finite entries"),
+                    "slice generator G_{c,d} is not finite at c=[(1e+200+0j)], d=[(0.5+0j)]"),
     "tk-T": (["tk", "GEN", "--T", "1e308"],
              "mat_exp input norm inf exceeds the supported limit 1e+04"),
     # Norms under the limit whose exponentials are not doubles: the squarings

@@ -1,5 +1,7 @@
+import runpy
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,9 @@ from oracles import (
 )
 
 
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
 def eps_norm(f, a=0.0, b=None):
     return float(np.sqrt(abs(exp_inner(f, f, a, b))))
 
@@ -83,6 +88,14 @@ class TestStepFunction:
             f(-0.1)
         grid = np.array([0.0, 0.999, 1.0, 2.999, 3.0, 10.0])
         assert f.at(grid)[:, 0].tolist() == [1.0, 1.0, 2.0, 2.0, 0.0, 0.0]
+
+    def test_caller_arrays_are_copied(self):
+        bp, values = np.array([0.0, 1.0]), np.array([[1.0], [2.0]])
+        f = StepFunction(bp, values, 2.0)
+        bp[1], values[1] = 1.8, 5.0
+        assert f(1.5)[0] == 2.0
+        assert f.breakpoints.tolist() == [0.0, 1.0]
+        assert not (f.breakpoints.flags.writeable or f.values.flags.writeable)
 
     def test_shifted(self):
         f = StepFunction(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]), 3.0)
@@ -439,20 +452,23 @@ class TestStackedGenerators:
         cs, ds = distinct[0, pick[0]], distinct[1, pick[1]]
         fam = SemigroupFamily(F)
         slices = len({(c.tobytes(), d.tobytes()) for c, d in zip(cs, ds)})
-        single = fam.slice_generators(cs[3], ds[3])
-        assert fam.slice_generators(cs, ds) is None  # a stack only fills the cache
+        [single] = fam.slice_generators(cs[3], ds[3])
+        cached = fam._cache[single]
+        keys = fam.slice_generators(cs, ds)
+        assert len(keys) == len(cs) and keys[3] == single
         assert len(fam._cache) == slices
-        assert fam.slice_generators(cs[3], ds[3]) is single
-        for c, d in zip(cs, ds):
-            want = g_generator(F, c, d)
-            got = fam.slice_generators(c, d)
+        assert fam._cache[single] is cached  # the stack kept the entry it found
+        for key, c, d in zip(keys, cs, ds):
+            assert key == (c.tobytes(), d.tobytes())
+            got = fam._cache[key]
             assert got.shape == (F.dim_h, F.dim_h) and not got.flags.writeable
-            assert_bitwise(got.view(np.float64), want.view(np.float64))
+            assert_bitwise(got.view(np.float64), g_generator(F, c, d).view(np.float64))
+            assert fam.slice_generators(c, d) == [key]
         assert len(fam._cache) == slices  # every single read was a hit
 
     def test_stack_shapes_checked(self):
         fam = SemigroupFamily(random_contractive(2, 2, seed=3))
-        assert fam.slice_generators(np.zeros((0, 2)), np.zeros((0, 2))) is None
+        assert fam.slice_generators(np.zeros((0, 2)), np.zeros((0, 2))) == []
         assert fam._cache == {}
         expected = r", expected \(2,\) or \(n, 2\) each$"
         with pytest.raises(ValueError, match=r"^slice vectors have shapes \(3, 2\) and \(2, 2\)" + expected):
@@ -537,6 +553,28 @@ class TestFactors:
             sys.setprofile(None)
         assert len(lengths) > 200
         assert len(calls) <= 2 + 2 * len(slices) < len(lengths)
+
+
+class TestTracedSweep:
+    @pytest.mark.parametrize("case", ["oscillator-24", "birth-death-12"])
+    def test_keys_cut_once_under_a_semigroups_span(self, case):
+        # The benchmark's tracer charges the sweep's key cutting and generator
+        # fill to one semigroups.slice_generators span, and sees one Q lookup
+        # per piece of the refinement.
+        F = evolve_models()[case]
+        rng = np.random.default_rng(sum(map(ord, case)) + 3)
+        f, g = lattice_step(rng, F.dim_k), lattice_step(rng, F.dim_k)
+        u = v = np.eye(F.dim_h)[0]
+        times = np.linspace(0.0, 4.0, 201)
+        pieces = len(_refinement(f, g, 0.0, 4.0, times)[0]) - 1
+        tracer = runpy.run_path(str(TRACING))["Tracer"]()
+        tracer.install()
+        try:
+            full_matrix_element(F, u, f, v, g, times)
+        finally:
+            tracer.uninstall()
+        assert tracer.calls("semigroups.slice_generators") == tracer.calls("semigroups.g_generator") == 1
+        assert tracer.calls("semigroups.lookup") == tracer.counters["cocycle.p_factors"] == pieces > 200
 
 
 class TestRowSweep:

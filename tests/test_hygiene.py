@@ -363,6 +363,15 @@ def test_only_semigroup_caches_name_the_family():
     assert found == ["__init__", "cocycle", "reconstruct", "semigroups"]
 
 
+def test_one_key_path_into_the_family():
+    # SemigroupFamily.slice_generators cuts every cache key, for factors and q
+    # alike, so the key format lives in one method.
+    found = sorted({
+        f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") for name in call_scopes(p.read_text(), "tobytes")
+    })
+    assert found == ["semigroups.slice_generators"]
+
+
 def test_only_the_sweep_and_the_screen_build_a_family():
     # A SemigroupFamily caches Q for one call: the cocycle product's sweep, or
     # the core probes of one Schur screen.  No family is shared across calls.

@@ -7,6 +7,7 @@ import pytest
 from qscocycle import (
     BlockGenerator,
     SemigroupFamily,
+    StepFunction,
     chi,
     contractivity_defect,
     coords_from_f,
@@ -16,6 +17,7 @@ from qscocycle import (
     generator_from_semigroups,
     op_norm,
     random_contractive,
+    sliced_element,
 )
 from qscocycle.semigroups import coordinate_cells, q_stack
 
@@ -31,6 +33,13 @@ from oracles import (
     scalar_hp,
     zero_generator,
 )
+
+
+def cached_generator(F, c, d):
+    """G_{c,d} as a family caches it, read through the key it returns."""
+    fam = SemigroupFamily(F)
+    [key] = fam.slice_generators(c, d)
+    return fam._cache[key]
 
 
 def random_blocks(rng, dim_h, dim_k):
@@ -54,13 +63,13 @@ class TestSliceGenerators:
     def test_vacuum_slice_is_drift(self):
         F = random_contractive(3, 2, seed=2)
         z = np.zeros(2)
-        g = SemigroupFamily(F).slice_generators(z, z)
-        assert np.allclose(g_generator(F, z, z), F.K, atol=1e-15)
+        g = cached_generator(F, z, z)
+        assert_bitwise(g, g_generator(F, z, z))
         assert np.allclose(g, F.K, atol=1e-15)
 
     def test_scalar_model_values(self):
-        g = SemigroupFamily(scalar_hp()).slice_generators([1.0], [1.0])
-        assert abs(g_generator(scalar_hp(), [1.0], [1.0])[0, 0] + 0.5) < 1e-15
+        g = cached_generator(scalar_hp(), [1.0], [1.0])
+        assert_bitwise(g, g_generator(scalar_hp(), [1.0], [1.0]))
         assert abs(g[0, 0] + 0.5) < 1e-15
 
     def test_shift_identity(self):
@@ -68,9 +77,37 @@ class TestSliceGenerators:
         F = random_contractive(2, 2, seed=3)
         rng = np.random.default_rng(4)
         c, d = random_complex(rng, 2), random_complex(rng, 2)
-        g = SemigroupFamily(F).slice_generators(c, d)
-        assert np.array_equal(g, g_generator(F, c, d))
+        g = cached_generator(F, c, d)
+        assert_bitwise(g, g_generator(F, c, d))
         assert op_norm(g - kron_component(F, c, d) + chi_loop(c, d) * np.eye(2)) <= 1e-12
+
+    @pytest.mark.parametrize("value", [1e160, 1e160j])
+    def test_overflowing_slice_is_named(self, value):
+        # |c|^2 overflows in chi, so G_{c,d} is not finite; the slice is named
+        # with no numpy warning (the suite turns warnings into errors).
+        F = random_contractive(2, 1, seed=0)
+        f = StepFunction.constant([value], 2.0)
+        named = re.escape(f"at c=[{complex(value)!r}], d=[{complex(value)!r}]")
+        with pytest.raises(OverflowError, match=rf"^slice generator G_\{{c,d\}} is not finite {named}$"):
+            sliced_element(F, f, f, 1.0)
+        with pytest.raises(OverflowError, match=named):
+            SemigroupFamily(F).q([value], [value], 0.5)
+
+    def test_first_overflowing_slice_of_a_stack_is_named(self):
+        F = random_contractive(2, 2, seed=0)
+        cs, ds = np.zeros((3, 1, 2)), np.zeros((1, 4, 2))
+        cs[1, 0, 1] = ds[0, 2, 1] = 1e170  # (0, 2) comes first of the 3 x 4 slices
+        message = r"not finite at c=\[0j, 0j\], d=\[0j, \(1e\+170\+0j\)\]$"
+        for call in (g_generator, lambda F, c, d: q_stack(F, c, d, 0.5)):
+            with pytest.raises(OverflowError, match=message):
+                call(F, cs, ds)
+
+    def test_overflowing_coordinate_is_named(self):
+        # G^0_0 = K is finite; G^0_1 = K + M - 1/2 is not.
+        top = np.array([[1.7e308]])
+        F = BlockGenerator(dim_h=1, dim_k=1, K=top, L=np.zeros((1, 1)), M=top, C=np.zeros((1, 1)))
+        with pytest.raises(OverflowError, match=r"not finite at c=\[0j\], d=\[\(1\+0j\)\]$"):
+            coords_from_f(F)
 
 
 class TestStacks:
