@@ -9,6 +9,7 @@ as its stacked channel blocks.
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import chain
 from pathlib import Path
@@ -151,6 +152,25 @@ def load_json(path) -> dict:
     return payload
 
 
+def _decode(path, convert):
+    """``convert(load_json(path))`` with the cyclic garbage collector paused.
+
+    A decoded payload is thousands of lists, all reachable and none in a
+    cycle, so a collection while it is parsed and converted frees nothing: it
+    only promotes the payload into older generations, and those promotions
+    start the full collections that would otherwise land in later work.  The
+    payload is freed by reference counting when ``convert`` returns, before
+    the collector is turned back on; it is turned on only if it was on.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return convert(load_json(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def dump_json(payload: dict, path) -> None:
     with Path(path).open("w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -183,7 +203,7 @@ def save_generator(F: BlockGenerator, path) -> None:
 
 
 def load_generator(path) -> BlockGenerator:
-    return generator_from_payload(load_json(path))
+    return _decode(path, generator_from_payload)
 
 
 def step_to_payload(f: StepFunction) -> dict:
@@ -210,4 +230,4 @@ def save_step(f: StepFunction, path) -> None:
 
 
 def load_step(path) -> StepFunction:
-    return step_from_payload(load_json(path))
+    return _decode(path, step_from_payload)

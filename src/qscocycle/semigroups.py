@@ -56,7 +56,9 @@ def q_stack(F: BlockGenerator, c, d, t) -> np.ndarray:
     against each other; nothing is cached.
     """
     t = np.asarray(check_times(t, "t"))
-    return mat_exp_stack(t[..., None, None] * g_generator(F, c, d))
+    # A t G_{c,d} that overflows is inf, which mat_exp_stack refuses by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mat_exp_stack(t[..., None, None] * g_generator(F, c, d))
 
 
 class SemigroupFamily:
@@ -128,7 +130,8 @@ class SemigroupFamily:
         c = np.asarray(c, dtype=np.complex128).reshape(-1)
         d = np.asarray(d, dtype=np.complex128).reshape(-1)
         (key,) = self.slice_generators(c, d)
-        return self._exp((*key, t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._exp((*key, t))
 
 
 def dual_generator(F: BlockGenerator) -> BlockGenerator:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -15,7 +16,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qscocycle
-from qscocycle import cli, dual_generator, jsonio, random_contractive, trotter_kato_pipeline
+from qscocycle import (
+    OscillatorSpec, StepFunction, cli, dual_generator, inverse_oscillator, jsonio, random_contractive,
+    trotter_kato_pipeline,
+)
 from qscocycle.cli import main
 
 from oracles import assert_bitwise, contractive_cases, dual_defect_loops, zero_generator
@@ -627,6 +631,76 @@ class TestRoundTrips:
         payload = json.loads(path.read_text())
         entry = payload["K"][0][0]
         assert isinstance(entry, list) and len(entry) == 2
+
+
+class TestDecodingPausesTheCollector:
+    """Both loaders parse and convert a file with the cyclic collector off,
+    and leave it as the caller had it, on success and on error."""
+
+    @pytest.fixture
+    def collections(self):
+        """The generation of each collection that starts while the test runs.
+
+        The thresholds are pinned to (700, 10, 10), so a load that lets the
+        collector run starts collections whatever the interpreter's defaults;
+        a full collection first leaves the young generation empty.
+        """
+        thresholds = gc.get_threshold()
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.set_threshold(700, 10, 10)
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            yield started
+        finally:
+            gc.callbacks.remove(record)
+            gc.set_threshold(*thresholds)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        # The evolve_grid benchmark's oscillator generator, 2404 lists once
+        # decoded, and a 2000-piece step function, about 4000: each starts
+        # young collections if the collector runs while they are decoded.
+        spec = OscillatorSpec(dim=24, lam=np.ones(25), mu=np.linspace(0.0, 1.0, 24))
+        jsonio.save_generator(inverse_oscillator(spec), tmp_path / "gen.json")
+        rng = np.random.default_rng(0)
+        pieces = 2000
+        values = rng.standard_normal((pieces, 1)) + 1j * rng.standard_normal((pieces, 1))
+        step = StepFunction(np.arange(pieces) / 64.0, values, pieces / 64.0)
+        jsonio.save_step(step, tmp_path / "step.json")
+        return {jsonio.load_generator: tmp_path / "gen.json", jsonio.load_step: tmp_path / "step.json"}
+
+    def test_loads_start_no_collection(self, files, collections):
+        F = jsonio.load_generator(files[jsonio.load_generator])
+        f = jsonio.load_step(files[jsonio.load_step])
+        assert collections == []
+        assert (F.dim_h, f.values.shape) == (24, (2000, 1))
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("load", [jsonio.load_generator, jsonio.load_step], ids=["generator", "step"])
+    def test_collector_state_is_restored(self, tmp_path, files, load, enabled):
+        bad_format = write_json(tmp_path / "v2.json", {"format": 2})
+        truncated = tmp_path / "cut.json"
+        truncated.write_text(files[load].read_text()[:100])
+        if not enabled:
+            gc.disable()
+        try:
+            load(files[load])
+            assert gc.isenabled() is enabled
+            with pytest.raises(jsonio.SchemaError):
+                load(bad_format)
+            assert gc.isenabled() is enabled
+            with pytest.raises(json.JSONDecodeError):
+                load(truncated)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 # An integer that json loads exactly but that no double can hold.

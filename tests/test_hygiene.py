@@ -9,8 +9,9 @@ sweep and the Schur screen build one (so a cache lives for one call), only
 the random models and the Schur screen draw random numbers, and only
 ``opcore`` checks counts (it alone imports ``operator``, for ``check_count``)
 and refuses a count under its bound or an array where one time is expected.
-The CLI builds and evolves a model with numpy as its only third-party
-package, as ``pyproject.toml`` declares."""
+Only ``jsonio`` imports ``gc``, to pause the collector while a file is
+decoded, never around numerical code.  The CLI builds and evolves a model
+with numpy as its only third-party package, as ``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -352,6 +353,13 @@ def test_only_opcore_checks_counts():
     assert found == ["opcore"]
     refusing = sorted(p.stem for p in PACKAGE.glob("*.py") if bound_refusals(p.read_text()))
     assert refusing == ["opcore"]
+
+
+def test_only_jsonio_imports_gc():
+    # The loaders pause the cyclic collector while a file is decoded; no
+    # numerical code may run with it paused, or switch it at all.
+    found = sorted(p.stem for p in PACKAGE.glob("*.py") if "gc" in imported_modules(p.read_text()))
+    assert found == ["jsonio"]
 
 
 def test_only_semigroup_caches_name_the_family():

@@ -102,6 +102,14 @@ class TestSliceGenerators:
             with pytest.raises(OverflowError, match=message):
                 call(F, cs, ds)
 
+    def test_overflowing_time_product_is_refused_by_mat_exp(self):
+        # G_{c,d} is finite but t G_{c,d} is not: mat_exp refuses the product
+        # by name, with no numpy warning on the way.
+        F = random_contractive(2, 1, seed=0)
+        for call in (SemigroupFamily(F).q, lambda c, d, t: q_stack(F, c, d, t)):
+            with pytest.raises(ValueError, match="^mat_exp input contains non-finite entries$"):
+                call([0.5], [0.5], 1e308)
+
     def test_overflowing_coordinate_is_named(self):
         # G^0_0 = K is finite; G^0_1 = K + M - 1/2 is not.
         top = np.array([[1.7e308]])
