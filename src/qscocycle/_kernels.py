@@ -4,8 +4,8 @@
 one factor per slot, raising all runs together by one binary powering of
 their stack; ``slot_apply`` carries the h-marginal of the lattice state
 through the same runs, by Kraus slots, by steps of a run's superoperator, or
-by that superoperator's power from ``element_chain``, whichever costs the
-fewest flops.  Neither uses a matrix exponential.
+by that superoperator's power from the same binary powering, whichever
+costs the fewest flops.  Neither uses a matrix exponential.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def slot_apply(rho: np.ndarray, g4: np.ndarray, etas: np.ndarray, counts) -> np.
     then traced out, rho <- sum_a A_a rho A_a* with A_a = sum_b etas[r, b] g4[a, :, b, :],
     at 2 m dh^3 flops a slot.  On vec(rho) a run of c slots is the power of the
     dh^2 x dh^2 superoperator S_r, which costs m dh^4 flops to form.  S_r is
-    squared by ``element_chain`` where that beats the Kraus slots, from 10-18
+    squared by ``_run_powers`` where that beats the Kraus slots, from 10-18
     slots at dh = 2 and 7-12 x 10^4 at dh = 24; otherwise vec(rho) steps by
     S_r where forming it and c products of dh^4 flops beat the slots,
     dh (m + c) < 2 m c, which needs dh < 2 m; every other run steps through
@@ -98,7 +98,7 @@ def slot_apply(rho: np.ndarray, g4: np.ndarray, etas: np.ndarray, counts) -> np.
         if square or step:
             vec = rho.reshape(-1)
             if square:
-                vec = element_chain(_superoperator(ops)[None], [count]) @ vec
+                vec = _run_powers(_superoperator(ops)[None], [count])[0] @ vec
             else:
                 superop = next(superops)
                 for _ in range(count):

@@ -8,11 +8,11 @@ contraction semigroups,
 
 ordered left-to-right in increasing time over a joint refinement of the jump
 times (left cocycle order), with right-continuous evaluation at the
-breakpoints; zero-length refinement intervals contribute identity factors.
-This is the slice of V_t between NORMALIZED exponential vectors, so it is a
-contraction for a contractive generator.  The matrix element between the
-unnormalized vectors u eps(f) and v eps(g) is the Q-product element times
-the exponential of one log scalar,
+breakpoints; the refinement's cuts are distinct, so every factor spans a
+piece of positive length.  This is the slice of V_t between NORMALIZED
+exponential vectors, so it is a contraction for a contractive generator.
+The matrix element between the unnormalized vectors u eps(f) and v eps(g)
+is the Q-product element times the exponential of one log scalar,
 
     <u, Q-product v> * exp( S(t) + int_t^inf <f(s), g(s)> ds ),
     S(t) = 1/2 int_0^t (|f(s)|^2 + |g(s)|^2) ds,

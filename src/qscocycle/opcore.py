@@ -58,7 +58,8 @@ def check_times(t, name: str, positive: bool = False):
     """``t`` as a float, or a float array for array input, if every time is
     finite and >= 0 (> 0 if ``positive``); a ValueError names the argument and
     its first bad value, a bool among them.  A Python or numpy float makes no
-    numpy call, since ``SemigroupFamily`` checks the time of every lookup.
+    numpy call, since ``check_time`` reads one time so for each ``q`` lookup,
+    each oracle call and each ``make_probe``.
     """
     scalar = type(t) in _SCALAR_TIMES
     if not scalar and (flag := _first_bool(t)) is not None:
@@ -91,10 +92,14 @@ def check_time(t, name: str, positive: bool = False) -> float:
 
 
 def check_grid(t, name: str) -> np.ndarray:
-    """A grid of times, by ``check_times``, as a flat float array, if nondecreasing."""
+    """A grid of times, by ``check_times``, as a flat float array, if nondecreasing;
+    a ValueError names the argument and its first decrease."""
     times = np.reshape(check_times(t, name), -1)
-    if (times[1:] < times[:-1]).any():
-        raise ValueError("times must be nondecreasing")
+    if (down := times[1:] < times[:-1]).any():
+        i = int(down.argmax()) + 1
+        raise ValueError(
+            f"{name} must be nondecreasing, got {name}[{i}]={times[i]} after {name}[{i - 1}]={times[i - 1]}"
+        )
     return times
 
 

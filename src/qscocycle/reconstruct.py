@@ -90,6 +90,14 @@ class ProbeReport:
     skipped: bool
 
 
+def _fitted(x, shape: tuple, name: str) -> np.ndarray:
+    """``x`` as a complex128 array of ``shape``, if it has that many entries."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.size != math.prod(shape):
+        raise ValueError(f"{name} of shape {x.shape} does not fit the probe: expected {shape}")
+    return x.reshape(shape)
+
+
 def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     """Validate shapes and rescale Y so the criterion precondition holds.
 
@@ -98,9 +106,8 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     """
     c_arr = np.atleast_2d(np.asarray(c_tuple, dtype=np.complex128))
     n = c_arr.shape[0]
-    a = np.asarray(a, dtype=np.complex128).reshape(n, n)
-    b = np.asarray(b, dtype=np.complex128).reshape(n, n)
-    y = np.asarray(y, dtype=np.complex128).reshape(n * check_count(dim_h, "dim_h", 1), n)
+    a, b = _fitted(a, (n, n), "a"), _fitted(b, (n, n), "b")
+    y = _fitted(y, (n * check_count(dim_h, "dim_h", 1), n), "y")
     bound = op_norm(_ampliate(psd_inv_sqrt(a), y) @ psd_inv_sqrt(b))
     if bound > 1.0:
         y = y / bound
@@ -108,7 +115,7 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
 
 
 def _check_stacks(ids, c, ts, ab, y, q_blocks, tol: float) -> list[ProbeReport]:
-    """Reports of one n's stacks from ``_random_probes``; defect is the criterion norm minus one.
+    """Reports of one n's stacks ``(ids, c, ts, ab, y)``; defect is the criterion norm minus one.
 
     ``q_blocks(c, t)`` gives the blocks Q^{c_i,c_j}_t (probes, n, n, dim_h, dim_h) of the
     live probes only: one with degenerate weighted Gram matrices is reported as skipped.
@@ -125,23 +132,21 @@ def _check_stacks(ids, c, ts, ab, y, q_blocks, tol: float) -> list[ProbeReport]:
             for i, s, d in zip(ids, ts, defects.tolist())]
 
 
-def _check_group(probes: list[Probe], q_blocks, tol: float) -> list[ProbeReport]:
-    """``_check_stacks`` of probes that share n."""
-    ids, c, ts, ab, y = zip(*((p.probe_id, p.c_tuple, p.t, (p.a, p.b), p.y) for p in probes))
-    return _check_stacks(ids, np.array(c), ts, np.array(ab), np.array(y), q_blocks, tol)
-
-
 def schur_criterion_check(
     family: SemigroupFamily, probe: Probe, tol: float = PASS_TOL
 ) -> ProbeReport:
     """Evaluate one probe, defect the criterion norm minus one or NaN if skipped,
-    as the stack of one of ``_check_group`` whose blocks are ``family.q`` lookups."""
+    as ``_check_stacks`` of a stack of one whose blocks are ``family.q`` lookups."""
     tol = check_time(tol, "tol")
+    n, dh = len(probe.c_tuple), family.source.dim_h
+    if probe.y.shape != (n * dh, n):
+        raise ValueError(f"y of shape {probe.y.shape} does not fit the family's dim_h={dh}")
 
     def lookups(c, t):
         return np.array([[[family.q(ci, cj, s) for cj in ct] for ci in ct] for ct, s in zip(c, t)])
 
-    return _check_group([probe], lookups, tol)[0]
+    ab = np.array([[probe.a, probe.b]])
+    return _check_stacks([probe.probe_id], probe.c_tuple[None], [probe.t], ab, probe.y[None], lookups, tol)[0]
 
 
 def deterministic_core_probes(F: BlockGenerator) -> list[Probe]:
@@ -164,7 +169,7 @@ def _inv_roots(weights: np.ndarray) -> np.ndarray:
 
 
 def _random_probes(F: BlockGenerator, n_max: int, samples: int, seed: int, first_id: int) -> dict:
-    """The seeded random probes of ``screen_probes``, as stacks ``(ids, c, ts, ab, y)`` per n.
+    """The seeded random probes of ``screen_family``, as stacks ``(ids, c, ts, ab, y)`` per n.
 
     Each sample draws n, its slice vectors, t = 0 + 2 u as ``uniform(0.0, 2.0)``
     does, and then the real and imaginary parts of X_A, X_B and Y in one call,
@@ -201,20 +206,6 @@ def _random_probes(F: BlockGenerator, n_max: int, samples: int, seed: int, first
     return groups
 
 
-def screen_probes(F: BlockGenerator, n_max: int, samples: int, seed: int) -> list[Probe]:
-    """Deterministic-core probes followed by ``samples`` seeded random ones.
-
-    Random c-tuples always contain the zero vector; A and B are random
-    positive definite, Y random and rescaled to the precondition.  Output is
-    a pure function of (F, n_max, samples, seed).
-    """
-    core = deterministic_core_probes(F)
-    groups = _random_probes(F, n_max, samples, seed, first_id=len(core))
-    probes = (Probe(c[k], ts[k], ab[k, 0], ab[k, 1], y[k], ids[k])
-              for ids, c, ts, ab, y in groups.values() for k in range(len(ids)))
-    return core + sorted(probes, key=lambda p: p.probe_id)
-
-
 def screen_family(
     F: BlockGenerator,
     n_max: int,
@@ -222,7 +213,8 @@ def screen_family(
     seed: int,
     tol: float = PASS_TOL,
 ) -> list[ProbeReport]:
-    """The ``screen_probes`` screen, evaluated and sorted worst first.
+    """The deterministic core probes and ``samples`` seeded random ones,
+    evaluated and sorted worst first.
 
     The core probes are checked one by one on a ``SemigroupFamily``; the
     random probes one group per n, by stacked exponentials and factorizations.

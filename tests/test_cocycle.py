@@ -409,6 +409,19 @@ class TestMatrixElements:
             full_matrix_element(F, u, z, u, z, [-0.5, 0.5])
         assert full_matrix_element(F, u, z, u, z, []).shape == (0,)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda F, f, t: exp_inner(f, f, t), "a"),
+        (lambda F, f, t: sliced_element(F, f, f, t), "t"),
+        (lambda F, f, t: full_matrix_element(F, [1.0, 0.0], f, [1.0, 0.0], f, t), "t"),
+    ])
+    def test_decreasing_grid_names_its_argument(self, call, name):
+        # The refusal names the argument and its first decrease, as every
+        # other refusal of a time does.
+        F, f = random_contractive(2, 1, seed=19), StepFunction.constant([0.5], 1.0)
+        message = rf"^{name} must be nondecreasing, got {name}\[2\]=0\.2 after {name}\[1\]=0\.5$"
+        with pytest.raises(ValueError, match=message):
+            call(F, f, [0.1, 0.5, 0.2, 0.1])
+
     def test_overflow_names_first_non_finite_time(self):
         # C swaps the two channels, so for f = 3 e_1 and g = 3 e_2 the slice
         # generator is <f, C g> = 9 while <f, g> = 0: the element is e^{9t},

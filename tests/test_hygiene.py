@@ -5,10 +5,11 @@ and no module reads another package module's private names, only the
 semigroup module exponentiates or builds the coordinate cells, only the
 modules that cache semigroups name ``SemigroupFamily``, only the cocycle
 sweep and the Schur screen build one (so a cache lives for one call), only
-``mat_exp_stack`` evaluates the Pade approximant, only
-the random models and the Schur screen draw random numbers, and only
-``opcore`` checks counts (it alone imports ``operator``, for ``check_count``)
-and refuses a count under its bound or an array where one time is expected.
+``mat_exp_stack`` evaluates the Pade approximant, only ``make_probe``
+builds a Schur probe, only the random models and the Schur screen draw
+random numbers, and only ``opcore`` checks counts (it alone imports
+``operator``, for ``check_count``) and refuses a count under its bound or an
+array where one time is expected.
 Only ``jsonio`` imports ``gc``, to pause the collector while a file is
 decoded, never around numerical code.  The CLI builds and evolves a model
 with numpy as its only third-party package, as ``pyproject.toml`` declares."""
@@ -388,6 +389,15 @@ def test_only_the_sweep_and_the_screen_build_a_family():
         for name in call_scopes(p.read_text(), "SemigroupFamily")
     )
     assert found == ["cocycle.sliced_element", "reconstruct.screen_family"]
+
+
+def test_only_make_probe_builds_a_probe():
+    # A probe is a row of a per-n stack below schur_criterion_check; a Probe
+    # object is made, validated and rescaled in make_probe alone.
+    found = sorted(
+        f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") for name in call_scopes(p.read_text(), "Probe")
+    )
+    assert found == ["reconstruct.make_probe"]
 
 
 def test_one_exponential_path():

@@ -15,7 +15,7 @@ from qscocycle import (
     trotter_kato_pipeline,
     varpi_matrix,
 )
-from qscocycle.reconstruct import Probe, _check_group, _inv_roots, deterministic_core_probes, screen_probes
+from qscocycle.reconstruct import Probe, _check_stacks, _inv_roots, _random_probes, deterministic_core_probes
 from qscocycle.semigroups import q_stack
 
 from oracles import (
@@ -133,6 +133,22 @@ class TestProbes:
         with pytest.raises(ValueError, match=message):
             make_probe([[0.3]], t, np.ones((1, 1)), np.ones((1, 1)), [[1.0]], dim_h=1)
 
+    @pytest.mark.parametrize("name, a, b, y", [
+        ("a", np.eye(3), np.eye(2), np.ones((4, 2))),
+        ("b", np.eye(2), np.ones((2, 3)), np.ones((4, 2))),
+        ("y", np.eye(2), np.eye(2), np.ones((3, 2))),
+    ])
+    def test_probe_that_does_not_fit_is_named(self, name, a, b, y):
+        # An n = 2 probe at dim_h = 2 needs 2 x 2 weights and a 4 x 2 Y.
+        with pytest.raises(ValueError, match=f"^{name} of shape .* does not fit the probe"):
+            make_probe([[0.0], [0.3]], 0.5, a, b, y, dim_h=2)
+
+    def test_probe_that_does_not_fit_the_family_is_named(self):
+        probe = make_probe([[0.3]], 0.5, [[1.0]], [[1.0]], [[1.0]], dim_h=1)
+        family = SemigroupFamily(random_contractive(2, 1, seed=5))
+        with pytest.raises(ValueError, match=r"^y of shape \(1, 1\) does not fit the family's dim_h=2$"):
+            schur_criterion_check(family, probe)
+
     def test_bad_time_of_a_direct_probe_rejected(self):
         # A Probe built without make_probe still meets varpi_matrix's check,
         # not one from the inverse roots or q_stack.
@@ -198,7 +214,7 @@ class TestScreening:
             F = planted_violation()
         else:
             F = random_contractive(2, 2, seed=31, mode=name)
-        probes = screen_probes(F, n_max=3, samples=60, seed=37)
+        probes = core_probes_per_probe(F) + per_sample_probes(F, n_max=3, samples=60, seed=37)
         reports = {r.probe_id: r for r in screen_family(F, n_max=3, samples=60, seed=37)}
         assert len(reports) == len(probes)
         for probe in probes:
@@ -220,7 +236,7 @@ class TestScreening:
         with pytest.raises(ValueError, match="n_max"):
             screen_family(scalar_hp(), n_max=0, samples=1, seed=0)
 
-    @pytest.mark.parametrize("screen", [screen_family, screen_probes])
+    @pytest.mark.parametrize("screen", [screen_family])
     @pytest.mark.parametrize("name, value", [
         ("n_max", 2.5), ("n_max", True), ("n_max", np.nan), ("samples", True),
         ("samples", 2.0), ("seed", True), ("seed", 1.5),
@@ -266,14 +282,19 @@ class TestGroups:
     @pytest.mark.parametrize("name", ["unitary_C", "strict_C", "planted"])
     def test_random_probes_are_the_per_sample_draws(self, name):
         F = screened_models()[name]
+        # Row k of the stacks of one n holds the fields of the k-th probe of
+        # that n drawn and rescaled one sample at a time.
         core = len(deterministic_core_probes(F))
-        got = screen_probes(F, n_max=3, samples=50, seed=43)[core:]
+        groups = _random_probes(F, n_max=3, samples=50, seed=43, first_id=core)
         want = per_sample_probes(F, n_max=3, samples=50, seed=43)
-        assert [p.probe_id for p in got] == [p.probe_id for p in want]
-        for p, q in zip(got, want):
-            assert p.t == q.t
-            for field in ("c_tuple", "a", "b", "y"):
-                assert_bitwise(getattr(p, field), getattr(q, field))
+        assert sorted(i for ids, *_ in groups.values() for i in ids) == [p.probe_id for p in want]
+        for n, (ids, c, ts, ab, y) in groups.items():
+            probes = [p for p in want if p.c_tuple.shape[0] == n]
+            assert list(ids) == [p.probe_id for p in probes]
+            assert list(ts) == [p.t for p in probes]
+            for k, p in enumerate(probes):
+                for got, field in ((c[k], p.c_tuple), (ab[k, 0], p.a), (ab[k, 1], p.b), (y[k], p.y)):
+                    assert_bitwise(got, field)
 
     @pytest.mark.parametrize("name", ["unitary_C", "strict_C", "planted"])
     def test_screen_matches_per_probe_checks(self, name):
@@ -281,7 +302,7 @@ class TestGroups:
         family = SemigroupFamily(F)
         want = {
             p.probe_id: schur_criterion_check(family, p)
-            for p in screen_probes(F, n_max=3, samples=80, seed=47)
+            for p in core_probes_per_probe(F) + per_sample_probes(F, n_max=3, samples=80, seed=47)
         }
         got = screen_family(F, n_max=3, samples=80, seed=47)
         assert sorted(r.probe_id for r in got) == sorted(want)
@@ -315,11 +336,15 @@ class TestGroups:
         def stacked(c, t):
             return q_stack(F, c[:, :, None], c[:, None], t[:, None, None])
 
-        reports = _check_group(probes, stacked, tol=1e-9)
+        def check(probes):
+            ids, c, ts, ab, y = zip(*((p.probe_id, p.c_tuple, p.t, (p.a, p.b), p.y) for p in probes))
+            return _check_stacks(ids, np.array(c), ts, np.array(ab), np.array(y), stacked, tol=1e-9)
+
+        reports = check(probes)
         assert [r.skipped for r in reports] == [False, False, True, False, False]
         assert np.isnan(reports[2].defect) and not reports[2].passed
         # A group with no live probe exponentiates nothing.
-        none_live = _check_group([degenerate] * 2, stacked, tol=1e-9)
+        none_live = check([degenerate] * 2)
         assert [r.skipped for r in none_live] == [True, True]
         family = SemigroupFamily(F)
         for probe, report in zip(probes, reports):

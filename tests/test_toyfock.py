@@ -1,5 +1,7 @@
+import runpy
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from oracles import (
     slot_apply_per_run,
     zero_generator,
 )
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def slot_factor(step, dh, m, N, j):
@@ -490,13 +494,13 @@ class TestOracleStateNorm:
         # A run's dh^2 x dh^2 superoperator pays for long runs at small dh; at
         # dh = 24 and N = 16 squaring it would cost about 100x the flops of the
         # slots, so no superoperator may be formed there.
-        shapes, chain = [], _kernels.element_chain
+        shapes, run_powers = [], _kernels._run_powers
 
         def spy(mats, counts):
             shapes.append(mats.shape)
-            return chain(mats, counts)
+            return run_powers(mats, counts)
 
-        monkeypatch.setattr(_kernels, "element_chain", spy)
+        monkeypatch.setattr(_kernels, "_run_powers", spy)
         rng = np.random.default_rng(300 + dh)
         F = random_contractive(dh, 1, seed=60 + dh)
         g = StepFunction([0.0, 0.3, 0.55], random_complex(rng, (3, 1), 0.5), 0.9)
@@ -566,6 +570,24 @@ class TestKernels:
         got = _kernels.element_chain(mats, counts)
         assert op_norm(got - ref) <= 1e-11 * op_norm(ref)
 
+    def test_run_count_mismatch_rejected(self):
+        mats = near_identity(np.random.default_rng(21), 2, 3, 64)
+        with pytest.raises(ValueError, match=r"^2 run matrices for 3 counts$"):
+            _kernels.element_chain(mats, [1, 2, 3])
+
+    def test_squared_runs_are_timed_under_slot_apply(self):
+        # The squared branch powers its superoperator without element_chain,
+        # so the tracer charges a state norm's time to slot_apply alone.
+        F = random_contractive(2, 1, 1, "strict_C")
+        g = StepFunction([0.0, 0.5], [[0.7], [-0.4 + 0.3j]], 1.0)
+        tracer = runpy.run_path(str(TRACING))["Tracer"]()
+        tracer.install()
+        try:
+            oracle_state_norm(F, [1.0, 0.0], g, 1.0, 4096)
+        finally:
+            tracer.uninstall()
+        assert (tracer.calls("kernels.slot_apply"), tracer.calls("kernels.element_chain")) == (1, 0)
+
     def test_stacked_run_powers_match_matrix_power(self):
         # One binary powering of the whole stack takes each run's power as
         # numpy does, bit for bit; only count 3 differs, a @ (a @ a) against
@@ -611,10 +633,10 @@ class TestKernels:
         # One run of ``count`` slots: vec(rho) steps by S where forming S and
         # the count products cost fewer flops than the Kraus slots, S is
         # squared where even that costs fewer, and at dh = 24 no S is formed.
-        formed, chained = [], []
-        superoperator, chain = _kernels._superoperator, _kernels.element_chain
+        formed, powered = [], []
+        superoperator, run_powers = _kernels._superoperator, _kernels._run_powers
         monkeypatch.setattr(_kernels, "_superoperator", lambda ops: formed.append(1) or superoperator(ops))
-        monkeypatch.setattr(_kernels, "element_chain", lambda mats, c: chained.append(1) or chain(mats, c))
+        monkeypatch.setattr(_kernels, "_run_powers", lambda mats, c: powered.append(1) or run_powers(mats, c))
         rng = np.random.default_rng(400 + dh + count)
         F = random_contractive(dh, m - 1, seed=80 + dh)
         g = StepFunction.constant(random_complex(rng, m - 1, 0.5), 1.0)
@@ -622,7 +644,7 @@ class TestKernels:
         got = oracle_state_norm(F, v, g, 1.0, count)
         expect = reduced_state_norm(F, v, g, 1.0, count)
         assert abs(got - expect) <= 1e-12 * expect
-        assert (len(formed), len(chained)) == {"stepped": (1, 0), "squared": (1, 1), "kraus": (0, 0)}[branch]
+        assert (len(formed), len(powered)) == {"stepped": (1, 0), "squared": (1, 1), "kraus": (0, 0)}[branch]
 
     @pytest.mark.parametrize("dh", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
