@@ -43,6 +43,7 @@ from .semigroups import (
     dual_generator,
     g_generator,
     generator_from_semigroups,
+    q_stack,
 )
 from .toyfock import (
     oracle_matrix_element,
@@ -84,6 +85,7 @@ __all__ = [
     "oracle_matrix_element",
     "oracle_state_norm",
     "psd_inv_sqrt",
+    "q_stack",
     "random_contractive",
     "schur_criterion_check",
     "screen_family",

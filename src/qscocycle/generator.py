@@ -152,7 +152,10 @@ def component(F: BlockGenerator, c, d) -> np.ndarray:
             f"slice vectors have dimensions {c.shape[-1]}, {d.shape[-1]}; expected {F.dim_k}"
         )
     if c.shape != d.shape:
-        c, d = np.broadcast_arrays(c, d)
+        try:
+            c, d = np.broadcast_arrays(c, d)
+        except ValueError:
+            raise ValueError(f"cannot broadcast slice vectors c and d of shapes {c.shape} and {d.shape}") from None
     dh, dk, lead = F.dim_h, F.dim_k, c.shape[:-1]
     cc = c.conj()
     coef = np.concatenate((

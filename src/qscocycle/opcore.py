@@ -58,8 +58,8 @@ def check_times(t, name: str, positive: bool = False):
     """``t`` as a float, or a float array for array input, if every time is
     finite and >= 0 (> 0 if ``positive``); a ValueError names the argument and
     its first bad value, a bool among them.  A Python or numpy float makes no
-    numpy call, since ``check_time`` reads one time so for each ``q`` lookup,
-    each oracle call and each ``make_probe``.
+    numpy call, since ``check_time`` reads one time so for each step function
+    value, each oracle call and each ``make_probe``.
     """
     scalar = type(t) in _SCALAR_TIMES
     if not scalar and (flag := _first_bool(t)) is not None:

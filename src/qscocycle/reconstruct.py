@@ -44,10 +44,13 @@ def varpi_matrix(c_tuple, t) -> np.ndarray:
     c = np.asarray(c_tuple, dtype=np.complex128)
     if c.ndim == 1:
         c = c[:, None]
-    t = np.asarray(check_times(t, "t"))[..., None, None]
+    t = np.asarray(check_times(t, "t"))
     gram = c.conj() @ c.mT
     sq = gram.diagonal(axis1=-2, axis2=-1).real
-    return np.exp(-t * (0.5 * (sq[..., :, None] + sq[..., None, :]) - gram))
+    try:
+        return np.exp(-t[..., None, None] * (0.5 * (sq[..., :, None] + sq[..., None, :]) - gram))
+    except ValueError:
+        raise ValueError(f"cannot broadcast t of shape {t.shape} against c_tuple of shape {np.shape(c_tuple)}") from None
 
 
 def _ampliate(s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,6 +108,8 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     by the identity of h before touching Y.
     """
     c_arr = np.atleast_2d(np.asarray(c_tuple, dtype=np.complex128))
+    if c_arr.ndim > 2 or not len(c_arr):
+        raise ValueError(f"c_tuple of shape {c_arr.shape} must be one slice vector or an (n, dim_k) array, n > 0")
     n = c_arr.shape[0]
     a, b = _fitted(a, (n, n), "a"), _fitted(b, (n, n), "b")
     y = _fitted(y, (n * check_count(dim_h, "dim_h", 1), n), "y")
@@ -136,14 +141,20 @@ def schur_criterion_check(
     family: SemigroupFamily, probe: Probe, tol: float = PASS_TOL
 ) -> ProbeReport:
     """Evaluate one probe, defect the criterion norm minus one or NaN if skipped,
-    as ``_check_stacks`` of a stack of one whose blocks are ``family.q`` lookups."""
+    as ``_check_stacks`` of a stack of one whose blocks come from one
+    ``family.factors`` call over the pairs (c_i, c_j)."""
     tol = check_time(tol, "tol")
     n, dh = len(probe.c_tuple), family.source.dim_h
+    for name, weight in (("a", probe.a), ("b", probe.b)):
+        if weight.shape != (n, n):
+            raise ValueError(f"{name} of shape {weight.shape} does not fit the probe: expected {(n, n)}")
     if probe.y.shape != (n * dh, n):
         raise ValueError(f"y of shape {probe.y.shape} does not fit the family's dim_h={dh}")
 
     def lookups(c, t):
-        return np.array([[[family.q(ci, cj, s) for cj in ct] for ci in ct] for ct, s in zip(c, t)])
+        (ct,) = c  # the pairs row by row: c_i repeated, the tuple cycled
+        q = family.factors(ct.repeat(n, 0), np.concatenate([ct] * n), t.tolist() * (n * n))
+        return np.array(q).reshape(1, n, n, dh, dh)
 
     ab = np.array([[probe.a, probe.b]])
     return _check_stacks([probe.probe_id], probe.c_tuple[None], [probe.t], ab, probe.y[None], lookups, tol)[0]

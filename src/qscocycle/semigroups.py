@@ -5,14 +5,14 @@ on h has the generator
 
     G_{c,d} = E^c-hat F E_d-hat - chi(c, d),
 
-and for a contractive F each Q^{c,d}_t is a contraction.  ``SemigroupFamily``
-memoizes G_{c,d} per slice and exp(t G_{c,d}) keyed on the exact bit
-patterns of (c, d) and the value of t; reproducibility is preferred over cache
-hit rate, so no rounding is applied to keys.  Its ``slice_generators`` cuts
-every key and fills every generator; ``factors`` (the Q of every piece of a
-refinement) and ``q`` (one Q) then make one lookup per key.  ``q_stack``
-evaluates whole stacks of exp(t G_{c,d}) at once, uncached, for probes that
-share nothing.
+and for a contractive F each Q^{c,d}_t is a contraction.  ``q_stack`` is
+the package's one map (c, d, t) -> Q^{c,d}_t: it evaluates whole stacks of
+exp(t G_{c,d}) at once, uncached.  ``SemigroupFamily`` memoizes G_{c,d} per
+slice and exp(t G_{c,d}) keyed on the exact bit patterns of (c, d) and the
+value of t, for callers that read the same Q again; reproducibility is
+preferred over cache hit rate, so no rounding is applied to keys.  Its
+``slice_generators`` cuts every key and fills every generator, and
+``factors`` makes one lookup per key.
 
 The coordinates of F are the slice generators G_{c,d} over the coordinate
 cells c, d in {0, e_1, ..., e_dk}; ``coords_to_f`` inverts them exactly, and
@@ -53,16 +53,21 @@ def q_stack(F: BlockGenerator, c, d, t) -> np.ndarray:
     """Q^{c,d}_t = exp(t G_{c,d}) over stacks, by one stacked exponential.
 
     The slice vectors c, d (..., dim_k) and the times t (...) broadcast
-    against each other; nothing is cached.
+    against each other, or are refused by name; nothing is cached.
     """
-    t = np.asarray(check_times(t, "t"))
+    t, gen = np.asarray(check_times(t, "t")), g_generator(F, c, d)
     # A t G_{c,d} that overflows is inf, which mat_exp_stack refuses by name.
     with np.errstate(over="ignore", invalid="ignore"):
-        return mat_exp_stack(t[..., None, None] * g_generator(F, c, d))
+        try:
+            tgen = t[..., None, None] * gen
+        except ValueError:
+            got = f"t of shape {t.shape} against c and d of shapes {np.shape(c)} and {np.shape(d)}"
+            raise ValueError(f"cannot broadcast {got}") from None
+        return mat_exp_stack(tgen)
 
 
 class SemigroupFamily:
-    """Lazily cached map (c, d, t) -> exp(t G_{c,d}) for one generator.
+    """Lazily cached Q^{c,d}_t = exp(t G_{c,d}) for one generator, read by ``factors``.
 
     Reads and insertions take no lock: ``dict.setdefault`` is atomic (under
     the GIL, and free-threaded CPython locks each dict), so the first value
@@ -124,15 +129,6 @@ class SemigroupFamily:
             hit = self._cache.setdefault(key, hit)
         return hit
 
-    def q(self, c, d, t: float) -> np.ndarray:
-        """Q^{c,d}_t = exp(t G_{c,d}); a contraction for contractive sources."""
-        t = check_time(t, "t")
-        c = np.asarray(c, dtype=np.complex128).reshape(-1)
-        d = np.asarray(d, dtype=np.complex128).reshape(-1)
-        (key,) = self.slice_generators(c, d)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._exp((*key, t))
-
 
 def dual_generator(F: BlockGenerator) -> BlockGenerator:
     """Adjoint block generator: blocks K*, M*, L*, C* (assembled matrix F*)."""
@@ -191,10 +187,10 @@ def coords_to_f(grid: np.ndarray) -> BlockGenerator:
 def generator_from_semigroups(q, dim_k: int, t: float) -> BlockGenerator:
     """The block generator read back from its associated semigroups at step t.
 
-    ``q`` is any callable (c, d, t) -> Q^{c,d}_t: ``family.q``, a dual
-    family's, or an oracle's.  Each coordinate cell, with n = (|c|^2 + |d|^2)/2,
-    is the slope (e^{t n} Q^{c,d}_t - I)/t - n I of G_{c,d}, and
-    ``coords_to_f`` inverts the grid; the error is O(t) as t -> 0.
+    ``q`` is any callable (c, d, t) -> Q^{c,d}_t: ``functools.partial(q_stack, F)``,
+    the same for a dual generator, or an oracle's.  Each coordinate cell, with
+    n = (|c|^2 + |d|^2)/2, is the slope (e^{t n} Q^{c,d}_t - I)/t - n I of
+    G_{c,d}, and ``coords_to_f`` inverts the grid; the error is O(t) as t -> 0.
     """
     t = check_time(t, "t", positive=True)
     cells = coordinate_cells(check_count(dim_k, "dim_k"))

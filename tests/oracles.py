@@ -213,6 +213,12 @@ def coords_from_f_loops(F):
     return np.array([[g_generator(F, c, d) for d in cells] for c in cells])
 
 
+def family_q(family, c, d, t):
+    """Q^{c,d}_t read from a cached family as a refinement of one piece."""
+    [q] = family.factors([c], [d], [t])
+    return q
+
+
 def trotter_kato_loops(F, n_list, T, grid_points):
     """``trotter_kato_pipeline``'s error table from two cached families, one
     ``op_norm`` per pair and grid time."""
@@ -223,7 +229,7 @@ def trotter_kato_loops(F, n_list, T, grid_points):
     base = SemigroupFamily(F)
     grid = np.linspace(0.0, T, grid_points)
     return np.array([
-        [max(op_norm(fam_n.q(c, d, t) - base.q(c, d, t)) for t in grid) for c, d in pairs]
+        [max(op_norm(family_q(fam_n, c, d, t) - family_q(base, c, d, t)) for t in grid) for c, d in pairs]
         for fam_n in (SemigroupFamily(yosida_approx(F, n)) for n in n_list)
     ])
 
@@ -233,7 +239,7 @@ def dual_defect_loops(F):
     fam, dual_fam = SemigroupFamily(F), SemigroupFamily(dual_generator(F))
     cells = _cells_loop(F.dim_k)
     return max(
-        op_norm(dual_fam.q(c, d, t) - np.conj(fam.q(d, c, t)).T)
+        op_norm(family_q(dual_fam, c, d, t) - np.conj(family_q(fam, d, c, t)).T)
         for c in cells for d in cells for t in (0.1, 0.5, 1.0)
     )
 
@@ -555,11 +561,11 @@ def check_group_separate_roots(probes, q_blocks, tol):
 
 def screen_reference(F, n_max, samples, seed, tol=PASS_TOL):
     """``screen_family`` from per-probe construction: the core probes one at a
-    time on ``family.q`` lookups, the random ones grouped by n on ``q_stack``."""
+    time on one cached lookup per block, the random ones grouped by n on ``q_stack``."""
     family = SemigroupFamily(F)
 
     def lookups(c, t):
-        return np.array([[[family.q(ci, cj, s) for cj in ct] for ci in ct] for ct, s in zip(c, t)])
+        return np.array([[[family_q(family, ci, cj, s) for cj in ct] for ci in ct] for ct, s in zip(c, t)])
 
     def stacked(c, t):
         return q_stack(F, c[:, :, None], c[:, None], t[:, None, None])

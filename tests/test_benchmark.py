@@ -32,7 +32,7 @@ def test_oracle_lattice_traced_cycle_passes():
 
 @pytest.mark.parametrize("workload", ["schur_screen", "evolve_grid"])
 def test_engine_traced_cycle_passes(workload):
-    # The engine boundaries the tracer wraps, among them the family.q lookups
-    # of the Schur product and the P-factors of sliced_element, must stay
-    # where the tracer finds them.
+    # The engine boundaries the tracer wraps, among them the cached lookups
+    # of the single-probe Schur check and the P-factors of sliced_element,
+    # must stay where the tracer finds them.
     assert_traced_cycle_passes(workload)

@@ -1,3 +1,4 @@
+import functools
 import runpy
 import sys
 import warnings
@@ -264,7 +265,7 @@ class TestSlicedElement:
         for t in (0.4, 1.1):
             assert np.array_equal(
                 sliced_element(F, z, z, t),
-                SemigroupFamily(F).q(np.zeros(2), np.zeros(2), t),
+                q_stack(F, np.zeros(2), np.zeros(2), t),
             )
 
     def test_refinement_invariance(self):
@@ -547,9 +548,8 @@ class TestFactors:
         sliced_element(F, f, g, times)
         assert len(factors) == len(lengths)
         assert len(exps) == len(pieces)
-        family = SemigroupFamily(F)
         for q, c, d, h in zip(factors, fv, gv, lengths):
-            assert q.tobytes() == family.q(c, d, h).tobytes()
+            assert q.tobytes() == q_stack(F, c, d, h).tobytes()
 
         # Each piece's key is cut from one tobytes of each row stack; a slice
         # may add two more when its generator is filled.
@@ -692,7 +692,7 @@ class TestFiniteDifferenceRecovery:
     def test_zero_generator_t_operator(self):
         F = zero_generator(2, 2)
         for t in (0.5, 0.25):
-            got = generator_from_semigroups(SemigroupFamily(F).q, 2, t)
+            got = generator_from_semigroups(functools.partial(q_stack, F), 2, t)
             # Q^{0,0}_t = I exactly; Q carries mat_exp's rounding of e^{-t/2}
             # into L and M.
             assert np.array_equal(got.K, np.zeros((2, 2)))
@@ -701,12 +701,12 @@ class TestFiniteDifferenceRecovery:
     def test_zero_generator_c_operator(self):
         F = zero_generator(2, 2)
         for t in (0.5, 0.25):
-            got = generator_from_semigroups(SemigroupFamily(F).q, 2, t)
+            got = generator_from_semigroups(functools.partial(q_stack, F), 2, t)
             # Second difference of e^{t<c,d>}: (e^t - 1 - 1 + 1)/t.
             assert op_norm(got.C - (np.exp(t) - 1.0) / t * np.eye(4)) < 1e-13
 
     def test_scalar_hp_recovers_l(self):
-        got = generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, 1e-3)
+        got = generator_from_semigroups(functools.partial(q_stack, scalar_hp()), 1, 1e-3)
         assert abs(got.L[0, 0] - 1.0) < 5e-3
 
     def test_t_operator_halving_trend(self):
@@ -716,20 +716,20 @@ class TestFiniteDifferenceRecovery:
         exact = F.L + F.C @ lift_map(d, 3)
         errs = []
         for t in (1e-2, 5e-3, 2.5e-3):
-            got = generator_from_semigroups(SemigroupFamily(F).q, 2, t)
+            got = generator_from_semigroups(functools.partial(q_stack, F), 2, t)
             errs.append(op_norm(got.L + got.C @ lift_map(d, 3) - exact))
         assert errs[0] > 1e-8
         for small, big in zip(errs[1:], errs[:-1]):
             assert 0.4 <= small / big <= 0.6
 
     def test_positive_step_required(self):
-        q = SemigroupFamily(scalar_hp()).q
+        q = functools.partial(q_stack, scalar_hp())
         for bad in (0.0, -1e-3):
             with pytest.raises(ValueError, match="positive"):
                 generator_from_semigroups(q, 1, bad)
 
     def test_scalar_hp_recovers_c(self):
-        q = SemigroupFamily(scalar_hp()).q
+        q = functools.partial(q_stack, scalar_hp())
         errs = [abs(generator_from_semigroups(q, 1, t).C[0, 0] - 1.0) for t in (1e-2, 1e-3)]
         assert errs[1] < 5e-3
         assert errs[1] < errs[0]
@@ -753,7 +753,7 @@ class TestFiniteDifferenceRecovery:
         C = np.kron(rot, np.eye(dim_h))
         rng = np.random.default_rng(17)
         F = from_hlc(np.zeros((2, 2)), random_complex(rng, (4, 2), 0.4), C)
-        got = generator_from_semigroups(SemigroupFamily(F).q, 2, 1e-3).C
+        got = generator_from_semigroups(functools.partial(q_stack, F), 2, 1e-3).C
         assert op_norm(got - C) < 5e-3
         offdiag = got[0:2, 2:4]
         assert op_norm(offdiag - (-np.sin(theta)) * np.eye(2)) < 5e-3
@@ -797,7 +797,8 @@ GUARDED = {
     "cocycle_defect-t": (lambda x: cocycle_defect(scalar_hp(), ZERO, ZERO, 1.0, x), "t", SINGLE),
     "varpi_matrix": (lambda x: varpi_matrix(np.eye(2), x), "t", TIMES),
     "step_matrix": (lambda x: step_matrix(scalar_hp(), x), "tau", SINGLE),
-    "q": (lambda x: SemigroupFamily(scalar_hp()).q([0.0], [0.0], x), "t", SINGLE),
+    # Q at one time; a time array is a stack of times there, not a refusal.
+    "q": (lambda x: q_stack(scalar_hp(), [0.0], [0.0], x), "t", TIMES),
     "q_stack": (lambda x: q_stack(scalar_hp(), [0.0], [0.0], [0.5, x]), "t", TIMES),
     "tk-T": (lambda x: trotter_kato_pipeline(scalar_hp(), [10], T=x), "T", SINGLE),
     "tk-grid_points": (
@@ -840,17 +841,17 @@ GUARDED = {
     # The finite-difference read-backs of T = L + C E_d and of C, both taken
     # from generator_from_semigroups.
     "t_operator_fd": (
-        lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x).L,
+        lambda x: generator_from_semigroups(functools.partial(q_stack, scalar_hp()), 1, x).L,
         "t",
         SINGLE,
     ),
     "c_operator_fd": (
-        lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, 1, x).C,
+        lambda x: generator_from_semigroups(functools.partial(q_stack, scalar_hp()), 1, x).C,
         "t",
         SINGLE,
     ),
     "fd-dim_k": (
-        lambda x: generator_from_semigroups(SemigroupFamily(scalar_hp()).q, x, 0.1), "dim_k", counts()
+        lambda x: generator_from_semigroups(functools.partial(q_stack, scalar_hp()), x, 0.1), "dim_k", counts()
     ),
 }
 

@@ -5,11 +5,12 @@ and no module reads another package module's private names, only the
 semigroup module exponentiates or builds the coordinate cells, only the
 modules that cache semigroups name ``SemigroupFamily``, only the cocycle
 sweep and the Schur screen build one (so a cache lives for one call), only
-``mat_exp_stack`` evaluates the Pade approximant, only ``make_probe``
-builds a Schur probe, only the random models and the Schur screen draw
-random numbers, and only ``opcore`` checks counts (it alone imports
-``operator``, for ``check_count``) and refuses a count under its bound or an
-array where one time is expected.
+the sweep and the single-probe Schur check read it through ``factors``,
+``q_stack`` is the one public map to Q, only ``mat_exp_stack`` evaluates the
+Pade approximant, only ``make_probe`` builds a Schur probe, only the random
+models and the Schur screen draw random numbers, and only ``opcore`` checks
+counts (it alone imports ``operator``, for ``check_count``) and refuses a
+count under its bound or an array where one time is expected.
 Only ``jsonio`` imports ``gc``, to pause the collector while a file is
 decoded, never around numerical code.  The CLI builds and evolves a model
 with numpy as its only third-party package, as ``pyproject.toml`` declares."""
@@ -186,6 +187,18 @@ def call_scopes(source: str, name: str) -> list[str]:
     return found
 
 
+def method_calls(source: str, attr: str) -> list[str]:
+    """The top-level function, or method of a top-level class, whose body
+    (nested functions included) makes each ``x.attr(...)`` call, or
+    ``<module>``."""
+    found = []
+    for node in ast.parse(source).body:
+        for scope in node.body if isinstance(node, ast.ClassDef) else [node]:
+            found += [getattr(scope, "name", "<module>") for call in ast.walk(scope)
+                      if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == attr]
+    return found
+
+
 def test_public_names_resolve():
     assert [name for name in qscocycle.__all__ if not hasattr(qscocycle, name)] == []
 
@@ -332,10 +345,24 @@ def test_family_build_is_found():
         "    return SemigroupFamily\n"
         "class A:\n"
         "    def q(self):\n"
-        "        return SemigroupFamily(self.F).q\n"
+        "        return SemigroupFamily(self.F).factors\n"
         "'SemigroupFamily(F)'\n"
     )
     assert call_scopes(source, "SemigroupFamily") == ["<module>", "g", "q"]
+
+
+def test_method_call_is_found():
+    source = (
+        "fam.factors(c, d, t)\n"
+        "def f(fam):\n"
+        "    def g():\n"
+        "        return fam.factors(c, d, t)\n"
+        "    return factors(c, d, t), fam.factors\n"
+        "class A:\n"
+        "    def q(self):\n"
+        "        return self.fam.factors(c, d, t)\n"
+    )
+    assert method_calls(source, "factors") == ["<module>", "f", "q"]
 
 
 def test_only_semigroups_build_the_coordinate_cells():
@@ -379,6 +406,20 @@ def test_one_key_path_into_the_family():
         f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") for name in call_scopes(p.read_text(), "tobytes")
     })
     assert found == ["semigroups.slice_generators"]
+
+
+def test_one_public_q():
+    # q_stack is the package's one map (c, d, t) -> Q.  A family keeps only
+    # its cache seam, which the cocycle sweep and the single-probe Schur check
+    # read through factors.
+    family = qscocycle.SemigroupFamily(qscocycle.random_contractive(2, 1, seed=0))
+    assert [name for name in dir(family) if not name.startswith("_")] == ["factors", "slice_generators", "source"]
+    assert "q_stack" in qscocycle.__all__
+    found = {
+        attr: sorted(f"{p.stem}.{name}" for p in PACKAGE.glob("*.py") for name in method_calls(p.read_text(), attr))
+        for attr in ("factors", "q")
+    }
+    assert found == {"factors": ["cocycle.sliced_element", "reconstruct.schur_criterion_check"], "q": []}
 
 
 def test_only_the_sweep_and_the_screen_build_a_family():

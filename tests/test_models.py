@@ -3,7 +3,6 @@ import pytest
 
 from qscocycle import (
     OscillatorSpec,
-    SemigroupFamily,
     birth_death,
     classify,
     contractivity_defect,
@@ -12,6 +11,7 @@ from qscocycle import (
     inverse_oscillator,
     mat_exp,
     op_norm,
+    q_stack,
     random_contractive,
 )
 from qscocycle.generator import adjoint
@@ -161,9 +161,8 @@ class TestBirthDeath:
         birth = np.array([0.5, 1.0, 1.5, 2.0, 0.7])
         death = np.array([0.3, 0.8, 1.2, 0.9, 1.1])
         F = birth_death(5, birth, death)
-        fam = SemigroupFamily(F)
         t = 0.6
-        q = fam.q(np.zeros(2), np.zeros(2), t)
+        q = q_stack(F, np.zeros(2), np.zeros(2), t)
         for n in range(1, 4):  # interior states
             total_rate = birth[n] + death[n]
             assert abs(q[n, n] - np.exp(-0.5 * total_rate * t)) < 1e-13

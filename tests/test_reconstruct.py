@@ -108,7 +108,7 @@ class TestProbes:
         y[1] = 1.0
         probe = make_probe([c], 0.8, np.ones((1, 1)), np.ones((1, 1)), y, dim_h=3)
         report = schur_criterion_check(family, probe)
-        direct = np.linalg.norm(family.q(c, c, 0.8) @ y[:, 0]) - 1.0
+        direct = np.linalg.norm(q_stack(F, c, c, 0.8) @ y[:, 0]) - 1.0
         assert abs(report.defect - direct) < 1e-12
 
     def test_degenerate_probe_skipped(self):
@@ -148,6 +148,46 @@ class TestProbes:
         family = SemigroupFamily(random_contractive(2, 1, seed=5))
         with pytest.raises(ValueError, match=r"^y of shape \(1, 1\) does not fit the family's dim_h=2$"):
             schur_criterion_check(family, probe)
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_direct_probe_weights_that_do_not_fit_are_named(self, name):
+        # A Probe built without make_probe: n = 1 needs 1 x 1 weights.
+        fields = dict(c_tuple=np.zeros((1, 1), complex), t=0.5, a=np.eye(1, dtype=complex),
+                      b=np.eye(1, dtype=complex), y=np.ones((2, 1), complex))
+        probe = Probe(**{**fields, name: np.eye(2, dtype=complex)})
+        family = SemigroupFamily(random_contractive(2, 1, seed=0))
+        with pytest.raises(ValueError, match=rf"^{name} of shape \(2, 2\) does not fit the probe: expected \(1, 1\)$"):
+            schur_criterion_check(family, probe)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (0, 1)], ids=["three-axes", "empty"])
+    def test_c_tuple_that_is_not_a_stack_of_slices_is_named(self, shape):
+        message = rf"^c_tuple of shape {re.escape(str(shape))} must be one slice vector or an \(n, dim_k\) array"
+        with pytest.raises(ValueError, match=message):
+            make_probe(np.zeros(shape), 0.1, np.eye(1), np.eye(1), np.ones((2, 1)), dim_h=2)
+
+    def test_single_probe_reads_its_blocks_in_one_factors_call(self, monkeypatch):
+        # The n x n blocks come from one lookup per pair (c_i, c_j), row by
+        # row, all in one factors call, and match the stateless map bit for bit.
+        F = random_contractive(2, 2, seed=7)
+        rng = np.random.default_rng(7)
+        c = random_complex(rng, (3, 2))
+        probe = make_probe(c, 0.4, np.eye(3), np.eye(3), random_complex(rng, (6, 3)), dim_h=2)
+        calls, factors = [], SemigroupFamily.factors
+
+        def spy(self, *args):
+            calls.append((args, factors(self, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(SemigroupFamily, "factors", spy)
+        family = SemigroupFamily(F)
+        report = schur_criterion_check(family, probe)
+        [((rows, cols, times), blocks)] = calls
+        assert_bitwise(rows, np.repeat(c, 3, axis=0))
+        assert_bitwise(cols, np.tile(c, (3, 1)))
+        assert times == [0.4] * 9
+        assert_bitwise(np.array(blocks), q_stack(F, rows, cols, 0.4))
+        assert len(family._cache) == 9 + 9  # each pair's G_{c,d} and Q
+        assert not report.skipped
 
     def test_bad_time_of_a_direct_probe_rejected(self):
         # A Probe built without make_probe still meets varpi_matrix's check,

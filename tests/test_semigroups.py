@@ -1,3 +1,4 @@
+import functools
 import re
 import threading
 
@@ -9,6 +10,7 @@ from qscocycle import (
     SemigroupFamily,
     StepFunction,
     chi,
+    component,
     contractivity_defect,
     coords_from_f,
     coords_to_f,
@@ -16,10 +18,12 @@ from qscocycle import (
     g_generator,
     generator_from_semigroups,
     op_norm,
+    q_stack,
     random_contractive,
     sliced_element,
+    varpi_matrix,
 )
-from qscocycle.semigroups import coordinate_cells, q_stack
+from qscocycle.semigroups import coordinate_cells
 
 from oracles import (
     assert_bitwise,
@@ -91,7 +95,7 @@ class TestSliceGenerators:
         with pytest.raises(OverflowError, match=rf"^slice generator G_\{{c,d\}} is not finite {named}$"):
             sliced_element(F, f, f, 1.0)
         with pytest.raises(OverflowError, match=named):
-            SemigroupFamily(F).q([value], [value], 0.5)
+            q_stack(F, [value], [value], 0.5)
 
     def test_first_overflowing_slice_of_a_stack_is_named(self):
         F = random_contractive(2, 2, seed=0)
@@ -106,7 +110,7 @@ class TestSliceGenerators:
         # G_{c,d} is finite but t G_{c,d} is not: mat_exp refuses the product
         # by name, with no numpy warning on the way.
         F = random_contractive(2, 1, seed=0)
-        for call in (SemigroupFamily(F).q, lambda c, d, t: q_stack(F, c, d, t)):
+        for call in (lambda c, d, t: SemigroupFamily(F).factors([c], [d], [t]), functools.partial(q_stack, F)):
             with pytest.raises(ValueError, match="^mat_exp input contains non-finite entries$"):
                 call([0.5], [0.5], 1e308)
 
@@ -116,6 +120,10 @@ class TestSliceGenerators:
         F = BlockGenerator(dim_h=1, dim_k=1, K=top, L=np.zeros((1, 1)), M=top, C=np.zeros((1, 1)))
         with pytest.raises(OverflowError, match=r"not finite at c=\[0j\], d=\[\(1\+0j\)\]$"):
             coords_from_f(F)
+
+
+# The refusal of slice vectors (2, 1) and (3, 1), which do not broadcast.
+SHAPES_CD = r"slice vectors c and d of shapes \(2, 1\) and \(3, 1\)"
 
 
 class TestStacks:
@@ -129,15 +137,31 @@ class TestStacks:
             assert_bitwise(stack[k], g_generator(F, cs[k], ds[k]))
 
     def test_q_stack_matches_family(self):
+        # The stateless map and the cache give the same bits, for a stack and
+        # for one matrix at a time.
         F = random_contractive(2, 2, seed=67)
         rng = np.random.default_rng(67)
         cs, ds = random_complex(rng, (6, 2)), random_complex(rng, (6, 2))
         ts = np.array([0.0, 0.1, 0.5, 1.0, 3.0, 20.0])
-        stack = q_stack(F, cs, ds, ts)
-        fam = SemigroupFamily(F)
+        cached = SemigroupFamily(F).factors(cs, ds, ts)
+        assert_bitwise(q_stack(F, cs, ds, ts), np.array(cached))
         for k in range(6):
-            ref = fam.q(cs[k], ds[k], ts[k])
-            assert op_norm(stack[k] - ref) <= 1e-14 * max(1.0, op_norm(ref))
+            [one] = SemigroupFamily(F).factors(cs[k : k + 1], ds[k : k + 1], ts[k : k + 1])
+            for q in (one, q_stack(F, cs[k], ds[k], ts[k])):
+                assert_bitwise(q, cached[k])
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda F: component(F, np.zeros((2, 1)), np.zeros((3, 1))), SHAPES_CD, id="component"),
+        pytest.param(lambda F: g_generator(F, np.zeros((2, 1)), np.zeros((3, 1))), SHAPES_CD, id="g_generator"),
+        pytest.param(lambda F: q_stack(F, np.zeros((2, 1)), np.zeros((3, 1)), 0.5), SHAPES_CD, id="q_stack-cd"),
+        pytest.param(lambda F: q_stack(F, np.zeros((2, 1)), np.zeros((2, 1)), [0.1, 0.2, 0.3]),
+                     r"t of shape \(3,\) against c and d of shapes \(2, 1\) and \(2, 1\)", id="q_stack-t"),
+        pytest.param(lambda F: varpi_matrix(np.zeros((2, 2, 1)), [0.1, 0.2, 0.3]),
+                     r"t of shape \(3,\) against c_tuple of shape \(2, 2, 1\)", id="varpi_matrix"),
+    ])
+    def test_stacks_that_do_not_broadcast_are_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^cannot broadcast {message}$"):
+            call(random_contractive(2, 1, seed=0))
 
     @pytest.mark.parametrize("t", [-0.1, np.inf, np.nan])
     def test_q_stack_rejects_bad_times(self, t):
@@ -148,20 +172,19 @@ class TestStacks:
 
 class TestSemigroupValues:
     def test_time_zero(self):
-        fam = SemigroupFamily(random_contractive(2, 1, seed=5))
-        assert np.array_equal(fam.q([0.3], [0.1], 0.0), np.eye(2))
+        F = random_contractive(2, 1, seed=5)
+        assert np.array_equal(q_stack(F, [0.3], [0.1], 0.0), np.eye(2))
 
     def test_negative_time_rejected(self):
-        fam = SemigroupFamily(scalar_hp())
         with pytest.raises(ValueError, match="nonnegative"):
-            fam.q([0.0], [0.0], -0.5)
+            q_stack(scalar_hp(), [0.0], [0.0], -0.5)
 
     def test_slice_vector_dimension_checked(self):
         # A slice vector of the wrong size is never cached, so each of its
         # lookups reaches the one shape check and leaves the cache as it was.
         for dim_k in (0, 1, 2):
             fam = SemigroupFamily(zero_generator(2, dim_k))
-            fam.q(np.zeros(dim_k), np.zeros(dim_k), 0.5)
+            fam.factors(np.zeros(dim_k), np.zeros(dim_k), [0.5])
             size = len(fam._cache)
             message = (
                 f"slice vectors have shapes ({dim_k + 1},) and ({dim_k},), "
@@ -169,47 +192,43 @@ class TestSemigroupValues:
             )
             for _ in range(2):
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    fam.q(np.ones(dim_k + 1), np.zeros(dim_k), 0.5)
+                    fam.factors(np.ones(dim_k + 1), np.zeros(dim_k), [0.5])
             assert len(fam._cache) == size
 
     def test_zero_generator_q(self):
-        fam = SemigroupFamily(zero_generator(2, 1))
         c, d = np.array([1.0]), np.array([1j])
         t = 0.7
         expect = np.exp(-t * chi(c, d)) * np.eye(2)
-        assert np.allclose(fam.q(c, d, t), expect, atol=1e-13)
+        assert np.allclose(q_stack(zero_generator(2, 1), c, d, t), expect, atol=1e-13)
 
     def test_scalar_hp_markov_value(self):
-        fam = SemigroupFamily(scalar_hp())
-        assert abs(fam.q([0.0], [0.0], 1.0)[0, 0] - 0.6065306597126334) < 1e-14
+        assert abs(q_stack(scalar_hp(), [0.0], [0.0], 1.0)[0, 0] - 0.6065306597126334) < 1e-14
 
     def test_scalar_hp_coherent_value(self):
-        fam = SemigroupFamily(scalar_hp())
         # G_{1,1} = -0.5, so Q_1 = e^{-0.5}.
-        assert abs(fam.q([1.0], [1.0], 1.0)[0, 0] - np.exp(-0.5)) < 1e-14
+        assert abs(q_stack(scalar_hp(), [1.0], [1.0], 1.0)[0, 0] - np.exp(-0.5)) < 1e-14
 
 
 class TestSemigroupProperties:
     def test_semigroup_law(self):
-        fam = SemigroupFamily(random_contractive(3, 2, seed=8))
+        q = functools.partial(q_stack, random_contractive(3, 2, seed=8))
         rng = np.random.default_rng(9)
         for _ in range(50):
             c, d = random_complex(rng, 2), random_complex(rng, 2)
             s, t = rng.uniform(0, 1.5, size=2)
-            lhs = fam.q(c, d, s + t)
-            rhs = fam.q(c, d, s) @ fam.q(c, d, t)
+            lhs = q(c, d, s + t)
+            rhs = q(c, d, s) @ q(c, d, t)
             assert op_norm(lhs - rhs) <= 1e-11
 
     def test_contractivity_transfer(self):
         for seed, mode in ((10, "unitary_C"), (11, "strict_C")):
             F = random_contractive(3, 2, seed=seed, mode=mode)
             assert contractivity_defect(F) <= 1e-10
-            fam = SemigroupFamily(F)
             rng = np.random.default_rng(seed)
             for _ in range(25):
                 c, d = random_complex(rng, 2), random_complex(rng, 2)
                 t = rng.uniform(0, 2)
-                assert op_norm(fam.q(c, d, t)) <= 1.0 + 1e-9
+                assert op_norm(q_stack(F, c, d, t)) <= 1.0 + 1e-9
 
 
 class TestDuality:
@@ -220,37 +239,35 @@ class TestDuality:
 
     def test_dual_relation(self):
         F = random_contractive(3, 2, seed=15)
-        fam, dfam = SemigroupFamily(F), SemigroupFamily(dual_generator(F))
+        dual = dual_generator(F)
         rng = np.random.default_rng(16)
         for _ in range(40):
             c, d = random_complex(rng, 2), random_complex(rng, 2)
             t = rng.uniform(0, 2)
-            assert op_norm(dfam.q(c, d, t) - np.conj(fam.q(d, c, t).T)) <= 1e-12
+            assert op_norm(q_stack(dual, c, d, t) - np.conj(q_stack(F, d, c, t).T)) <= 1e-12
 
     def test_scalar_model_tight(self):
         F = scalar_hp()
-        fam, dfam = SemigroupFamily(F), SemigroupFamily(dual_generator(F))
+        dual = dual_generator(F)
         for t in (0.3, 1.0, 1.7):
-            lhs = dfam.q([0.0], [1.0], t)
-            rhs = np.conj(fam.q([1.0], [0.0], t).T)
+            lhs = q_stack(dual, [0.0], [1.0], t)
+            rhs = np.conj(q_stack(F, [1.0], [0.0], t).T)
             assert op_norm(lhs - rhs) <= 1e-14
 
     def test_zero_generator_self_dual(self):
         F = zero_generator(2, 1)
-        fam, dfam = SemigroupFamily(F), SemigroupFamily(dual_generator(F))
         c, d = np.array([0.4 + 0.2j]), np.array([1.0 - 0.3j])
-        assert op_norm(dfam.q(c, d, 0.8) - np.conj(fam.q(d, c, 0.8).T)) <= 1e-14
+        assert op_norm(q_stack(dual_generator(F), c, d, 0.8) - np.conj(q_stack(F, d, c, 0.8).T)) <= 1e-14
 
     def test_dual_generator_recovered(self):
         # Read back from the dual family, the dual generator converges at
         # O(t), and agrees with a read-back from (Q^{d,c}_t)*.
         for seed in (70, 71):
             F = random_contractive(3, 2, seed=seed)
-            fam, dfam = SemigroupFamily(F), SemigroupFamily(dual_generator(F))
             errs = []
             for t in (1e-2, 5e-3, 2.5e-3):
-                got = generator_from_semigroups(dfam.q, 2, t)
-                adjoint_q = generator_from_semigroups(lambda c, d, t: fam.q(d, c, t).conj().T, 2, t)
+                got = generator_from_semigroups(functools.partial(q_stack, dual_generator(F)), 2, t)
+                adjoint_q = generator_from_semigroups(lambda c, d, t: q_stack(F, d, c, t).conj().T, 2, t)
                 assert block_gap(got, adjoint_q) <= 1e-12
                 errs.append(block_gap(got, dual_generator(F)))
             for small, big in zip(errs[1:], errs[:-1]):
@@ -330,32 +347,18 @@ class TestCoordinates:
 class TestFamilyCache:
     def test_cache_returns_cached_object(self):
         fam = SemigroupFamily(scalar_hp())
-        a = fam.q([0.5], [0.25], 1.0)
-        b = fam.q([0.5], [0.25], 1.0)
+        [a] = fam.factors([[0.5]], [[0.25]], [1.0])
+        [b] = fam.factors([[0.5]], [[0.25]], [1.0])
         assert a is b
-        assert fam.q([0.5], [0.25], np.array(1.0)) is a
-
-    def test_zero_d_times_share_the_float_entry(self):
-        fam = SemigroupFamily(scalar_hp())
-        a = fam.q([0.5], [0.25], 0.5)
-        for t in (np.array(0.5), np.float64(0.5), np.array([[0.5]])[0, 0]):
-            assert fam.q([0.5], [0.25], t) is a
+        assert fam.factors([[0.5]], [[0.25]], np.array([1.0]))[0] is a
+        assert all(q is a for q in fam.factors([[0.5], [0.5]], [[0.25], [0.25]], [1.0, 1.0]))
         assert len(fam._cache) == 2  # G_{c,d} and one Q
-
-    @pytest.mark.parametrize("t", [np.array([0.5]), np.array([[0.5, 1.0]]), [0.5]])
-    def test_array_time_is_named(self, t):
-        fam = SemigroupFamily(scalar_hp())
-        with pytest.raises(ValueError, match=r"^t must be a single time, got an array of shape"):
-            fam.q([0.0], [0.0], t)
-        with pytest.raises(ValueError, match=r"^t must be finite"):
-            fam.q([0.0], [0.0], np.array([0.5, -1.0]))
-        assert fam._cache == {}
 
     def test_exact_key_discrimination(self):
         fam = SemigroupFamily(scalar_hp())
-        a = fam.q([0.5], [0.0], 0.1)
-        b = fam.q([0.5], [0.0], 0.1 + 2**-40)
+        a, b = fam.factors([[0.5], [0.5]], [[0.0], [0.0]], [0.1, 0.1 + 2**-40])
         assert a is not b
+        assert len(fam._cache) == 3
 
     def test_concurrent_reads_consistent(self):
         fam = SemigroupFamily(random_contractive(3, 2, seed=20))
@@ -368,7 +371,7 @@ class TestFamilyCache:
 
         def worker(bucket):
             for c, d, t in keys:
-                bucket.append(fam.q(c, d, t))
+                bucket.append(fam.factors([c], [d], [t])[0])
 
         threads = [threading.Thread(target=worker, args=(results[i],)) for i in range(4)]
         for th in threads:
