@@ -155,11 +155,8 @@ def cmd_schur(args) -> int:
     reports = reconstruct.screen_family(
         F, n_max=args.n_max, samples=args.samples, seed=args.seed, tol=args.tol
     )
-    rows = [
-        (r.probe_id, r.n, f"{r.t:.12g}", f"{r.defect:.17g}", r.passed, r.skipped)
-        for r in reports
-    ]
     if args.out:
+        rows = [(r.probe_id, r.n, f"{r.t:.12g}", f"{r.defect:.17g}", r.passed, r.skipped) for r in reports]
         _write_csv(args.out, ("probe_id", "n", "t", "defect", "pass", "skipped"), rows)
     violations = [r for r in reports if not r.skipped and not r.passed]
     skipped = sum(1 for r in reports if r.skipped)

@@ -88,8 +88,10 @@ class StepFunction:
 
     @classmethod
     def constant(cls, value, end: float) -> "StepFunction":
-        value = np.asarray(value, dtype=np.complex128).reshape(1, -1)
-        return cls(np.zeros(1), value, end)
+        value = np.asarray(value, dtype=np.complex128)
+        if value.ndim > 1:
+            raise ValueError(f"value of shape {value.shape} must be a scalar or a (dim_k,) vector")
+        return cls(np.zeros(1), value.reshape(1, -1), end)
 
     def __call__(self, t: float) -> np.ndarray:
         return self._values(np.array([check_time(t, "t")]))[0]

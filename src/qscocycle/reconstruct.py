@@ -38,12 +38,12 @@ def varpi_matrix(c_tuple, t) -> np.ndarray:
     """Gram matrix [exp(-t chi(c_i, c_j))]; Hermitian PSD with unit diagonal.
 
     chi(c_i, c_j) = (|c_i|^2 + |c_j|^2)/2 - <c_i, c_j> is read off the one
-    Gram matrix [<c_i, c_j>].  A stack of n-tuples (..., n, dim_k) with one t
-    each gives the stack of Gram matrices.
+    Gram matrix [<c_i, c_j>] of the (n, dim_k) c-tuple.  A stack of c-tuples
+    (..., n, dim_k) with one t each gives the stack of Gram matrices.
     """
     c = np.asarray(c_tuple, dtype=np.complex128)
-    if c.ndim == 1:
-        c = c[:, None]
+    if c.ndim in (0, 1):
+        raise ValueError(f"c_tuple of shape {c.shape} must be an (n, dim_k) array or a stack of them")
     t = np.asarray(check_times(t, "t"))
     gram = c.conj() @ c.mT
     sq = gram.diagonal(axis1=-2, axis2=-1).real
@@ -93,12 +93,20 @@ class ProbeReport:
     skipped: bool
 
 
-def _fitted(x, shape: tuple, name: str) -> np.ndarray:
-    """``x`` as a complex128 array of ``shape``, if it has that many entries."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.size != math.prod(shape):
-        raise ValueError(f"{name} of shape {x.shape} does not fit the probe: expected {shape}")
-    return x.reshape(shape)
+def _probe_arrays(c_tuple, a, b, y, dim_h: int, dim_k: int | None = None) -> tuple:
+    """A probe's c-tuple, weights and block column as complex128 arrays of
+    shapes (n, dim_k) with n > 0, (n, n), (n, n) and (n * dim_h, n), or a
+    ``ValueError`` naming the first that does not fit; ``dim_k`` is checked
+    when given."""
+    c = np.asarray(c_tuple, dtype=np.complex128)
+    if c.ndim != 2 or not len(c) or dim_k not in (None, c.shape[1]):
+        k = "dim_k" if dim_k is None else dim_k
+        raise ValueError(f"c_tuple of shape {c.shape} must be an (n, {k}) array, n > 0")
+    n, fitted = len(c), [np.asarray(x, dtype=np.complex128) for x in (a, b, y)]
+    for name, x, shape in zip("aby", fitted, ((n, n), (n, n), (n * dim_h, n))):
+        if x.shape != shape:
+            raise ValueError(f"{name} of shape {x.shape} does not fit the probe: expected {shape}")
+    return (c, *fitted)
 
 
 def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
@@ -107,16 +115,11 @@ def make_probe(c_tuple, t, a, b, y, dim_h: int, probe_id: int = 0) -> Probe:
     The scalar weight matrices act on C^n blockwise, so A^{-1/2} is ampliated
     by the identity of h before touching Y.
     """
-    c_arr = np.atleast_2d(np.asarray(c_tuple, dtype=np.complex128))
-    if c_arr.ndim > 2 or not len(c_arr):
-        raise ValueError(f"c_tuple of shape {c_arr.shape} must be one slice vector or an (n, dim_k) array, n > 0")
-    n = c_arr.shape[0]
-    a, b = _fitted(a, (n, n), "a"), _fitted(b, (n, n), "b")
-    y = _fitted(y, (n * check_count(dim_h, "dim_h", 1), n), "y")
+    c, a, b, y = _probe_arrays(c_tuple, a, b, y, check_count(dim_h, "dim_h", 1))
     bound = op_norm(_ampliate(psd_inv_sqrt(a), y) @ psd_inv_sqrt(b))
     if bound > 1.0:
         y = y / bound
-    return Probe(c_tuple=c_arr, t=check_time(t, "t"), a=a, b=b, y=y, probe_id=probe_id)
+    return Probe(c_tuple=c, t=check_time(t, "t"), a=a, b=b, y=y, probe_id=probe_id)
 
 
 def _check_stacks(ids, c, ts, ab, y, q_blocks, tol: float) -> list[ProbeReport]:
@@ -144,20 +147,16 @@ def schur_criterion_check(
     as ``_check_stacks`` of a stack of one whose blocks come from one
     ``family.factors`` call over the pairs (c_i, c_j)."""
     tol = check_time(tol, "tol")
-    n, dh = len(probe.c_tuple), family.source.dim_h
-    for name, weight in (("a", probe.a), ("b", probe.b)):
-        if weight.shape != (n, n):
-            raise ValueError(f"{name} of shape {weight.shape} does not fit the probe: expected {(n, n)}")
-    if probe.y.shape != (n * dh, n):
-        raise ValueError(f"y of shape {probe.y.shape} does not fit the family's dim_h={dh}")
+    dh = family.source.dim_h
+    c, a, b, y = _probe_arrays(probe.c_tuple, probe.a, probe.b, probe.y, dh, family.source.dim_k)
+    n = len(c)
 
     def lookups(c, t):
         (ct,) = c  # the pairs row by row: c_i repeated, the tuple cycled
         q = family.factors(ct.repeat(n, 0), np.concatenate([ct] * n), t.tolist() * (n * n))
         return np.array(q).reshape(1, n, n, dh, dh)
 
-    ab = np.array([[probe.a, probe.b]])
-    return _check_stacks([probe.probe_id], probe.c_tuple[None], [probe.t], ab, probe.y[None], lookups, tol)[0]
+    return _check_stacks([probe.probe_id], c[None], [probe.t], np.array([[a, b]]), y[None], lookups, tol)[0]
 
 
 def deterministic_core_probes(F: BlockGenerator) -> list[Probe]:

@@ -40,7 +40,9 @@ def g_generator(F: BlockGenerator, c, d) -> np.ndarray:
     generator that is not finite in double precision raises
     ``OverflowError`` naming the first such slice.
     """
-    gen = component(F, c, d) - np.multiply.outer(chi(c, d), np.eye(F.dim_h, dtype=np.complex128))
+    gen, dh = component(F, c, d), F.dim_h
+    # Minus chi(c, d) I, in place on a strided view of each slice's diagonal.
+    gen.reshape(*gen.shape[:-2], dh * dh)[..., :: dh + 1] -= np.expand_dims(chi(c, d), -1)
     if not np.isfinite(gen).all():
         bad = ~np.isfinite(gen).all(axis=(-2, -1))
         at = np.unravel_index(np.argmax(bad), bad.shape)

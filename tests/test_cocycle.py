@@ -77,6 +77,12 @@ class TestStepFunction:
             with pytest.raises(ValueError, match="breakpoints must be finite"):
                 StepFunction(np.array([0.0, bad]), np.zeros((2, 1)), 1.0)
 
+    def test_constant_takes_a_scalar_or_a_vector(self):
+        assert StepFunction.constant(0.5j, 1.0).values.tolist() == [[0.5j]]
+        assert StepFunction.constant([1.0, 2.0], 1.0).values.tolist() == [[1.0, 2.0]]
+        with pytest.raises(ValueError, match=r"^value of shape \(2, 2\) must be a scalar or a \(dim_k,\) vector$"):
+            StepFunction.constant([[1, 2], [3, 4]], 1.0)
+
     def test_right_continuous_evaluation(self):
         f = StepFunction(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]), 3.0)
         assert f(0.0)[0] == 1.0

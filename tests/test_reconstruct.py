@@ -66,9 +66,15 @@ class TestVarpiMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             varpi_matrix(np.zeros((1, 1)), -0.1)
 
-    def test_flat_tuple_is_one_channel(self):
-        # A 1-d c-tuple holds n scalars, the slice vectors of dim_k = 1.
-        assert_bitwise(varpi_matrix([0.0, 1.0, 0.5j], 0.7), varpi_matrix([[0.0], [1.0], [0.5j]], 0.7))
+    @pytest.mark.parametrize("call", [
+        lambda c: varpi_matrix(c, 0.7),
+        lambda c: make_probe(c, 0.7, np.eye(1), np.eye(1), np.ones((2, 1)), dim_h=2),
+    ], ids=["varpi_matrix", "make_probe"])
+    def test_flat_tuple_is_refused(self, call):
+        # A c-tuple is an (n, dim_k) array: a flat one is neither n scalars
+        # nor one slice vector.
+        with pytest.raises(ValueError, match=r"^c_tuple of shape \(3,\) must be an \(n, dim_k\) array"):
+            call([0.0, 1.0, 0.5j])
 
 
 class TestProbes:
@@ -137,16 +143,28 @@ class TestProbes:
         ("a", np.eye(3), np.eye(2), np.ones((4, 2))),
         ("b", np.eye(2), np.ones((2, 3)), np.ones((4, 2))),
         ("y", np.eye(2), np.eye(2), np.ones((3, 2))),
+        ("a", np.eye(2).ravel(), np.eye(2), np.ones((4, 2))),
+        ("y", np.eye(2), np.eye(2), np.ones(8)),
+        ("y", np.eye(2), np.eye(2), np.ones((2, 4))),
     ])
     def test_probe_that_does_not_fit_is_named(self, name, a, b, y):
-        # An n = 2 probe at dim_h = 2 needs 2 x 2 weights and a 4 x 2 Y.
+        # An n = 2 probe at dim_h = 2 needs 2 x 2 weights and a 4 x 2 Y,
+        # not arrays that have as many entries.
         with pytest.raises(ValueError, match=f"^{name} of shape .* does not fit the probe"):
             make_probe([[0.0], [0.3]], 0.5, a, b, y, dim_h=2)
 
     def test_probe_that_does_not_fit_the_family_is_named(self):
         probe = make_probe([[0.3]], 0.5, [[1.0]], [[1.0]], [[1.0]], dim_h=1)
         family = SemigroupFamily(random_contractive(2, 1, seed=5))
-        with pytest.raises(ValueError, match=r"^y of shape \(1, 1\) does not fit the family's dim_h=2$"):
+        with pytest.raises(ValueError, match=r"^y of shape \(1, 1\) does not fit the probe: expected \(2, 1\)$"):
+            schur_criterion_check(family, probe)
+
+    def test_direct_probe_c_tuple_that_does_not_fit_the_family_is_named(self):
+        # A Probe built without make_probe: a dim_k = 2 family needs (n, 2) slice vectors.
+        probe = Probe(c_tuple=np.zeros((1, 1), complex), t=0.5, a=np.eye(1, dtype=complex),
+                      b=np.eye(1, dtype=complex), y=np.ones((2, 1), complex))
+        family = SemigroupFamily(random_contractive(2, 2, seed=0))
+        with pytest.raises(ValueError, match=r"^c_tuple of shape \(1, 1\) must be an \(n, 2\) array, n > 0$"):
             schur_criterion_check(family, probe)
 
     @pytest.mark.parametrize("name", ["a", "b"])
@@ -159,9 +177,9 @@ class TestProbes:
         with pytest.raises(ValueError, match=rf"^{name} of shape \(2, 2\) does not fit the probe: expected \(1, 1\)$"):
             schur_criterion_check(family, probe)
 
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (0, 1)], ids=["three-axes", "empty"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (0, 1), (1,)], ids=["three-axes", "empty", "flat"])
     def test_c_tuple_that_is_not_a_stack_of_slices_is_named(self, shape):
-        message = rf"^c_tuple of shape {re.escape(str(shape))} must be one slice vector or an \(n, dim_k\) array"
+        message = rf"^c_tuple of shape {re.escape(str(shape))} must be an \(n, dim_k\) array, n > 0$"
         with pytest.raises(ValueError, match=message):
             make_probe(np.zeros(shape), 0.1, np.eye(1), np.eye(1), np.ones((2, 1)), dim_h=2)
 

@@ -136,6 +136,19 @@ class TestStacks:
         for k in range(5):
             assert_bitwise(stack[k], g_generator(F, cs[k], ds[k]))
 
+    @pytest.mark.parametrize("dh, dk", [(1, 1), (3, 2), (12, 0)])
+    def test_g_generator_shifts_the_slice_by_chi_bitwise(self, dh, dk):
+        # Subtracting chi(c, d) on the diagonals gives the bits of the dense
+        # shift by chi(c, d) (x) I, also on rows with c = d and zero rows.
+        rng = np.random.default_rng(dh + dk)
+        F = random_blocks(rng, dh, dk)
+        cs, ds = random_complex(rng, (6, dk)), random_complex(rng, (6, dk))
+        ds[1] = cs[1]
+        cs[2] = ds[2] = cs[3] = 0.0
+        for c, d in ((cs, ds), (cs[:, None], ds[None]), (cs[1], ds[1])):
+            shift = np.multiply.outer(chi(c, d), np.eye(dh, dtype=np.complex128))
+            assert_bitwise(g_generator(F, c, d), component(F, c, d) - shift)
+
     def test_q_stack_matches_family(self):
         # The stateless map and the cache give the same bits, for a stack and
         # for one matrix at a time.
